@@ -47,18 +47,7 @@ def cmd_validate(config_path: str | None) -> int:
     except (ConfigError, IngestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    resolved = pipeline.resolve_all(data)
-    coverage = pipeline.CoverageReport()
-    for rf in resolved:
-        coverage.total_flights += 1
-        if rf.is_computable:
-            coverage.computed_flights += 1
-        elif rf.incomputable_cause is not None:
-            coverage.causes[rf.incomputable_cause] = coverage.causes.get(
-                rf.incomputable_cause, 0) + 1
-        for flag in rf.provenance:
-            if flag != "INCOMPUTABLE":
-                coverage.fallback_flags[flag] = coverage.fallback_flags.get(flag, 0) + 1
+    coverage = pipeline.coverage_report(pipeline.resolve_all(data))
 
     for name, rep in data.reports.items():
         print(f"{name}: {rep.accepted} accepted, {rep.rejected} rejected")

@@ -178,8 +178,8 @@ def flight_emissions(rf: ResolvedFlight,
                      engine_multiplier: float | None = None,
                      interpolation_key: str = "time",
                      ) -> EmissionsResult | None:
-    """Full per-flight computation; None when required tables lack the flight's
-    engine or airframe (callers reclassify the flight as incomputable).
+    """Full per-flight computation; None when the flight is not computable or
+    the tables lack its engine or CCD profile.
 
     The stored LTO vector is the sum of the origin and destination shares, so
     the airport split reproduces it bit-exactly.

@@ -2,14 +2,16 @@
 
 Every table is comma-delimited UTF-8 with a fixed header row. Malformed rows
 are rejected with a line number and reason; only a missing file, a header
-mismatch, or a duplicate primary key aborts a parse. Missing numeric fields
-are represented as None, never 0.
+mismatch, or a duplicate primary key aborts a parse. Numbers must be finite
+(inf and nan reject the row). Missing numeric fields are represented as None,
+never 0.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -148,11 +150,18 @@ def _read_rows(path: str | Path, expected_header: list[str],
         return list(reader), has_optional
 
 
+def _finite(text: str, name: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _opt_float(text: str, name: str, minimum: float | None = None,
                strict_min: bool = False) -> float | None:
     if text == "":
         return None
-    value = float(text)
+    value = _finite(text, name)
     if minimum is not None:
         if strict_min and not value > minimum:
             raise ValueError(f"{name} must be > {minimum}, got {value}")
@@ -304,7 +313,7 @@ def parse_icao_databank(path: str | Path) -> tuple[list[EngineLtoFactors], Inges
                 raise ValueError(f"unknown gas {gas!r}")
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
-            rate = float(rate_s)
+            rate = _finite(rate_s, "rate_kg_per_s")
             if rate < 0:
                 raise ValueError(f"negative rate {rate} for {uid} {gas}/{mode}")
             engine = cells.setdefault(uid, {})
@@ -349,12 +358,12 @@ def parse_bada_ccd(path: str | Path) -> tuple[list[CcdProfile], IngestReport]:
             ctype = row[0]
             if not ctype:
                 raise ValueError("canonical_type must be non-empty")
-            duration = float(row[1])
+            duration = _finite(row[1], "duration_min")
             if duration <= 0:
                 raise ValueError(f"duration_min must be positive, got {duration}")
             emissions = {}
             for gas, text in zip(("HC", "CO2", "CO", "NOX"), row[2:6]):
-                mass = float(text)
+                mass = _finite(text, f"{gas} mass")
                 if mass < 0:
                     raise ValueError(f"negative {gas} mass {mass}")
                 emissions[gas] = mass

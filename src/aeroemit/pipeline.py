@@ -132,13 +132,10 @@ def compute_outcomes(resolved: list[matching.ResolvedFlight], data: LoadedData,
 
     def compute(rf: matching.ResolvedFlight) -> agg.FlightOutcome:
         multiplier = float(rf.engine_count or 1) if per_engine else 1.0
-        result = emissions.flight_emissions(
+        return agg.FlightOutcome(rf, emissions.flight_emissions(
             rf, engines, profiles, cfg.co2e_factors,
             engine_multiplier=multiplier,
-            interpolation_key=cfg.interpolation_key)
-        if result is None and rf.is_computable:
-            rf = _reclassify(rf)
-        return agg.FlightOutcome(rf, result)
+            interpolation_key=cfg.interpolation_key))
 
     workers = threads or cfg.threads or os.cpu_count() or 1
     if workers <= 1 or len(resolved) < 2:
@@ -147,23 +144,16 @@ def compute_outcomes(resolved: list[matching.ResolvedFlight], data: LoadedData,
         return list(pool.map(compute, resolved, chunksize=256))
 
 
-def _reclassify(rf: matching.ResolvedFlight) -> matching.ResolvedFlight:
-    # Engine or profile vanished between resolve and compute; keep accounting honest.
-    return matching.ResolvedFlight(
-        flight=rf.flight, canonical_type=rf.canonical_type,
-        seat_count=rf.seat_count, engine_count=rf.engine_count,
-        engine_uid=rf.engine_uid, emissions_type=rf.emissions_type,
-        efficiency_factor=rf.efficiency_factor,
-        provenance=rf.provenance | {matching.INCOMPUTABLE},
-        incomputable_cause=matching.NO_CCD_PROFILE)
+def coverage_report(resolved: list[matching.ResolvedFlight]) -> CoverageReport:
+    """Computable flights, incomputable causes and resolution flags.
 
-
-def coverage_report(outcomes: list[agg.FlightOutcome]) -> CoverageReport:
+    `resolve_flight` only marks a flight computable when its engine and CCD
+    profile exist, so every computable flight gets emissions.
+    """
     report = CoverageReport()
-    for outcome in outcomes:
+    for rf in resolved:
         report.total_flights += 1
-        rf = outcome.resolved
-        if outcome.result is not None:
+        if rf.is_computable:
             report.computed_flights += 1
         elif rf.incomputable_cause is not None:
             report.causes[rf.incomputable_cause] = report.causes.get(
@@ -176,12 +166,12 @@ def coverage_report(outcomes: list[agg.FlightOutcome]) -> CoverageReport:
 
 # --- serialization ---
 
-def _mass(value) -> str:
-    return f"{float(value):.2f}"
+def _mass(value: float) -> str:
+    return f"{value:.2f}"
 
 
-def _ratio(value) -> str:
-    return "" if value is None else f"{float(value):.6f}"
+def _ratio(value: float | None) -> str:
+    return "" if value is None else f"{value:.6f}"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -227,8 +217,9 @@ def write_outputs(outcomes: list[agg.FlightOutcome], cfg: RunConfig,
     _atomic_write(outdir / "flight_emissions.csv",
                   _csv_text(FLIGHT_EMISSIONS_HEADER, rows))
 
+    rollup = agg.roll_up(outcomes, factors)
     airline_rows = []
-    for s in agg.aggregate_airlines(outcomes, factors):
+    for s in rollup.airlines:
         airline_rows.append([
             s.carrier_code, str(s.total_flights), str(s.emission_flights),
             str(s.total_seats), _mass(s.total_co2_kg), _mass(s.total_co2e_kg),
@@ -238,25 +229,21 @@ def write_outputs(outcomes: list[agg.FlightOutcome], cfg: RunConfig,
                   _csv_text(AIRLINE_HEADER, airline_rows))
 
     airport_rows = []
-    for a in agg.aggregate_airports(outcomes, factors):
-        airport_rows.append([
-            a.airport, _mass(a.gas_totals.hc), _mass(a.gas_totals.co2),
-            _mass(a.gas_totals.co), _mass(a.gas_totals.nox), _mass(a.lto_co2e_kg),
-        ])
+    for a in rollup.airports:
+        masses = [_mass(a.gas_totals.kg(gas)) for gas in agg.GASES]
+        airport_rows.append([a.airport, *masses, _mass(a.lto_co2e_kg)])
     _atomic_write(outdir / "airport_lto.csv", _csv_text(AIRPORT_HEADER, airport_rows))
 
-    lto_bd, ccd_bd = agg.gas_breakdowns(outcomes)
     bd_rows = []
-    for breakdown in (lto_bd, ccd_bd):
+    for breakdown in (rollup.lto, rollup.ccd):
         for gas in agg.GASES:
-            bd_rows.append([breakdown.cycle, gas, _mass(breakdown.raw.get(gas)),
+            bd_rows.append([breakdown.cycle, gas, _mass(breakdown.raw.kg(gas)),
                             _mass(breakdown.co2e_kg(gas, factors))])
     _atomic_write(outdir / "gas_breakdown.csv",
                   _csv_text(GAS_BREAKDOWN_HEADER, bd_rows))
 
-    co2e_points, seat_mile_points = agg.scatter_datasets(outcomes)
     co2e_rows = [[repr(p.distance_mi), _mass(p.value), p.canonical_type,
-                  p.engine_uid, p.carrier_code] for p in co2e_points]
+                  p.engine_uid, p.carrier_code] for p in rollup.co2e_points]
     _atomic_write(outdir / "scatter_co2e.csv",
                   _csv_text(SCATTER_CO2E_HEADER, co2e_rows))
 
@@ -267,7 +254,7 @@ def write_outputs(outcomes: list[agg.FlightOutcome], cfg: RunConfig,
         logger.warning("no UNEP baseline constants configured; "
                        "scatter_seat_mile.csv omits the baseline column")
     sm_rows = []
-    for p in seat_mile_points:
+    for p in rollup.seat_mile_points:
         row = [repr(p.distance_mi), _ratio(p.value), p.canonical_type,
                p.engine_uid, p.carrier_code]
         if cfg.unep is not None:
@@ -284,6 +271,6 @@ def run_pipeline(cfg: RunConfig, threads: int | None = None,
     data = load_data(cfg)
     resolved = resolve_all(data)
     outcomes = compute_outcomes(resolved, data, cfg, threads=threads)
-    coverage = coverage_report(outcomes)
+    coverage = coverage_report(resolved)
     write_outputs(outcomes, cfg, coverage)
     return outcomes, coverage

@@ -116,14 +116,15 @@ def test_criterion_6_conservation(corpus_outcomes):
     for o in outcomes:
         assert o.result.lto_origin_share + o.result.lto_destination_share == o.result.lto
 
-    system = agg.system_totals(outcomes)
+    rollup = agg.roll_up(outcomes)
+    system = rollup.system
     airline_total = agg.ExactGasTotals()
-    for s in agg.aggregate_airlines(outcomes):
+    for s in rollup.airlines:
         airline_total = airline_total + s.gas_totals
     airport_total = agg.ExactGasTotals()
-    for a in agg.aggregate_airports(outcomes):
+    for a in rollup.airports:
         airport_total = airport_total + a.gas_totals
-    _, ccd_bd = agg.gas_breakdowns(outcomes)
+    ccd_bd = rollup.ccd
 
     for gas in agg.GASES:
         assert airline_total.get(gas) == system.get(gas)
@@ -139,8 +140,7 @@ def test_criterion_7_coverage_accounting(tmp_path):
     cfg = load_config(config)
     data = pipeline.load_data(cfg)
     resolved = pipeline.resolve_all(data)
-    outcomes = pipeline.compute_outcomes(resolved, data, cfg, threads=1)
-    coverage = pipeline.coverage_report(outcomes)
+    coverage = pipeline.coverage_report(resolved)
     assert coverage.total_flights == 200
     assert coverage.computed_flights == 185
     assert coverage.coverage == 185 / 200
@@ -176,7 +176,7 @@ def test_criterion_8_determinism_across_workers(corpus_cfg, tmp_path):
 
 
 def test_criterion_9_co2e_ratio_dominates(corpus_outcomes):
-    summaries = agg.aggregate_airlines(corpus_outcomes)
+    summaries = agg.roll_up(corpus_outcomes).airlines
     assert summaries
     for s in summaries:
         assert s.co2e_per_seat_mile >= s.co2_per_seat_mile

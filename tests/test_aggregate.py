@@ -100,7 +100,7 @@ class TestSplitLto:
 class TestAirlineAggregation:
     def test_single_airline_additivity(self):
         outcomes = [outcome(make_flight(number=str(i))) for i in range(2)]
-        (summary,) = agg.aggregate_airlines(outcomes)
+        (summary,) = agg.roll_up(outcomes).airlines
         expected = sum(o.result.lto.co2 + o.result.ccd.co2 for o in outcomes)
         assert summary.total_co2_kg == pytest.approx(expected)
         assert summary.total_flights == 2
@@ -116,7 +116,7 @@ class TestAirlineAggregation:
                 taxi_in=rng.uniform(1, 20), taxi_out=rng.uniform(1, 20),
                 distance=rng.uniform(100, 2500), number=str(i)),
                 seats=rng.choice([76, 160, 180])))
-        summaries = {s.carrier_code: s for s in agg.aggregate_airlines(outcomes)}
+        summaries = {s.carrier_code: s for s in agg.roll_up(outcomes).airlines}
         # independent naive loop
         for carrier in carriers:
             mine = [o for o in outcomes if o.resolved.flight.carrier_code == carrier]
@@ -135,7 +135,7 @@ class TestAirlineAggregation:
             engine_count=None, engine_uid=None, emissions_type=None,
             efficiency_factor=1.0, provenance=frozenset({"INCOMPUTABLE"}),
             incomputable_cause="MISSING_TAIL")
-        (summary,) = agg.aggregate_airlines([agg.FlightOutcome(rf, None)])
+        (summary,) = agg.roll_up([agg.FlightOutcome(rf, None)]).airlines
         assert summary.total_flights == 1
         assert summary.emission_flights == 0
         assert summary.co2_per_seat_mile is None
@@ -146,12 +146,12 @@ class TestAirlineAggregation:
                      for i in range(3)]
                     + [outcome(make_flight(carrier="DL", number=str(i)))
                        for i in range(5)])
-        summaries = agg.aggregate_airlines(outcomes)
+        summaries = agg.roll_up(outcomes).airlines
         assert [s.carrier_code for s in summaries] == ["DL", "AA"]
 
     def test_co2e_ratio_dominates_co2_ratio(self):
         outcomes = [outcome(make_flight(number=str(i))) for i in range(5)]
-        for s in agg.aggregate_airlines(outcomes):
+        for s in agg.roll_up(outcomes).airlines:
             assert s.co2e_per_seat_mile >= s.co2_per_seat_mile
 
 
@@ -171,7 +171,7 @@ class TestConservation:
 
     def test_airport_split_conserves_mass(self):
         outcomes = self.corpus()
-        airports = agg.aggregate_airports(outcomes)
+        airports = agg.roll_up(outcomes).airports
         total = agg.ExactGasTotals()
         for a in airports:
             total = total + a.gas_totals
@@ -184,13 +184,14 @@ class TestConservation:
     def test_three_way_grouping_identity(self):
         outcomes = self.corpus()
         airline_total = agg.ExactGasTotals()
-        for s in agg.aggregate_airlines(outcomes):
+        for s in agg.roll_up(outcomes).airlines:
             airline_total = airline_total + s.gas_totals
         airport_total = agg.ExactGasTotals()
-        for a in agg.aggregate_airports(outcomes):
+        for a in agg.roll_up(outcomes).airports:
             airport_total = airport_total + a.gas_totals
-        lto_bd, ccd_bd = agg.gas_breakdowns(outcomes)
-        system = agg.system_totals(outcomes)
+        rollup = agg.roll_up(outcomes)
+        lto_bd, ccd_bd = rollup.lto, rollup.ccd
+        system = rollup.system
         assert airline_total == system
         assert airport_total + ccd_bd.raw == system
         assert lto_bd.raw + ccd_bd.raw == system
@@ -199,8 +200,8 @@ class TestConservation:
         outcomes = self.corpus(100)
         shuffled = list(outcomes)
         random.Random(9).shuffle(shuffled)
-        a = agg.aggregate_airlines(outcomes)
-        b = agg.aggregate_airlines(shuffled)
+        a = agg.roll_up(outcomes).airlines
+        b = agg.roll_up(shuffled).airlines
         assert [(s.carrier_code, s.gas_totals, s.total_co2e) for s in a] \
             == [(s.carrier_code, s.gas_totals, s.total_co2e) for s in b]
 
@@ -208,7 +209,8 @@ class TestConservation:
 class TestGasBreakdown:
     def test_co2e_is_raw_times_factor(self):
         outcomes = [outcome(make_flight(number=str(i))) for i in range(3)]
-        lto_bd, ccd_bd = agg.gas_breakdowns(outcomes)
+        rollup = agg.roll_up(outcomes)
+        lto_bd, ccd_bd = rollup.lto, rollup.ccd
         f = Co2eFactors()
         for breakdown in (lto_bd, ccd_bd):
             assert breakdown.co2e_kg("NOX", f) == pytest.approx(
@@ -226,7 +228,8 @@ class TestScatter:
             efficiency_factor=1.0, provenance=frozenset({"INCOMPUTABLE"}),
             incomputable_cause="MISSING_TAIL")
         outcomes.append(agg.FlightOutcome(rf, None))
-        co2e_points, seat_mile_points = agg.scatter_datasets(outcomes)
+        rollup = agg.roll_up(outcomes)
+        co2e_points, seat_mile_points = rollup.co2e_points, rollup.seat_mile_points
         assert len(co2e_points) == 4
         assert len(seat_mile_points) == 4
         assert co2e_points[0].value == outcomes[0].result.total_co2e_kg

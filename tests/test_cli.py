@@ -71,6 +71,15 @@ class TestRun:
         assert coverage["computed_flights"] == 1
         assert coverage["coverage"] == 1.0
 
+    def test_nonfinite_flight_row_rejected_not_fatal(self, tmp_path, capsys):
+        paths = write_golden_inputs(tmp_path)
+        with open(paths["ontime"], "a", encoding="utf-8") as fh:
+            fh.write("2021-09-02,DL,2442,N815DN,ATL,PHL,inf,7.0,15.0,666\n")
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert "computed 1 of 1 flights" in capsys.readouterr().out
+        assert len(read_rows(tmp_path / "out" / "flight_emissions.csv")) == 1
+
     def test_empty_flight_table(self, tmp_path):
         paths = write_golden_inputs(tmp_path)
         write_csv(tmp_path / "ontime.csv",

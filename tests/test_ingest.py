@@ -73,6 +73,19 @@ class TestParseOntime:
         assert report.rejections[0].line == 3
         assert fragment in report.rejections[0].reason
 
+    @pytest.mark.parametrize("column, text", [
+        ("air_time_min", "inf"), ("air_time_min", "nan"), ("taxi_in_min", "inf"),
+        ("taxi_out_min", "-inf"), ("distance_mi", "inf"), ("distance_mi", "nan"),
+    ])
+    def test_nonfinite_rejected(self, tmp_path, column, text):
+        row = list(GOLDEN_ROW)
+        row[ONTIME_HEADER.index(column)] = text
+        records, report = ingest.parse_ontime(ontime_file(tmp_path, [GOLDEN_ROW, row]))
+        assert len(records) == 1
+        assert report.rejected == 1
+        assert report.rejections[0].line == 3
+        assert f"{column} must be finite" in report.rejections[0].reason
+
     def test_conservation(self, tmp_path):
         rows = [GOLDEN_ROW, ["bad"] * 10, GOLDEN_ROW, ["x"]]
         _, report = ingest.parse_ontime(ontime_file(tmp_path, rows))
@@ -204,6 +217,18 @@ class TestParseIcaoDatabank:
         assert records == []
         assert report.accepted + report.rejected == 16
 
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_nonfinite_rate_rejected(self, tmp_path, text):
+        rows = icao_rows("E1", CFM56_7B27E_RATES)
+        rows[3][3] = text
+        path = tmp_path / "icao.csv"
+        write_csv(path, ingest.ICAO_HEADER, rows)
+        records, report = ingest.parse_icao_databank(path)
+        assert records == []
+        assert report.rejections[0].line == 5
+        assert "rate_kg_per_s must be finite" in report.rejections[0].reason
+        assert report.accepted == 0 and report.rejected == 16
+
     def test_duplicate_uid_fatal(self, tmp_path):
         rows = icao_rows("E1", CFM56_7B27E_RATES)
         rows.append(rows[0])
@@ -253,6 +278,20 @@ class TestParseBadaCcd:
         write_csv(a, ingest.BADA_HEADER, rows)
         write_csv(b, ingest.BADA_HEADER, rows[::-1])
         assert ingest.parse_bada_ccd(a)[0] == ingest.parse_bada_ccd(b)[0]
+
+    @pytest.mark.parametrize("column, text", [
+        (1, "nan"), (1, "inf"), (2, "nan"), (3, "inf"), (5, "nan"),
+    ])
+    def test_nonfinite_rejected(self, tmp_path, column, text):
+        rows = self.bada_rows()
+        rows[4][column] = text
+        path = tmp_path / "bada.csv"
+        write_csv(path, ingest.BADA_HEADER, rows)
+        profiles, report = ingest.parse_bada_ccd(path)
+        assert len(profiles[0].knots) == 9
+        (rejection,) = report.rejections
+        assert rejection.line == 6
+        assert "must be finite" in rejection.reason
 
     def test_duplicate_duration_rejected(self, tmp_path):
         rows = self.bada_rows()

@@ -6,6 +6,7 @@ error so typos surface immediately.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -115,6 +116,8 @@ def load_config(path: str | Path | None) -> RunConfig:
             value = float(pairs[key])
         except ValueError:
             raise ConfigError(f"{key}: not a number: {pairs[key]}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}")
         if lo is not None and value < lo or hi is not None and value > hi:
             raise ConfigError(f"{key}: {value} out of range")
         return value

@@ -1,35 +1,31 @@
-"""Parsers for the six delimited-text input tables.
+"""Input tables: one declarative `TableSchema` per table, one reader, one writer.
 
-Every table is comma-delimited UTF-8 with a fixed header row. Malformed rows
-are rejected with a line number and reason; only a missing file, a header
-mismatch, or a duplicate primary key aborts a parse. Numbers must be finite
-(inf and nan reject the row). Missing numeric fields are represented as None,
-never 0.
+Every table is comma-delimited UTF-8 with a fixed header row. A schema lists
+the table's columns, each with a converter that raises ValueError, and may add
+a row constraint, a primary key, an optional trailing column, a grouping step
+for long-form tables and a record order. `read_table` rejects a malformed row
+(wrong arity, bytes that are not UTF-8, an oversized field, a refused value)
+with its line number and reason; only a missing file, a header mismatch, or a
+repeated primary key of a table whose keys must be unique aborts a parse.
+Numbers must be finite (inf and nan reject the row). Missing numeric fields
+are represented as None, never 0. `write_table` is the reader's inverse.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
+import functools
 import math
+import re
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterator
 
 GASES = ("HC", "CO2", "CO", "NOX")
 MODES = ("TAKEOFF", "CLIMBOUT", "APPROACH", "IDLE")
-
-ONTIME_HEADER = [
-    "flight_date", "carrier", "flight_number", "tail_number", "origin",
-    "dest", "air_time_min", "taxi_in_min", "taxi_out_min", "distance_mi",
-]
-B43_HEADER = ["tail_number", "type_designator", "seat_count", "engine_count"]
-TAIL_REGISTRY_HEADER = ["tail_number", "engine_designation"]
-ENGINE_CODES_HEADER = ["faa_code", "designation"]
-ICAO_HEADER = ["engine_uid", "gas", "mode", "rate_kg_per_s"]
-BADA_HEADER = ["canonical_type", "duration_min", "hc_kg", "co2_kg", "co_kg", "nox_kg"]
-# Optional trailing column enabling distance-keyed CCD interpolation.
-BADA_DISTANCE_COLUMN = "distance_mi"
 
 
 class IngestError(Exception):
@@ -128,328 +124,299 @@ class IngestReport:
         self.rejections.append(RowRejection(line, reason))
 
 
-def _read_rows(path: str | Path, expected_header: list[str],
-               optional_trailing: str | None = None) -> tuple[list[list[str]], bool]:
-    """Read all rows, enforcing the header. Returns (rows, has_optional_column)."""
+# --- columns: a header name and a converter that raises ValueError ---
+
+@dataclass(frozen=True)
+class Column:
+    name: str
+    convert: Callable[[str], Any]
+
+
+def text(name: str, upper: bool = False) -> Column:
+    """Non-empty text, optionally uppercased."""
+    def convert(value: str) -> str:
+        if not value:
+            raise ValueError(f"{name} must be non-empty")
+        return value.upper() if upper else value
+    return Column(name, convert)
+
+
+def number(name: str, minimum: float | None = None, strict: bool = False,
+           optional: bool = False) -> Column:
+    """A finite float, at least (or, strict, above) `minimum`; "" is None if optional."""
+    bound = f"{'>' if strict else '>='} {minimum}"
+
+    def convert(value: str) -> float | None:
+        if optional and value == "":
+            return None
+        result = float(value)
+        if not math.isfinite(result):
+            raise ValueError(f"{name} must be finite, got {result}")
+        if minimum is not None and not (result > minimum if strict else result >= minimum):
+            raise ValueError(f"{name} must be {bound}, got {result}")
+        return result
+    return Column(name, convert)
+
+
+def integer(name: str, lo: int, hi: int | None = None, default: int | None = None) -> Column:
+    """An int in lo..hi (no upper bound if hi is None); "" is `default` if given."""
+    bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+
+    def convert(value: str) -> int:
+        if default is not None and value == "":
+            return default
+        result = int(value)
+        if result < lo or hi is not None and result > hi:
+            raise ValueError(f"{name} must be {bound}, got {result}")
+        return result
+    return Column(name, convert)
+
+
+def choice(name: str, options: tuple[str, ...]) -> Column:
+    def convert(value: str) -> str:
+        if value not in options:
+            raise ValueError(f"unknown {name} {value!r}")
+        return value
+    return Column(name, convert)
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(name: str) -> Column:
+    """Exactly YYYY-MM-DD, on every Python version."""
+    # A flight table repeats few distinct dates; the cache keeps the format check cheap.
+    @functools.lru_cache(maxsize=4096)
+    def convert(value: str) -> datetime.date:
+        if not _ISO_DATE.fullmatch(value):
+            raise ValueError(f"{name} must be YYYY-MM-DD, got {value!r}")
+        return datetime.date.fromisoformat(value)
+    return Column(name, convert)
+
+
+# --- the schema, its reader and its writer ---
+
+def _fields(record: Any) -> list[tuple]:
+    """The one row of a flat dataclass record."""
+    return [dataclasses.astuple(record)]
+
+
+@dataclass(frozen=True)
+class TableSchema:
+    """How one table is read and written.
+
+    A flat table makes one record per row with `build(*values)`, the values
+    in column order. A long-form table sets `group` instead: the rows sharing
+    their first column make one record, and a ValueError from `group` rejects
+    every one of those rows. `rows` is the inverse of either: the value rows
+    of one record; values beyond the columns written (an absent optional
+    column) are dropped.
+    """
+    table: str
+    columns: tuple[Column, ...]
+    build: Callable[..., Any] | None = None
+    group: Callable[[str, list[list]], Any] | None = None
+    rows: Callable[[Any], list[tuple]] = _fields
+    check: Callable[[list], None] | None = None  # row constraint, raises ValueError
+    key: tuple[str, ...] = ()
+    repeat_fatal: bool = True  # a repeated key aborts the parse, else rejects the row
+    optional: Column | None = None  # trailing column a file may add
+    order: Callable[[Any], Any] | None = None  # sort key of the records
+
+    @property
+    def header(self) -> list[str]:
+        return [c.name for c in self.columns]
+
+    def columns_for(self, path: Path, header: list[str] | None) -> tuple[Column, ...]:
+        if header == self.header:
+            return self.columns
+        if self.optional is not None and header == self.header + [self.optional.name]:
+            return self.columns + (self.optional,)
+        if header is None:
+            raise HeaderMismatchError(f"{path}: empty file, expected header {self.header}")
+        raise HeaderMismatchError(
+            f"{path}: header mismatch, expected {self.header}, got {header}")
+
+
+# surrogateescape decodes a byte that is not UTF-8 to one of these.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _records(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
+    """The reader's records; a record the csv module cannot split yields its error."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield exc
+
+
+def read_table(schema: TableSchema, path: str | Path) -> tuple[list, IngestReport]:
+    """Parse one table; record i is line i + 2 in rejections."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatchError(f"{path}: empty file, expected header {expected_header}")
-        has_optional = False
-        if header != expected_header:
-            if optional_trailing is not None and header == expected_header + [optional_trailing]:
-                has_optional = True
+    report = IngestReport(schema.table)
+    records: list = []
+    groups: dict[str, list[tuple[int, list]]] = {}
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        rows = _records(csv.reader(fh))
+        columns = schema.columns_for(path, next(rows, None))
+        converters = [c.convert for c in columns]
+        arity = len(columns)
+        key_at = [schema.header.index(name) for name in schema.key]
+        key_of = itemgetter(*key_at) if key_at else None
+        seen: set = set()
+        build, check = schema.build, schema.check
+        for line, row in enumerate(rows, start=2):
+            try:
+                if isinstance(row, csv.Error):
+                    raise ValueError(str(row))
+                if len(row) != arity:
+                    raise ValueError(f"expected {arity} fields, got {len(row)}")
+                joined = "".join(row)
+                if not joined.isascii() and _UNDECODED.search(joined):
+                    raise ValueError("field holds bytes that are not UTF-8")
+                values = [convert(value) for convert, value in zip(converters, row)]
+                if check is not None:
+                    check(values)
+                if key_of is not None:
+                    key = key_of(values)
+                    if key in seen:
+                        repeat = "duplicate " + ", ".join(
+                            f"{name} {values[i]}" for name, i in zip(schema.key, key_at))
+                        if schema.repeat_fatal:
+                            raise DuplicateKeyError(f"{schema.table} line {line}: {repeat}")
+                        raise ValueError(repeat)
+                    seen.add(key)
+            except ValueError as exc:
+                report.reject(line, str(exc))
+                continue
+            report.accepted += 1
+            if build is not None:
+                records.append(build(*values))
             else:
-                raise HeaderMismatchError(
-                    f"{path}: header mismatch, expected {expected_header}, got {header}")
-        return list(reader), has_optional
-
-
-def _finite(text: str, name: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
-def _opt_float(text: str, name: str, minimum: float | None = None,
-               strict_min: bool = False) -> float | None:
-    if text == "":
-        return None
-    value = _finite(text, name)
-    if minimum is not None:
-        if strict_min and not value > minimum:
-            raise ValueError(f"{name} must be > {minimum}, got {value}")
-        if not strict_min and not value >= minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def parse_ontime(path: str | Path) -> tuple[list[FlightRecord], IngestReport]:
-    rows, _ = _read_rows(path, ONTIME_HEADER)
-    report = IngestReport("ontime")
-    records: list[FlightRecord] = []
-    for lineno, row in enumerate(rows, start=2):
+                groups.setdefault(values[0], []).append((line, values))
+    for name in sorted(groups):
+        members = groups[name]
         try:
-            records.append(_parse_ontime_row(row))
-            report.accepted += 1
-        except (ValueError, IndexError) as exc:
-            report.reject(lineno, str(exc))
+            records.append(schema.group(name, [values for _, values in members]))
+        except ValueError as exc:
+            report.accepted -= len(members)
+            for line, _ in members:
+                report.reject(line, str(exc))
+    if schema.order is not None:
+        records.sort(key=schema.order)
     return records, report
 
 
-def _parse_ontime_row(row: list[str]) -> FlightRecord:
-    if len(row) != len(ONTIME_HEADER):
-        raise ValueError(f"expected {len(ONTIME_HEADER)} fields, got {len(row)}")
-    (date_s, carrier, number, tail, origin, dest,
-     air_time_s, taxi_in_s, taxi_out_s, distance_s) = row
-    flight_date = datetime.date.fromisoformat(date_s)
-    if not carrier:
-        raise ValueError("carrier must be non-empty")
-    if not origin or not dest:
-        raise ValueError("origin and dest must be non-empty")
-    if origin == dest:
-        raise ValueError(f"origin equals destination ({origin})")
-    return FlightRecord(
-        flight_date=flight_date,
-        carrier_code=carrier,
-        flight_number=number,
-        tail_number=tail or None,
-        origin=origin,
-        destination=dest,
-        air_time_min=_opt_float(air_time_s, "air_time_min", 0.0),
-        taxi_in_min=_opt_float(taxi_in_s, "taxi_in_min", 0.0),
-        taxi_out_min=_opt_float(taxi_out_s, "taxi_out_min", 0.0),
-        distance_mi=_opt_float(distance_s, "distance_mi", 0.0, strict_min=True),
-    )
-
-
-def parse_b43(path: str | Path) -> tuple[list[AirframeRecord], IngestReport]:
-    rows, _ = _read_rows(path, B43_HEADER)
-    report = IngestReport("b43")
-    records: list[AirframeRecord] = []
-    seen: set[str] = set()
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            if len(row) != len(B43_HEADER):
-                raise ValueError(f"expected {len(B43_HEADER)} fields, got {len(row)}")
-            tail, designator, seats_s, engines_s = row
-            if not tail:
-                raise ValueError("tail_number must be non-empty")
-            if tail in seen:
-                raise DuplicateKeyError(f"b43 line {lineno}: duplicate tail_number {tail}")
-            if not designator:
-                raise ValueError("type_designator must be non-empty")
-            seats = int(seats_s)
-            if seats < 1:
-                raise ValueError(f"seat_count must be >= 1, got {seats}")
-            engines = int(engines_s) if engines_s else 2
-            if engines not in (1, 2, 3, 4):
-                raise ValueError(f"engine_count must be in 1..4, got {engines}")
-            seen.add(tail)
-            records.append(AirframeRecord(tail, designator, seats, engines))
-            report.accepted += 1
-        except ValueError as exc:
-            report.reject(lineno, str(exc))
-    records.sort(key=lambda r: r.tail_number)
-    return records, report
-
-
-def parse_tail_registry(path: str | Path) -> tuple[list[TailEngineRecord], IngestReport]:
-    rows, _ = _read_rows(path, TAIL_REGISTRY_HEADER)
-    report = IngestReport("tail_registry")
-    records: list[TailEngineRecord] = []
-    seen: set[str] = set()
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            if len(row) != 2:
-                raise ValueError(f"expected 2 fields, got {len(row)}")
-            tail, designation = row
-            if not tail:
-                raise ValueError("tail_number must be non-empty")
-            if not designation:
-                raise ValueError("engine_designation must be non-empty")
-            if tail in seen:
-                raise DuplicateKeyError(
-                    f"tail_registry line {lineno}: duplicate tail_number {tail}")
-            seen.add(tail)
-            records.append(TailEngineRecord(tail, designation))
-            report.accepted += 1
-        except ValueError as exc:
-            report.reject(lineno, str(exc))
-    records.sort(key=lambda r: r.tail_number)
-    return records, report
-
-
-def parse_engine_codes(path: str | Path) -> tuple[list[EngineCodeRecord], IngestReport]:
-    rows, _ = _read_rows(path, ENGINE_CODES_HEADER)
-    report = IngestReport("engine_codes")
-    records: list[EngineCodeRecord] = []
-    seen: set[str] = set()
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            if len(row) != 2:
-                raise ValueError(f"expected 2 fields, got {len(row)}")
-            code, text = row
-            if not code:
-                raise ValueError("faa_code must be non-empty")
-            if not text:
-                raise ValueError("designation must be non-empty")
-            if code in seen:
-                raise DuplicateKeyError(
-                    f"engine_codes line {lineno}: duplicate faa_code {code}")
-            seen.add(code)
-            records.append(EngineCodeRecord(code, text))
-            report.accepted += 1
-        except ValueError as exc:
-            report.reject(lineno, str(exc))
-    records.sort(key=lambda r: r.faa_code)
-    return records, report
-
-
-def parse_icao_databank(path: str | Path) -> tuple[list[EngineLtoFactors], IngestReport]:
-    """Parse long-form engine factors: 16 (gas, mode) rows per engine UID.
-
-    A duplicate (uid, gas, mode) cell is fatal. Rows of engines that end up
-    with fewer than all 16 rates are reclassified as rejected.
-    """
-    rows, _ = _read_rows(path, ICAO_HEADER)
-    report = IngestReport("icao_engines")
-    cells: dict[str, dict[tuple[str, str], float]] = {}
-    lines_by_uid: dict[str, list[int]] = {}
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            if len(row) != 4:
-                raise ValueError(f"expected 4 fields, got {len(row)}")
-            uid, gas, mode, rate_s = row
-            if not uid:
-                raise ValueError("engine_uid must be non-empty")
-            if gas not in GASES:
-                raise ValueError(f"unknown gas {gas!r}")
-            if mode not in MODES:
-                raise ValueError(f"unknown mode {mode!r}")
-            rate = _finite(rate_s, "rate_kg_per_s")
-            if rate < 0:
-                raise ValueError(f"negative rate {rate} for {uid} {gas}/{mode}")
-            engine = cells.setdefault(uid, {})
-            if (gas, mode) in engine:
-                raise DuplicateKeyError(
-                    f"icao_engines line {lineno}: duplicate cell for {uid} {gas}/{mode}")
-            engine[(gas, mode)] = rate
-            lines_by_uid.setdefault(uid, []).append(lineno)
-            report.accepted += 1
-        except DuplicateKeyError:
-            raise
-        except ValueError as exc:
-            report.reject(lineno, str(exc))
-    records: list[EngineLtoFactors] = []
-    for uid in sorted(cells):
-        engine = cells[uid]
-        if len(engine) != 16:
-            report.accepted -= len(engine)
-            for lineno in lines_by_uid[uid]:
-                report.reject(lineno, f"engine {uid} incomplete: {len(engine)}/16 rates")
-            continue
-        records.append(EngineLtoFactors(uid, dict(engine)))
-    return records, report
-
-
-def parse_bada_ccd(path: str | Path) -> tuple[list[CcdProfile], IngestReport]:
-    """Parse CCD profiles; knots are sorted by duration per airframe type.
-
-    Row order in the file is irrelevant. A duplicate duration within a type
-    rejects the later occurrence; a type with fewer than 2 valid knots is
-    rejected entirely.
-    """
-    rows, has_distance = _read_rows(path, BADA_HEADER, optional_trailing=BADA_DISTANCE_COLUMN)
-    report = IngestReport("bada_ccd")
-    expected_len = len(BADA_HEADER) + (1 if has_distance else 0)
-    knots: dict[str, dict[float, CcdKnot]] = {}
-    lines: dict[str, dict[float, int]] = {}
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            if len(row) != expected_len:
-                raise ValueError(f"expected {expected_len} fields, got {len(row)}")
-            ctype = row[0]
-            if not ctype:
-                raise ValueError("canonical_type must be non-empty")
-            duration = _finite(row[1], "duration_min")
-            if duration <= 0:
-                raise ValueError(f"duration_min must be positive, got {duration}")
-            emissions = {}
-            for gas, text in zip(("HC", "CO2", "CO", "NOX"), row[2:6]):
-                mass = _finite(text, f"{gas} mass")
-                if mass < 0:
-                    raise ValueError(f"negative {gas} mass {mass}")
-                emissions[gas] = mass
-            distance = None
-            if has_distance:
-                distance = _opt_float(row[6], BADA_DISTANCE_COLUMN, 0.0, strict_min=True)
-            per_type = knots.setdefault(ctype, {})
-            if duration in per_type:
-                raise ValueError(f"duplicate duration {duration} for type {ctype}")
-            per_type[duration] = CcdKnot(duration, emissions, distance)
-            lines.setdefault(ctype, {})[duration] = lineno
-            report.accepted += 1
-        except ValueError as exc:
-            report.reject(lineno, str(exc))
-    profiles: list[CcdProfile] = []
-    for ctype in sorted(knots):
-        per_type = knots[ctype]
-        if len(per_type) < 2:
-            report.accepted -= len(per_type)
-            for duration, lineno in lines[ctype].items():
-                report.reject(lineno, f"type {ctype} has fewer than 2 knots")
-            continue
-        ordered = tuple(per_type[d] for d in sorted(per_type))
-        profiles.append(CcdProfile(ctype, ordered))
-    return profiles, report
-
-
-# --- serializers (round-trip counterparts of the parsers) ---
-
-def _fmt(value: float | int | None) -> str:
+def _format(value: Any) -> str:
     if value is None:
         return ""
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
+def write_table(schema: TableSchema, records: list, path: str | Path) -> None:
+    """Write records so that `read_table` parses them back to equal records."""
+    if schema.order is not None:
+        records = sorted(records, key=schema.order)
+    rows = [row for record in records for row in schema.rows(record)]
+    columns = list(schema.columns)
+    if schema.optional is not None and any(row[len(columns)] is not None for row in rows):
+        columns.append(schema.optional)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow([c.name for c in columns])
+        writer.writerows([_format(v) for v in row[:len(columns)]] for row in rows)
 
 
-def write_ontime(records: list[FlightRecord], path: str | Path) -> None:
-    _write_csv(path, ONTIME_HEADER, (
-        [r.flight_date.isoformat(), r.carrier_code, r.flight_number,
-         r.tail_number or "", r.origin, r.destination,
-         _fmt(r.air_time_min), _fmt(r.taxi_in_min), _fmt(r.taxi_out_min),
-         _fmt(r.distance_mi)]
-        for r in records))
+# --- the six input tables ---
+
+def _distinct_airports(values: list) -> None:
+    if values[4] == values[5]:
+        raise ValueError(f"origin equals destination ({values[4]})")
 
 
-def write_b43(records: list[AirframeRecord], path: str | Path) -> None:
-    _write_csv(path, B43_HEADER, (
-        [r.tail_number, r.raw_type_designator, str(r.seat_count), str(r.engine_count)]
-        for r in records))
+def _engine_factors(uid: str, rows: list[list]) -> EngineLtoFactors:
+    if len(rows) != 16:  # the key makes every (gas, mode) cell distinct
+        raise ValueError(f"engine {uid} incomplete: {len(rows)}/16 rates")
+    return EngineLtoFactors(uid, {(gas, mode): rate for _, gas, mode, rate in rows})
 
 
-def write_tail_registry(records: list[TailEngineRecord], path: str | Path) -> None:
-    _write_csv(path, TAIL_REGISTRY_HEADER, (
-        [r.tail_number, r.faa_engine_designation] for r in records))
+def _ccd_profile(canonical_type: str, rows: list[list]) -> CcdProfile:
+    if len(rows) < 2:
+        raise ValueError(f"type {canonical_type} has fewer than 2 knots")
+    knots = (CcdKnot(row[1], dict(zip(GASES, row[2:6])), row[6] if len(row) > 6 else None)
+             for row in rows)
+    return CcdProfile(canonical_type, tuple(sorted(knots, key=attrgetter("duration_min"))))
 
 
-def write_engine_codes(records: list[EngineCodeRecord], path: str | Path) -> None:
-    _write_csv(path, ENGINE_CODES_HEADER, (
-        [r.faa_code, r.designation_text] for r in records))
+ONTIME_TABLE = TableSchema(
+    "ontime",
+    (iso_date("flight_date"), text("carrier"), Column("flight_number", str),
+     Column("tail_number", lambda value: value or None), text("origin"), text("dest"),
+     number("air_time_min", 0.0, optional=True), number("taxi_in_min", 0.0, optional=True),
+     number("taxi_out_min", 0.0, optional=True),
+     number("distance_mi", 0.0, strict=True, optional=True)),
+    build=FlightRecord, check=_distinct_airports)
+B43_TABLE = TableSchema(
+    "b43",
+    (text("tail_number"), text("type_designator"), integer("seat_count", 1),
+     integer("engine_count", 1, 4, default=2)),
+    build=AirframeRecord, key=("tail_number",), order=attrgetter("tail_number"))
+TAIL_REGISTRY_TABLE = TableSchema(
+    "tail_registry", (text("tail_number"), text("engine_designation")),
+    build=TailEngineRecord, key=("tail_number",), order=attrgetter("tail_number"))
+ENGINE_CODES_TABLE = TableSchema(
+    "engine_codes", (text("faa_code"), text("designation")),
+    build=EngineCodeRecord, key=("faa_code",), order=attrgetter("faa_code"))
+ICAO_ENGINES_TABLE = TableSchema(
+    "icao_engines",
+    (text("engine_uid"), choice("gas", GASES), choice("mode", MODES),
+     number("rate_kg_per_s", 0.0)),
+    group=_engine_factors,
+    rows=lambda e: [(e.engine_uid, gas, mode, e.rate_kg_per_s[(gas, mode)])
+                    for gas in GASES for mode in MODES],
+    key=("engine_uid", "gas", "mode"), order=attrgetter("engine_uid"))
+BADA_CCD_TABLE = TableSchema(
+    "bada_ccd",
+    (text("canonical_type"), number("duration_min", 0.0, strict=True),
+     *(number(f"{gas.lower()}_kg", 0.0) for gas in GASES)),
+    group=_ccd_profile,
+    rows=lambda p: [(p.canonical_type, k.duration_min,
+                     *(k.emissions_kg[gas] for gas in GASES), k.distance_mi)
+                    for k in p.knots],
+    key=("duration_min", "canonical_type"), repeat_fatal=False,
+    optional=number("distance_mi", 0.0, strict=True, optional=True),
+    order=attrgetter("canonical_type"))
+INPUT_TABLES = (ONTIME_TABLE, B43_TABLE, TAIL_REGISTRY_TABLE, ENGINE_CODES_TABLE,
+                ICAO_ENGINES_TABLE, BADA_CCD_TABLE)
 
 
-def write_icao_databank(records: list[EngineLtoFactors], path: str | Path) -> None:
-    rows = []
-    for r in sorted(records, key=lambda e: e.engine_uid):
-        for gas in GASES:
-            for mode in MODES:
-                rows.append([r.engine_uid, gas, mode, _fmt(r.rate_kg_per_s[(gas, mode)])])
-    _write_csv(path, ICAO_HEADER, rows)
+def parse_ontime(path: str | Path) -> tuple[list[FlightRecord], IngestReport]:
+    return read_table(ONTIME_TABLE, path)
 
 
-def write_bada_ccd(profiles: list[CcdProfile], path: str | Path) -> None:
-    has_distance = any(k.distance_mi is not None for p in profiles for k in p.knots)
-    header = BADA_HEADER + ([BADA_DISTANCE_COLUMN] if has_distance else [])
-    rows = []
-    for p in sorted(profiles, key=lambda p: p.canonical_type):
-        for k in p.knots:
-            row = [p.canonical_type, _fmt(k.duration_min),
-                   _fmt(k.emissions_kg["HC"]), _fmt(k.emissions_kg["CO2"]),
-                   _fmt(k.emissions_kg["CO"]), _fmt(k.emissions_kg["NOX"])]
-            if has_distance:
-                row.append(_fmt(k.distance_mi))
-            rows.append(row)
-    _write_csv(path, header, rows)
+def parse_b43(path: str | Path) -> tuple[list[AirframeRecord], IngestReport]:
+    return read_table(B43_TABLE, path)
+
+
+def parse_tail_registry(path: str | Path) -> tuple[list[TailEngineRecord], IngestReport]:
+    return read_table(TAIL_REGISTRY_TABLE, path)
+
+
+def parse_engine_codes(path: str | Path) -> tuple[list[EngineCodeRecord], IngestReport]:
+    return read_table(ENGINE_CODES_TABLE, path)
+
+
+def parse_icao_databank(path: str | Path) -> tuple[list[EngineLtoFactors], IngestReport]:
+    """16 (gas, mode) rows per engine UID; an engine missing any is rejected whole."""
+    return read_table(ICAO_ENGINES_TABLE, path)
+
+
+def parse_bada_ccd(path: str | Path) -> tuple[list[CcdProfile], IngestReport]:
+    """Knots sorted by duration per type, whatever the row order. A repeated
+    duration rejects the later row; a type with fewer than 2 knots is rejected."""
+    return read_table(BADA_CCD_TABLE, path)

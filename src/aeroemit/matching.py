@@ -8,7 +8,6 @@ similarity. Every fallback taken is recorded as a provenance flag.
 
 from __future__ import annotations
 
-import csv
 import fnmatch
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,12 @@ from .ingest import (
     EngineCodeRecord,
     EngineLtoFactors,
     FlightRecord,
+    IngestError,
+    TableSchema,
     TailEngineRecord,
+    number,
+    read_table,
+    text,
 )
 
 DEFAULT_JACCARD_THRESHOLD = 0.5
@@ -46,7 +50,7 @@ DEFAULT_NORMALIZATION_RULES = _DATA_DIR / "normalization_rules.csv"
 DEFAULT_FAMILY_FALLBACK = _DATA_DIR / "family_fallback.csv"
 
 
-class MatchingConfigError(Exception):
+class MatchingConfigError(IngestError):
     """Invalid normalization / fallback / override configuration."""
 
 
@@ -86,17 +90,7 @@ class NormalizationRuleSet:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "NormalizationRuleSet":
-        rules = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["pattern", "canonical_type"]:
-                raise MatchingConfigError(f"{path}: bad header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 2 or not row[0] or not row[1]:
-                    raise MatchingConfigError(f"{path} line {lineno}: bad rule {row}")
-                rules.append(NormalizationRule(row[0].upper(), row[1]))
-        return cls(rules)
+        return cls(_read_config_table(RULES_TABLE, path))
 
     def normalize(self, raw: str) -> str | None:
         cleaned = raw.strip().upper()
@@ -123,36 +117,41 @@ class FamilyFallback:
     efficiency_factor: float
 
 
+RULES_TABLE = TableSchema(
+    "normalization_rules", (text("pattern", upper=True), text("canonical_type")),
+    build=NormalizationRule)
+FALLBACK_TABLE = TableSchema(
+    "family_fallback",
+    (text("missing_type", upper=True), text("surrogate_type"),
+     number("efficiency_factor", 0.0, strict=True)),
+    build=lambda missing, surrogate, factor: (missing, FamilyFallback(surrogate, factor)),
+    rows=lambda pair: [(pair[0], pair[1].surrogate_type, pair[1].efficiency_factor)],
+    key=("missing_type",))
+OVERRIDE_TABLE = TableSchema(
+    "popular_engine_override", (text("canonical_type"), text("engine_uid")),
+    build=lambda canonical_type, uid: (canonical_type, uid), rows=lambda pair: [pair],
+    key=("canonical_type",))
+CONFIG_TABLES = (RULES_TABLE, FALLBACK_TABLE, OVERRIDE_TABLE)
+
+
+def _read_config_table(schema: TableSchema, path: str | Path) -> list:
+    """Records of a matching config table; its first rejected row is fatal."""
+    try:
+        records, report = read_table(schema, path)
+    except IngestError as exc:
+        raise MatchingConfigError(str(exc)) from exc
+    if report.rejections:
+        first = report.rejections[0]
+        raise MatchingConfigError(f"{path} line {first.line}: {first.reason}")
+    return records
+
+
 def load_family_fallback(path: str | Path) -> dict[str, FamilyFallback]:
-    table: dict[str, FamilyFallback] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["missing_type", "surrogate_type", "efficiency_factor"]:
-            raise MatchingConfigError(f"{path}: bad header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3 or not row[0] or not row[1]:
-                raise MatchingConfigError(f"{path} line {lineno}: bad row {row}")
-            factor = float(row[2])
-            if factor <= 0:
-                raise MatchingConfigError(
-                    f"{path} line {lineno}: efficiency_factor must be > 0, got {factor}")
-            table[row[0].upper()] = FamilyFallback(row[1], factor)
-    return table
+    return dict(_read_config_table(FALLBACK_TABLE, path))
 
 
 def load_popular_engine_override(path: str | Path) -> dict[str, str]:
-    table: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["canonical_type", "engine_uid"]:
-            raise MatchingConfigError(f"{path}: bad header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2 or not row[0] or not row[1]:
-                raise MatchingConfigError(f"{path} line {lineno}: bad row {row}")
-            table[row[0]] = row[1]
-    return table
+    return dict(_read_config_table(OVERRIDE_TABLE, path))
 
 
 def tokenize(designation: str) -> frozenset[str]:

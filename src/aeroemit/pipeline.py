@@ -114,6 +114,11 @@ def _rekey_profiles_by_distance(profiles: list[CcdProfile]) -> list[CcdProfile]:
             (CcdKnot(k.distance_mi, k.emissions_kg, k.distance_mi)
              for k in profile.knots),
             key=lambda k: k.duration_min))
+        for a, b in zip(knots, knots[1:]):
+            if a.duration_min == b.duration_min:
+                raise ConfigError(
+                    f"interpolation_key=distance: type {profile.canonical_type} has "
+                    f"two knots at distance_mi {a.duration_min}")
         rekeyed.append(CcdProfile(profile.canonical_type, knots))
     return rekeyed
 

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from aeroemit import cli
-from conftest import build_corpus, write_config, write_csv, write_golden_inputs
+from conftest import (B739ER_CCD_KNOTS, build_corpus, write_config, write_csv,
+                      write_golden_inputs)
 
 
 def read_rows(path):
@@ -179,3 +180,70 @@ class TestReport:
     def test_missing_outputs_exit_3(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "empty")]) == 3
         assert "missing run outputs" in capsys.readouterr().err
+
+
+class TestInputErrorsExit2:
+    """Config numbers, matching config tables and CCD distances: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("jaccard_threshold", "nan"), ("co2e_nox", "nan"), ("co2e_co2", "inf"),
+        ("unep_cutoff_mi", "-inf"),
+    ])
+    def test_nonfinite_config_number(self, tmp_path, capsys, key, value):
+        paths = write_golden_inputs(tmp_path)
+        extra = {"unep_short": "0.2", "unep_long": "0.1", "unep_cutoff_mi": "700"}
+        extra[key] = value
+        config = write_config(tmp_path, paths, tmp_path / "out", extra=extra)
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert f"{key}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("header, row, fragment", [
+        (["missing", "surrogate", "factor"], ["737-8", "737-800", "0.85"], "header mismatch"),
+        (None, ["737-8", "737-800", "abc"], "line 2: could not convert"),
+        (None, ["737-8", "737-800", "nan"], "line 2: efficiency_factor must be finite"),
+        (None, ["737-8", "737-800", "0"], "line 2: efficiency_factor must be > 0.0"),
+    ], ids=["bad-header", "not-a-number", "nan", "zero"])
+    def test_bad_family_fallback(self, tmp_path, capsys, command, header, row, fragment):
+        paths = write_golden_inputs(tmp_path)
+        fallback = tmp_path / "fallback.csv"
+        write_csv(fallback, header or ["missing_type", "surrogate_type", "efficiency_factor"],
+                  [row])
+        config = write_config(tmp_path, paths, tmp_path / "out",
+                              extra={"family_fallback": str(fallback)})
+        assert cli.main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+
+    def test_repeated_override_key(self, tmp_path, capsys):
+        paths = write_golden_inputs(tmp_path)
+        override = tmp_path / "override.csv"
+        write_csv(override, ["canonical_type", "engine_uid"],
+                  [["737-900ER", "CFM56-7B27E"], ["737-900ER", "CFM56-7B27E"]])
+        config = write_config(tmp_path, paths, tmp_path / "out",
+                              extra={"popular_engine_override": str(override)})
+        assert cli.main(["validate", "--config", str(config)]) == 2
+        assert "line 3: duplicate canonical_type 737-900ER" in capsys.readouterr().err
+
+    def _distance_ccd(self, tmp_path, distances):
+        paths = write_golden_inputs(tmp_path)
+        write_csv(paths["bada_ccd"],
+                  ["canonical_type", "duration_min", "hc_kg", "co2_kg", "co_kg", "nox_kg",
+                   "distance_mi"],
+                  [["737-900ER", d, hc, co2, co, nox, miles]
+                   for (d, hc, co2, co, nox), miles in zip(B739ER_CCD_KNOTS, distances)])
+        return write_config(tmp_path, paths, tmp_path / "out",
+                            extra={"interpolation_key": "distance"})
+
+    def test_distance_interpolation_runs(self, tmp_path):
+        config = self._distance_ccd(tmp_path, [8 * k[0] for k in B739ER_CCD_KNOTS])
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert len(read_rows(tmp_path / "out" / "flight_emissions.csv")) == 1
+
+    def test_repeated_distance_exit_2(self, tmp_path, capsys):
+        # The 666 mi flight extrapolates below the two knots at 700 mi.
+        distances = [700, 700] + [8 * k[0] + 700 for k in B739ER_CCD_KNOTS[2:]]
+        config = self._distance_ccd(tmp_path, distances)
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert "type 737-900ER has two knots at distance_mi 700.0" in capsys.readouterr().err

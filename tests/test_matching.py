@@ -12,7 +12,7 @@ from aeroemit.ingest import (
     FlightRecord,
     TailEngineRecord,
 )
-from conftest import CFM56_7B27E_RATES
+from conftest import CFM56_7B27E_RATES, write_csv
 
 import datetime
 
@@ -138,6 +138,28 @@ class TestNormalization:
     @pytest.mark.parametrize("raw, expected", DESIGNATORS)
     def test_idempotence_over_outputs(self, rules, raw, expected):
         assert rules.normalize(expected) == expected
+
+
+class TestConfigTables:
+    def test_shipped_fallback_loads(self):
+        table = matching.load_family_fallback(matching.DEFAULT_FAMILY_FALLBACK)
+        assert table["737-8"] == matching.FamilyFallback("737-800", 0.85)
+
+    @pytest.mark.parametrize("loader, header, rows, fragment", [
+        (matching.load_family_fallback, ["missing_type", "surrogate_type", "efficiency_factor"],
+         [["737-8", "737-800", "0.85"], ["737-8", "737-900", "0.9"]],
+         "line 3: duplicate missing_type 737-8"),
+        (matching.load_popular_engine_override, ["canonical_type", "engine_uid"],
+         [["A320", "V2500"], ["A320", "CFM56"]], "line 3: duplicate canonical_type A320"),
+        (matching.NormalizationRuleSet.from_csv, ["pattern", "canonical_type"],
+         [["B738", "737-800"], ["B739", ""]], "line 3: canonical_type must be non-empty"),
+        (matching.NormalizationRuleSet.from_csv, ["pattern", "type"], [], "header mismatch"),
+    ], ids=["repeated-fallback", "repeated-override", "empty-rule", "bad-header"])
+    def test_first_bad_row_is_fatal(self, tmp_path, loader, header, rows, fragment):
+        path = tmp_path / "table.csv"
+        write_csv(path, header, rows)
+        with pytest.raises(matching.MatchingConfigError, match=fragment):
+            loader(path)
 
 
 class TestPopularEngineTable:

@@ -3,10 +3,10 @@
 Every finite double is an integer multiple of 2**-1074, so aggregation totals
 are kept as Python ints counting units of 2**-1074 kg: fixed point with no
 rounding, in which every grouping of the same flights sums to the same mass
-regardless of order or thread count. `roll_up` converts each per-flight double
-once and fills every grouping in a single walk over the outcomes. Floats
-appear only in derived values, each produced by one correctly rounded
-``int / int`` division (the same double ``float(Fraction)`` gives).
+regardless of order. `roll_up` converts each per-flight double once and fills
+every grouping in a single walk over the outcomes. Floats appear only in
+derived values, each produced by one correctly rounded ``int / int`` division
+(the same double ``float(Fraction)`` gives).
 """
 
 from __future__ import annotations

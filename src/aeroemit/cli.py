@@ -1,6 +1,7 @@
 """Command-line front end: validate, run, and report subcommands.
 
-Exit codes: 0 success, 2 input/config error, 3 missing run artifacts.
+Exit codes: 0 success, 2 input/config error, 3 missing or malformed run
+artifacts.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="full pipeline: compute, aggregate and write outputs")
     run.add_argument("--config", help="run-config file (or AEROEMIT_CONFIG)")
-    run.add_argument("--threads", type=int, default=None,
-                     help="worker count (default: available parallelism); "
-                          "results are identical for any value")
+    run.add_argument("--threads", type=int,
+                     help="ignored: compute runs in one thread; removed once "
+                          "perfbench/ stops passing it")
 
     report = sub.add_parser("report", help="summarize a finished run's outputs")
     report.add_argument("output_dir", help="directory written by 'run'")
@@ -65,10 +66,10 @@ def cmd_validate(config_path: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_run(config_path: str | None, threads: int | None) -> int:
+def cmd_run(config_path: str | None) -> int:
     try:
         cfg = load_config(config_path)
-        outcomes, coverage = pipeline.run_pipeline(cfg, threads=threads)
+        outcomes, coverage = pipeline.run_pipeline(cfg)
     except (ConfigError, IngestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -78,46 +79,73 @@ def cmd_run(config_path: str | None, threads: int | None) -> int:
     return EXIT_OK
 
 
-def _read_csv(path: Path) -> list[dict[str, str]]:
+# The run outputs `report` reads: the header each must hold and the columns
+# it parses as numbers.
+REPORT_INPUTS = {
+    "airline_summary.csv": (pipeline.AIRLINE_HEADER,
+                            {"emission_flights": int, "total_co2e_kg": float}),
+    "airport_lto.csv": (pipeline.AIRPORT_HEADER, {"lto_co2e_kg": float}),
+    "gas_breakdown.csv": (pipeline.GAS_BREAKDOWN_HEADER, {"co2e_kg": float}),
+}
+
+
+def _read_output(path: Path, header: list[str], numbers: dict[str, type]) -> list[dict]:
+    """Rows of a run output with the `numbers` columns parsed; ValueError if the
+    header lacks a column or a number cell does not parse."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in header if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            for column, convert in numbers.items():
+                try:
+                    row[column] = convert(row[column])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path} line {reader.line_num}: {column} is "
+                                     f"not a number: {row[column]!r}") from None
+            rows.append(row)
+    return rows
 
 
 def cmd_report(output_dir: str) -> int:
     outdir = Path(output_dir)
-    needed = ["airline_summary.csv", "airport_lto.csv", "gas_breakdown.csv"]
-    missing = [name for name in needed if not (outdir / name).is_file()]
+    missing = [name for name in REPORT_INPUTS if not (outdir / name).is_file()]
     if missing:
         print(f"error: missing run outputs in {outdir}: {', '.join(missing)}",
               file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
+    try:
+        airlines, airports, breakdown = (
+            _read_output(outdir / name, header, numbers)
+            for name, (header, numbers) in REPORT_INPUTS.items())
+    except (ValueError, csv.Error) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISSING_ARTIFACT
 
-    airlines = _read_csv(outdir / "airline_summary.csv")
-    airports = _read_csv(outdir / "airport_lto.csv")
-    breakdown = _read_csv(outdir / "gas_breakdown.csv")
-
-    computed = sum(int(row["emission_flights"]) for row in airlines)
+    computed = sum(row["emission_flights"] for row in airlines)
     if computed == 0:
         print("no computed flights")
         return EXIT_OK
 
     print("Top airlines by total CO2e (kg):")
-    ranked = sorted(airlines, key=lambda r: -float(r["total_co2e_kg"]))
+    ranked = sorted(airlines, key=lambda r: -r["total_co2e_kg"])
     for row in ranked[:5]:
-        print(f"  {row['carrier']:>4}  {float(row['total_co2e_kg']):>16,.2f}  "
+        print(f"  {row['carrier']:>4}  {row['total_co2e_kg']:>16,.2f}  "
               f"({row['emission_flights']}/{row['total_flights']} flights)")
 
     print("Top airports by local LTO CO2e (kg):")
     for row in airports[:5]:
-        print(f"  {row['airport']:>4}  {float(row['lto_co2e_kg']):>16,.2f}")
+        print(f"  {row['airport']:>4}  {row['lto_co2e_kg']:>16,.2f}")
 
     for cycle in ("LTO", "CCD"):
         rows = [r for r in breakdown if r["cycle"] == cycle]
-        total = sum(float(r["co2e_kg"]) for r in rows)
+        total = sum(r["co2e_kg"] for r in rows)
         print(f"{cycle} CO2e by gas:")
         for row in rows:
-            share = float(row["co2e_kg"]) / total if total else 0.0
-            print(f"  {row['gas']:>4}  {float(row['co2e_kg']):>16,.2f}  "
+            share = row["co2e_kg"] / total if total else 0.0
+            print(f"  {row['gas']:>4}  {row['co2e_kg']:>16,.2f}  "
                   f"({share:.1%})")
     return EXIT_OK
 
@@ -127,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         return cmd_validate(args.config)
     if args.command == "run":
-        return cmd_run(args.config, args.threads)
+        return cmd_run(args.config)
     return cmd_report(args.output_dir)
 
 

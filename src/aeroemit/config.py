@@ -23,7 +23,7 @@ OPTIONAL_PATH_KEYS = ("normalization_rules", "family_fallback",
                       "popular_engine_override")
 SCALAR_KEYS = ("output_dir", "jaccard_threshold", "engine_multiplier_mode",
                "interpolation_key", "co2e_co2", "co2e_co", "co2e_hc", "co2e_nox",
-               "unep_short", "unep_long", "unep_cutoff_mi", "threads")
+               "unep_short", "unep_long", "unep_cutoff_mi")
 
 ENGINE_MULTIPLIER_MODES = ("paper-compatible", "per-engine")
 INTERPOLATION_KEYS = ("time", "distance")
@@ -50,7 +50,6 @@ class RunConfig:
     interpolation_key: str = "time"
     co2e_factors: Co2eFactors = field(default_factory=Co2eFactors)
     unep: UnepBaseline | None = None
-    threads: int | None = None
 
     def table_paths(self) -> dict[str, Path]:
         return {key: getattr(self, key) for key in REQUIRED_TABLE_KEYS}
@@ -67,8 +66,13 @@ class RunConfig:
 
 
 def _parse_kv(path: Path) -> dict[str, str]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start})") from None
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -170,12 +174,4 @@ def load_config(path: str | Path | None) -> RunConfig:
             cutoff_mi=fnum("unep_cutoff_mi", 0.0, 0.0),
         )
 
-    if "threads" in pairs:
-        try:
-            threads = int(pairs["threads"])
-        except ValueError:
-            raise ConfigError(f"threads: not an integer: {pairs['threads']}")
-        if threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {threads}")
-        cfg.threads = threads
     return cfg

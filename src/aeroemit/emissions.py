@@ -1,7 +1,7 @@
 """Per-flight emissions arithmetic: LTO mode sums, CCD interpolation, CO2e.
 
-All arithmetic is 64-bit floating point. Every function here is pure; parallel
-and sequential runs over the same flights produce bit-identical results.
+All arithmetic is 64-bit floating point. Every function here is pure: the same
+flight and tables always produce bit-identical results.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Pipeline orchestration: ingest -> resolve -> compute -> aggregate -> write.
 
-Compute runs on a worker pool over immutable tables; results are reordered by
-input row index before aggregation, so output bytes are independent of the
-worker count.
+Compute is one in-order pass over the resolved flights in one thread: the
+per-flight work is pure Python, which a thread pool cannot run in parallel.
+Output bytes depend on the inputs alone.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -130,23 +129,16 @@ def resolve_all(data: LoadedData) -> list[matching.ResolvedFlight]:
 def compute_outcomes(resolved: list[matching.ResolvedFlight], data: LoadedData,
                      cfg: RunConfig, threads: int | None = None,
                      ) -> list[agg.FlightOutcome]:
-    """Per-flight emissions over a worker pool, in input order."""
+    """Per-flight emissions, in input order. `threads` is ignored; it is removed
+    once perfbench/spans.py stops passing `threads=1`."""
     engines = data.tables.databank_by_uid
     profiles = data.tables.ccd_by_type
     per_engine = cfg.engine_multiplier_mode == "per-engine"
-
-    def compute(rf: matching.ResolvedFlight) -> agg.FlightOutcome:
-        multiplier = float(rf.engine_count or 1) if per_engine else 1.0
-        return agg.FlightOutcome(rf, emissions.flight_emissions(
-            rf, engines, profiles, cfg.co2e_factors,
-            engine_multiplier=multiplier,
-            interpolation_key=cfg.interpolation_key))
-
-    workers = threads or cfg.threads or os.cpu_count() or 1
-    if workers <= 1 or len(resolved) < 2:
-        return [compute(rf) for rf in resolved]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(compute, resolved, chunksize=256))
+    return [agg.FlightOutcome(rf, emissions.flight_emissions(
+                rf, engines, profiles, cfg.co2e_factors,
+                engine_multiplier=float(rf.engine_count or 1) if per_engine else 1.0,
+                interpolation_key=cfg.interpolation_key))
+            for rf in resolved]
 
 
 def coverage_report(resolved: list[matching.ResolvedFlight]) -> CoverageReport:
@@ -271,11 +263,21 @@ def write_outputs(outcomes: list[agg.FlightOutcome], cfg: RunConfig,
                   json.dumps(coverage.to_dict(), indent=2) + "\n")
 
 
-def run_pipeline(cfg: RunConfig, threads: int | None = None,
-                 ) -> tuple[list[agg.FlightOutcome], CoverageReport]:
+def _check_output_dir(outdir: Path) -> None:
+    """Raise ConfigError when `outdir` or its nearest existing ancestor is not a
+    directory, so a run fails before it loads anything."""
+    for path in (outdir, *outdir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output_dir: {path} is not a directory")
+            return
+
+
+def run_pipeline(cfg: RunConfig) -> tuple[list[agg.FlightOutcome], CoverageReport]:
+    _check_output_dir(Path(cfg.output_dir))
     data = load_data(cfg)
     resolved = resolve_all(data)
-    outcomes = compute_outcomes(resolved, data, cfg, threads=threads)
+    outcomes = compute_outcomes(resolved, data, cfg)
     coverage = coverage_report(resolved)
     write_outputs(outcomes, cfg, coverage)
     return outcomes, coverage

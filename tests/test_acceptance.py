@@ -28,7 +28,7 @@ def corpus_outcomes(corpus_cfg):
     _, cfg, _ = corpus_cfg
     data = pipeline.load_data(cfg)
     resolved = pipeline.resolve_all(data)
-    return pipeline.compute_outcomes(resolved, data, cfg, threads=1)
+    return pipeline.compute_outcomes(resolved, data, cfg)
 
 
 def test_criterion_1_golden_worked_example(tmp_path):
@@ -38,7 +38,7 @@ def test_criterion_1_golden_worked_example(tmp_path):
     start = time.perf_counter()
     data = pipeline.load_data(cfg)
     (rf,) = pipeline.resolve_all(data)
-    (outcome,) = pipeline.compute_outcomes([rf], data, cfg, threads=1)
+    (outcome,) = pipeline.compute_outcomes([rf], data, cfg)
     elapsed = time.perf_counter() - start
     result = outcome.result
     assert result is not None

@@ -1,10 +1,14 @@
 import csv
+import dataclasses
 import json
+import re
+import shlex
+import threading
 from pathlib import Path
 
 import pytest
 
-from aeroemit import cli
+from aeroemit import cli, config, pipeline
 from conftest import (B739ER_CCD_KNOTS, build_corpus, write_config, write_csv,
                       write_golden_inputs)
 
@@ -181,9 +185,56 @@ class TestReport:
         assert cli.main(["report", str(tmp_path / "empty")]) == 3
         assert "missing run outputs" in capsys.readouterr().err
 
+    def test_missing_column_exit_3(self, tmp_path, capsys):
+        outdir = self.run_corpus(tmp_path, n=10)
+        (outdir / "airline_summary.csv").write_text("carrier\nAA\n", encoding="utf-8")
+        assert cli.main(["report", str(outdir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing columns: total_flights" in err
+
+    @pytest.mark.parametrize("name, column", [
+        ("airline_summary.csv", "emission_flights"),
+        ("airline_summary.csv", "total_co2e_kg"),
+        ("airport_lto.csv", "lto_co2e_kg"),
+        ("gas_breakdown.csv", "co2e_kg"),
+    ])
+    def test_cell_not_a_number_exit_3(self, tmp_path, capsys, name, column):
+        outdir = self.run_corpus(tmp_path, n=10)
+        rows = read_rows(outdir / name)
+        rows[0][column] = "abc"
+        write_csv(outdir / name, list(rows[0]), [list(r.values()) for r in rows])
+        assert cli.main(["report", str(outdir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"line 2: {column} is not a number" in err
+
 
 class TestInputErrorsExit2:
     """Config numbers, matching config tables and CCD distances: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_not_utf8(self, golden_config, tmp_path, capsys, command):
+        with open(golden_config, "ab") as fh:
+            fh.write(b"# caf\xe9\n")
+        assert cli.main([command, "--config", str(golden_config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {golden_config}: not UTF-8 text (byte 0xe9")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("output_dir, culprit", [
+        ("afile", "afile"), ("afile/out", "afile")], ids=["is-a-file", "parent-is-a-file"])
+    def test_output_dir_not_a_directory(self, tmp_path, capsys, monkeypatch,
+                                        output_dir, culprit):
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        paths = write_golden_inputs(tmp_path)
+        config = write_config(tmp_path, paths, tmp_path / output_dir)
+
+        def no_load(cfg):
+            raise AssertionError("inputs loaded before output_dir was checked")
+
+        monkeypatch.setattr(pipeline, "load_data", no_load)
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"output_dir: {tmp_path / culprit} is not a directory" in err
 
     @pytest.mark.parametrize("key, value", [
         ("jaccard_threshold", "nan"), ("co2e_nox", "nan"), ("co2e_co2", "inf"),
@@ -247,3 +298,62 @@ class TestInputErrorsExit2:
         config = self._distance_ccd(tmp_path, distances)
         assert cli.main(["run", "--config", str(config)]) == 2
         assert "type 737-900ER has two knots at distance_mi 700.0" in capsys.readouterr().err
+
+
+class TestOneComputePath:
+    """Per-flight compute runs in one thread; `threads` selects nothing."""
+
+    def test_package_has_no_thread_pool(self):
+        package = Path(cli.__file__).parent
+        for path in package.glob("*.py"):
+            source = path.read_text(encoding="utf-8")
+            for name in ("ThreadPoolExecutor", "concurrent.futures", "os.cpu_count"):
+                assert name not in source, f"{path.name} uses {name}"
+
+    def test_run_config_has_no_threads_field(self):
+        assert "threads" not in {f.name for f in dataclasses.fields(config.RunConfig)}
+
+    def test_threads_config_key_exit_2(self, tmp_path, capsys):
+        paths = write_golden_inputs(tmp_path)
+        cfg = write_config(tmp_path, paths, tmp_path / "out", extra={"threads": "2"})
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "unknown config keys: threads" in capsys.readouterr().err
+
+    def test_threads_flag_ignored_and_starts_no_thread(self, tmp_path, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        paths = build_corpus(tmp_path, n_flights=300)
+        outputs = {}
+        for threads in ("1", "4"):
+            outdir = tmp_path / f"out{threads}"
+            cfg = write_config(tmp_path, paths, outdir)
+            assert cli.main(["run", "--config", str(cfg), "--threads", threads]) == 0
+            outputs[threads] = {name: (outdir / name).read_bytes()
+                                for name in pipeline.OUTPUT_FILES}
+        assert outputs["1"] == outputs["4"]
+
+
+class TestReadmeMatchesCode:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_config_keys(self):
+        paragraph = self.readme.split("### Config file\n\n", 1)[1].split("\n\n", 1)[0]
+        required, optional = paragraph.split("Required:", 1)[1].split("Optional:", 1)
+
+        def keys(text):
+            return re.findall(r"`([^`]*)`", re.sub(r"\([^()]*\)", "", text))
+
+        assert keys(required) == list(config.REQUIRED_TABLE_KEYS)
+        assert keys(optional) == list(config.OPTIONAL_PATH_KEYS + config.SCALAR_KEYS)
+
+    def test_cli_examples_parse(self):
+        block = self.readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line, comments=True) for line in block.splitlines()]
+        assert examples and all(argv[0] == "aeroemit" for argv in examples)
+        for argv in examples:
+            try:
+                cli.build_parser().parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {shlex.join(argv)}")

@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aeroemit import aggregate as agg
-from aeroemit import pipeline
-from aeroemit.config import load_config
+from aeroemit import cli, pipeline
+from aeroemit.config import REQUIRED_TABLE_KEYS, load_config
 from conftest import build_corpus, write_config
 
 SMALLEST_SUBNORMAL = 5e-324
@@ -114,7 +114,7 @@ def corpus(tmp_path_factory):
     cfg = load_config(write_config(root, paths, root / "out"))
     data = pipeline.load_data(cfg)
     resolved = pipeline.resolve_all(data)
-    outcomes = pipeline.compute_outcomes(resolved, data, cfg, threads=1)
+    outcomes = pipeline.compute_outcomes(resolved, data, cfg)
     return cfg, outcomes, pipeline.coverage_report(resolved)
 
 
@@ -171,6 +171,36 @@ def test_shuffled_outcomes_give_identical_outputs(corpus, tmp_path):
         assert in_order[name] == reordered[name]
 
 
+def test_shuffled_input_rows_give_identical_outputs(corpus, tmp_path):
+    """Shuffle the data rows of all six input tables and rerun the CLI: the
+    roll-ups are byte-identical, the per-flight files hold the same lines."""
+    cfg, _, _ = corpus
+    rng = random.Random(1018)
+    shuffled = {}
+    for key in REQUIRED_TABLE_KEYS:
+        header, *rows = getattr(cfg, key).read_bytes().splitlines(keepends=True)
+        rng.shuffle(rows)
+        shuffled[key] = tmp_path / f"{key}.csv"
+        shuffled[key].write_bytes(header + b"".join(rows))
+    matching_tables = {"normalization_rules": str(cfg.normalization_rules),
+                       "family_fallback": str(cfg.family_fallback)}
+    outputs = {}
+    for name, paths in (("original", cfg.table_paths()), ("shuffled", shuffled)):
+        (tmp_path / name).mkdir()
+        config = write_config(tmp_path / name, paths, tmp_path / name / "out",
+                              extra=matching_tables)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        outputs[name] = {f: (tmp_path / name / "out" / f).read_bytes()
+                         for f in pipeline.OUTPUT_FILES}
+    original, reordered = outputs["original"], outputs["shuffled"]
+    for name in ("airline_summary.csv", "airport_lto.csv", "gas_breakdown.csv",
+                 "coverage.json"):
+        assert original[name] == reordered[name], name
+    for name in ("flight_emissions.csv", "scatter_co2e.csv", "scatter_seat_mile.csv"):
+        assert original[name] != reordered[name], name
+        assert sorted(original[name].splitlines()) == sorted(reordered[name].splitlines())
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_totals_of_union_are_sum_of_parts(corpus, seed):
     _, outcomes, _ = corpus
@@ -194,6 +224,6 @@ def test_computed_flights_are_the_computable_ones(tmp_path):
     cfg = load_config(write_config(tmp_path, paths, tmp_path / "out"))
     data = pipeline.load_data(cfg)
     resolved = pipeline.resolve_all(data)
-    outcomes = pipeline.compute_outcomes(resolved, data, cfg, threads=1)
+    outcomes = pipeline.compute_outcomes(resolved, data, cfg)
     assert [o.result is not None for o in outcomes] == [rf.is_computable for rf in resolved]
     assert pipeline.coverage_report(resolved).computed_flights == 185

@@ -9,9 +9,9 @@ similarity. Every fallback taken is recorded as a provenance flag.
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .ingest import (
     AirframeRecord,
@@ -172,10 +172,28 @@ def tokenize(designation: str) -> frozenset[str]:
 def jaccard_similarity(a: frozenset[str], b: frozenset[str]) -> float:
     if not a and not b:
         return 1.0
-    union = len(a | b)
-    if union == 0:
-        return 1.0
-    return len(a & b) / union
+    return len(a & b) / len(a | b)
+
+
+def _tokenize_uids(uids: Iterable[str]) -> tuple[tuple[str, frozenset[str]], ...]:
+    """(uid, tokens) per UID, sorted by UID: the order a scan breaks ties in."""
+    return tuple((uid, tokenize(uid)) for uid in sorted(uids))
+
+
+def _best_match(query: frozenset[str],
+                tokenized: tuple[tuple[str, frozenset[str]], ...],
+                threshold: float) -> tuple[str, float] | None:
+    """Best Jaccard match of a token set against (uid, tokens) pairs sorted by
+    UID; ties keep the first, smallest UID."""
+    best_uid: str | None = None
+    best_score = -1.0
+    for uid, tokens in tokenized:
+        score = jaccard_similarity(query, tokens)
+        if score > best_score:
+            best_uid, best_score = uid, score
+    if best_uid is None or best_score < threshold:
+        return None
+    return best_uid, best_score
 
 
 def match_engine(faa_designation: str, databank: list[EngineLtoFactors],
@@ -186,16 +204,8 @@ def match_engine(faa_designation: str, databank: list[EngineLtoFactors],
     Ties break to the lexicographically smallest UID; below-threshold best
     scores are no-match.
     """
-    query = tokenize(faa_designation)
-    best_uid: str | None = None
-    best_score = -1.0
-    for entry in sorted(databank, key=lambda e: e.engine_uid):
-        score = jaccard_similarity(query, tokenize(entry.engine_uid))
-        if score > best_score:
-            best_uid, best_score = entry.engine_uid, score
-    if best_uid is None or best_score < threshold:
-        return None
-    return best_uid, best_score
+    return _best_match(tokenize(faa_designation),
+                       _tokenize_uids(e.engine_uid for e in databank), threshold)
 
 
 def build_popular_engine_table(fleet: Iterable[tuple[str, str]]) -> dict[str, str]:
@@ -214,20 +224,48 @@ def build_popular_engine_table(fleet: Iterable[tuple[str, str]]) -> dict[str, st
     return table
 
 
-@dataclass
+def _resolve_engines(tails: Iterable[str], registry_by_tail: dict[str, str],
+                     engine_code_text: dict[str, str], uids: Collection[str],
+                     threshold: float) -> dict[str, tuple[str, str]]:
+    """(engine_uid, flag) per tail whose registry engine matches a databank UID.
+
+    A designation naming a UID exactly is ENGINE_EXACT; any other is scored by
+    Jaccard similarity, once per distinct token set, against UIDs tokenized once.
+    """
+    tokenized = _tokenize_uids(uids)
+    fuzzy: dict[frozenset[str], tuple[str, float] | None] = {}
+    engine_by_tail = {}
+    for tail in tails:
+        designation = registry_by_tail.get(tail)
+        if designation is None:
+            continue
+        designation = engine_code_text.get(designation, designation)
+        exact = designation.strip().upper()
+        if exact in uids:
+            engine_by_tail[tail] = (exact, ENGINE_EXACT)
+            continue
+        query = tokenize(designation)
+        if query not in fuzzy:
+            fuzzy[query] = _best_match(query, tokenized, threshold)
+        if fuzzy[query] is not None:
+            engine_by_tail[tail] = (fuzzy[query][0], ENGINE_JACCARD)
+    return engine_by_tail
+
+
+@dataclass(frozen=True)
 class LookupTables:
-    """Immutable lookup state shared by all resolve_flight calls."""
+    """Immutable lookup state shared by all resolve_flight calls.
+
+    `engine_by_tail` holds the (engine_uid, flag) of each airframe tail whose
+    registry engine matched; `popular_engine` the fallback UID per type.
+    """
 
     airframes_by_tail: dict[str, AirframeRecord]
-    registry_by_tail: dict[str, str]
-    engine_code_text: dict[str, str]
     databank_by_uid: dict[str, EngineLtoFactors]
     ccd_by_type: dict[str, CcdProfile]
-    rules: NormalizationRuleSet
     family_fallback: dict[str, FamilyFallback]
-    jaccard_threshold: float = DEFAULT_JACCARD_THRESHOLD
-    popular_engine: dict[str, str] = field(default_factory=dict)
-    _engine_cache: dict[str, tuple[str, str] | None] = field(default_factory=dict)
+    engine_by_tail: dict[str, tuple[str, str]]
+    popular_engine: dict[str, str]
 
     @classmethod
     def build(cls,
@@ -241,56 +279,28 @@ class LookupTables:
               jaccard_threshold: float = DEFAULT_JACCARD_THRESHOLD,
               popular_engine_override: dict[str, str] | None = None,
               ) -> "LookupTables":
-        tables = cls(
-            airframes_by_tail={a.tail_number: a for a in airframes},
-            registry_by_tail={r.tail_number: r.faa_engine_designation for r in registry},
-            engine_code_text={c.faa_code: c.designation_text for c in engine_codes},
-            databank_by_uid={e.engine_uid: e for e in databank},
-            ccd_by_type={p.canonical_type: p for p in ccd_profiles},
-            rules=rules,
-            family_fallback=family_fallback,
-            jaccard_threshold=jaccard_threshold,
-        )
-        for airframe in tables.airframes_by_tail.values():
+        airframes_by_tail = {a.tail_number: a for a in airframes}
+        databank_by_uid = {e.engine_uid: e for e in databank}
+        for airframe in airframes_by_tail.values():
             canonical = rules.normalize(airframe.raw_type_designator)
             airframe.canonical_type = canonical or ""
-        tables.popular_engine = tables._derive_popular_engines()
-        if popular_engine_override:
-            for ctype, uid in popular_engine_override.items():
-                if uid not in tables.databank_by_uid:
-                    raise MatchingConfigError(
-                        f"popular-engine override {ctype} -> {uid}: UID not in databank")
-                tables.popular_engine[ctype] = uid
-        return tables
-
-    def resolve_tail_engine(self, tail: str) -> tuple[str, str] | None:
-        """(engine_uid, flag) from the FAA registry, cached per tail."""
-        if tail in self._engine_cache:
-            return self._engine_cache[tail]
-        result: tuple[str, str] | None = None
-        designation = self.registry_by_tail.get(tail)
-        if designation is not None:
-            designation = self.engine_code_text.get(designation, designation)
-            exact = designation.strip().upper()
-            if exact in self.databank_by_uid:
-                result = (exact, ENGINE_EXACT)
-            else:
-                matched = match_engine(designation, list(self.databank_by_uid.values()),
-                                       self.jaccard_threshold)
-                if matched is not None:
-                    result = (matched[0], ENGINE_JACCARD)
-        self._engine_cache[tail] = result
-        return result
-
-    def _derive_popular_engines(self) -> dict[str, str]:
-        fleet = []
-        for tail, airframe in self.airframes_by_tail.items():
-            if not airframe.canonical_type:
-                continue
-            resolved = self.resolve_tail_engine(tail)
-            if resolved is not None:
-                fleet.append((airframe.canonical_type, resolved[0]))
-        return build_popular_engine_table(fleet)
+        engine_by_tail = _resolve_engines(
+            airframes_by_tail,
+            {r.tail_number: r.faa_engine_designation for r in registry},
+            {c.faa_code: c.designation_text for c in engine_codes},
+            databank_by_uid, jaccard_threshold)
+        popular_engine = build_popular_engine_table(
+            (airframe.canonical_type, engine_by_tail[tail][0])
+            for tail, airframe in airframes_by_tail.items()
+            if airframe.canonical_type and tail in engine_by_tail)
+        for ctype, uid in (popular_engine_override or {}).items():
+            if uid not in databank_by_uid:
+                raise MatchingConfigError(
+                    f"popular-engine override {ctype} -> {uid}: UID not in databank")
+            popular_engine[ctype] = uid
+        return cls(airframes_by_tail, databank_by_uid,
+                   {p.canonical_type: p for p in ccd_profiles}, family_fallback,
+                   engine_by_tail, popular_engine)
 
 
 def resolve_flight(flight: FlightRecord, tables: LookupTables) -> ResolvedFlight:
@@ -333,7 +343,7 @@ def resolve_flight(flight: FlightRecord, tables: LookupTables) -> ResolvedFlight
                     emissions_type = None
                     cause = cause or NO_CCD_PROFILE
 
-        resolved_engine = tables.resolve_tail_engine(airframe.tail_number)
+        resolved_engine = tables.engine_by_tail.get(airframe.tail_number)
         if resolved_engine is not None:
             engine_uid, engine_flag = resolved_engine
             flags.add(engine_flag)

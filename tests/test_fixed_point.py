@@ -1,6 +1,8 @@
 """Fixed-point aggregation: exactness against Fraction, and metamorphic checks."""
 
 import dataclasses
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
@@ -227,3 +229,113 @@ def test_computed_flights_are_the_computable_ones(tmp_path):
     outcomes = pipeline.compute_outcomes(resolved, data, cfg)
     assert [o.result is not None for o in outcomes] == [rf.is_computable for rf in resolved]
     assert pipeline.coverage_report(resolved).computed_flights == 185
+
+
+def run_outputs(workdir, paths, matching_tables):
+    """Run the CLI on `paths` in `workdir`; the bytes of every output file."""
+    workdir.mkdir()
+    config = write_config(workdir, paths, workdir / "out", extra=matching_tables)
+    assert cli.main(["run", "--config", str(config)]) == 0
+    return {name: (workdir / "out" / name).read_bytes() for name in pipeline.OUTPUT_FILES}
+
+
+def matching_tables_of(cfg):
+    return {"normalization_rules": str(cfg.normalization_rules),
+            "family_fallback": str(cfg.family_fallback)}
+
+
+def csv_rows(data):
+    header, *rows = data.decode("utf-8").splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def test_file_totals_of_union_are_sum_of_parts(corpus, tmp_path):
+    """Split the flight table in two, keep the reference tables: the files of
+    A ∪ B add up from those of A and B (masses within the 2-decimal rounding
+    of three files)."""
+    cfg, _, _ = corpus
+    header, *rows = cfg.ontime.read_bytes().splitlines(keepends=True)
+    rng = random.Random(4)
+    part_rows = {"a": [], "b": []}
+    for row in rows:
+        part_rows["a" if rng.random() < 0.4 else "b"].append(row)
+    outputs = {"union": run_outputs(tmp_path / "union", cfg.table_paths(),
+                                    matching_tables_of(cfg))}
+    for part, chosen in part_rows.items():
+        ontime = tmp_path / f"ontime_{part}.csv"
+        ontime.write_bytes(header + b"".join(chosen))
+        outputs[part] = run_outputs(tmp_path / part, {**cfg.table_paths(), "ontime": ontime},
+                                    matching_tables_of(cfg))
+    union, a, b = outputs["union"], outputs["a"], outputs["b"]
+
+    def lines(data):
+        return data.decode("utf-8").splitlines()[1:]
+
+    assert sorted(lines(union["flight_emissions.csv"])) == sorted(
+        lines(a["flight_emissions.csv"]) + lines(b["flight_emissions.csv"]))
+
+    coverage = {k: json.loads(v["coverage.json"]) for k, v in outputs.items()}
+    for key in ("total_flights", "computed_flights"):
+        assert coverage["union"][key] == coverage["a"][key] + coverage["b"][key]
+    for key in ("incomputable_causes", "fallback_flags"):
+        summed = dict(coverage["a"][key])
+        for name, count in coverage["b"][key].items():
+            summed[name] = summed.get(name, 0) + count
+        assert coverage["union"][key] == summed
+
+    def close(total, x, y):
+        return abs(float(total) - (float(x) + float(y))) <= 0.015
+
+    def keyed(data, key):
+        return {row[key]: row for row in csv_rows(data)}
+
+    airlines = {k: keyed(v["airline_summary.csv"], "carrier") for k, v in outputs.items()}
+    assert set(airlines["union"]) == set(airlines["a"]) | set(airlines["b"])
+    zero = dict.fromkeys(pipeline.AIRLINE_HEADER, "0")
+    for carrier, row in airlines["union"].items():
+        ra, rb = airlines["a"].get(carrier, zero), airlines["b"].get(carrier, zero)
+        for column in ("total_flights", "emission_flights", "total_seats"):
+            assert int(row[column]) == int(ra[column]) + int(rb[column]), (carrier, column)
+        for column in ("total_co2_kg", "total_co2e_kg"):
+            assert close(row[column], ra[column], rb[column]), (carrier, column)
+
+    airports = {k: keyed(v["airport_lto.csv"], "airport") for k, v in outputs.items()}
+    assert set(airports["union"]) == set(airports["a"]) | set(airports["b"])
+    zero = dict.fromkeys(pipeline.AIRPORT_HEADER, "0")
+    for airport, row in airports["union"].items():
+        ra, rb = airports["a"].get(airport, zero), airports["b"].get(airport, zero)
+        for column in pipeline.AIRPORT_HEADER[1:]:
+            assert close(row[column], ra[column], rb[column]), (airport, column)
+
+    breakdowns = {k: csv_rows(v["gas_breakdown.csv"]) for k, v in outputs.items()}
+    for row, ra, rb in zip(breakdowns["union"], breakdowns["a"], breakdowns["b"]):
+        assert (row["cycle"], row["gas"]) == (ra["cycle"], ra["gas"]) == (rb["cycle"], rb["gas"])
+        for column in ("raw_kg", "co2e_kg"):
+            assert close(row[column], ra[column], rb[column]), (row["cycle"], row["gas"])
+
+
+# sha256 of every output file of `run` on the 5k corpus. A change that moves
+# one of these must name the file and the reason.
+GOLDEN_DIGESTS = {
+    "flight_emissions.csv":
+        "b255095673296c6161e4b0c2b1dc35868b81376dd2e1b84bf4513d31d806c33e",
+    "airline_summary.csv":
+        "7ad5d086313f1e0b5d72982edc67789626b06fd1000610b535f092abc20043aa",
+    "airport_lto.csv":
+        "482bcb62882bfb2b5c8dd768dd794ccf56e92fbde2c3093264aaec626957950f",
+    "gas_breakdown.csv":
+        "4e46df008e018ad321b55e68618513c05c75289b9748233e2945492597ebf321",
+    "scatter_co2e.csv":
+        "f62dfa2fc2b7f910c0c6d245e3cbd91e24a1a3591c9079c9c820bef22f7b261b",
+    "scatter_seat_mile.csv":
+        "d1d5999b04674fbf0fdd45586caf2e5b5c0d6178b2066b1e4604e8b58f48d841",
+    "coverage.json":
+        "80ff2a9cb1860a1e17b5fc28f191b3e70b04786d55839c974eb5043de5ef4036",
+}
+
+
+def test_outputs_match_golden_digests(corpus, tmp_path):
+    cfg, _, _ = corpus
+    outputs = run_outputs(tmp_path / "run", cfg.table_paths(), matching_tables_of(cfg))
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == GOLDEN_DIGESTS

@@ -297,3 +297,125 @@ class TestResolveFlight:
     def test_override_uid_must_exist(self):
         with pytest.raises(matching.MatchingConfigError):
             self.default_tables(override={"737-900ER": "NOT-A-UID"})
+
+
+def reference_match(designation, databank, threshold):
+    """The loop `match_engine` ran before the databank was tokenized once:
+    sort, tokenize each UID, score."""
+    query = matching.tokenize(designation)
+    best_uid, best_score = None, -1.0
+    for entry in sorted(databank, key=lambda e: e.engine_uid):
+        score = matching.jaccard_similarity(query, matching.tokenize(entry.engine_uid))
+        if score > best_score:
+            best_uid, best_score = entry.engine_uid, score
+    if best_uid is None or best_score < threshold:
+        return None
+    return best_uid, best_score
+
+
+def reference_tables(airframes, registry, codes, databank, rules_rows, threshold):
+    """Brute-force engine per airframe tail and popular engine per type."""
+    rules = matching.NormalizationRuleSet(
+        [matching.NormalizationRule(p, c) for p, c in rules_rows])
+    registry_by_tail = {r.tail_number: r.faa_engine_designation for r in registry}
+    code_text = {c.faa_code: c.designation_text for c in codes}
+    by_uid = {e.engine_uid: e for e in databank}
+    engines, counts = {}, {}
+    for airframe in {a.tail_number: a for a in airframes}.values():
+        tail = airframe.tail_number
+        engines[tail] = None
+        designation = registry_by_tail.get(tail)
+        if designation is not None:
+            designation = code_text.get(designation, designation)
+            if designation.strip().upper() in by_uid:
+                engines[tail] = (designation.strip().upper(), matching.ENGINE_EXACT)
+            else:
+                matched = reference_match(designation, list(by_uid.values()), threshold)
+                if matched is not None:
+                    engines[tail] = (matched[0], matching.ENGINE_JACCARD)
+        canonical = rules.normalize(airframe.raw_type_designator)
+        if canonical and engines[tail] is not None:
+            per_type = counts.setdefault(canonical, {})
+            per_type[engines[tail][0]] = per_type.get(engines[tail][0], 0) + 1
+    popular = {ctype: sorted(per_type, key=lambda uid: (-per_type[uid], uid))[0]
+               for ctype, per_type in counts.items()}
+    return engines, popular
+
+
+TOKENS = ["CFM56", "7B27E", "7B26", "PW", "4060", "V2500", "A5", "x1"]
+SEPARATORS = ["-", " ", "/", "--", " - "]
+
+
+@st.composite
+def designations(draw):
+    parts = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3))
+    return draw(st.sampled_from(SEPARATORS)).join(parts)
+
+
+@st.composite
+def matching_inputs(draw):
+    uids = draw(st.lists(st.one_of(designations(), st.sampled_from(["-", "--/", " "])),
+                         min_size=0, max_size=8))
+    tails = [f"N{i}" for i in range(draw(st.integers(1, 12)))]
+    raw_types = ["RAW-A", "RAW-B", "RAW-C"]
+    airframes = [AirframeRecord(t, draw(st.sampled_from(raw_types)), 150, 2) for t in tails]
+
+    def spelled(uid):
+        # a UID as the registry may spell it: another case or other punctuation
+        return draw(st.sampled_from([uid, uid.lower(), uid.replace("-", " "),
+                                     f" {uid}/", uid.replace("-", "--").title()]))
+
+    codes = [EngineCodeRecord(f"C{i}", spelled(uid) if draw(st.booleans())
+                              else draw(designations()))
+             for i, uid in enumerate(uids)]
+
+    def registry_designation():
+        kind = draw(st.sampled_from(["uid", "code", "other"] if uids else ["other"]))
+        if kind == "uid":
+            return spelled(draw(st.sampled_from(uids)))
+        if kind == "code":
+            return draw(st.sampled_from(codes)).faa_code
+        return draw(designations())
+
+    registry = [TailEngineRecord(t, registry_designation())
+                for t in tails if draw(st.integers(0, 5))]
+    return dict(airframes=airframes, registry=registry, codes=codes,
+                databank=[engine(uid) for uid in uids],
+                rules_rows=[("RAW-A", "TA"), ("RAW-B", "TB")],
+                threshold=draw(st.sampled_from([0.0, 0.5, 1.0])))
+
+
+class TestEngineResolutionEquivalence:
+    @given(matching_inputs())
+    def test_build_equals_brute_force(self, inputs):
+        engines, popular = reference_tables(**inputs)
+        tables = build_tables(**inputs)
+        for tail, expected in engines.items():
+            assert tables.engine_by_tail.get(tail) == expected, tail
+        assert set(tables.engine_by_tail) <= set(engines)
+        assert tables.popular_engine == popular
+
+    @given(matching_inputs(), designations())
+    def test_match_engine_equals_brute_force(self, inputs, designation):
+        bank, threshold = inputs["databank"], inputs["threshold"]
+        assert (matching.match_engine(designation, bank, threshold)
+                == reference_match(designation, bank, threshold))
+
+    def test_build_tokenizes_each_uid_once_and_scans_once(self, monkeypatch):
+        uids = [f"ENG{i:03d}-X{i % 7}" for i in range(200)]
+        spellings = ["ENG001 X1 SERIES", "eng001-x1-series", "Eng001/X1 (series)"]
+        tokenized, scored = [], []
+        tokenize, jaccard = matching.tokenize, matching.jaccard_similarity
+        monkeypatch.setattr(matching, "tokenize",
+                            lambda s: tokenized.append(s) or tokenize(s))
+        monkeypatch.setattr(matching, "jaccard_similarity",
+                            lambda a, b: scored.append(b) or jaccard(a, b))
+        tables = build_tables(
+            airframes=[AirframeRecord(f"N{i}", "B739ER", 180, 2) for i in range(50)],
+            registry=[TailEngineRecord(f"N{i}", spellings[i % 3]) for i in range(50)],
+            databank=[engine(uid) for uid in reversed(uids)],
+            rules_rows=[("B739ER", "737-900ER")])
+        assert sorted(s for s in tokenized if s in set(uids)) == uids
+        assert len(scored) == 200
+        assert set(tables.engine_by_tail.values()) == {("ENG001-X1", matching.ENGINE_JACCARD)}
+        assert len(tables.engine_by_tail) == 50

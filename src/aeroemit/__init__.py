@@ -5,7 +5,6 @@ from .emissions import (
     EmissionsResult,
     GasVector,
     LtoTimes,
-    ccd_interpolate,
     co2e,
     flight_emissions,
     lto_emissions,
@@ -23,7 +22,6 @@ from .matching import (
     ResolvedFlight,
     jaccard_similarity,
     match_engine,
-    normalize_airframe_type,
     resolve_flight,
     tokenize,
 )
@@ -33,8 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AirframeRecord", "CcdProfile", "Co2eFactors", "EmissionsResult",
     "EngineLtoFactors", "FlightRecord", "GasVector", "IngestReport",
-    "LtoTimes", "NormalizationRuleSet", "ResolvedFlight", "ccd_interpolate",
-    "co2e", "flight_emissions", "jaccard_similarity", "lto_emissions",
-    "match_engine", "normalize_airframe_type", "resolve_flight", "split_lto",
-    "tokenize", "__version__",
+    "LtoTimes", "NormalizationRuleSet", "ResolvedFlight", "co2e",
+    "flight_emissions", "jaccard_similarity", "lto_emissions", "match_engine",
+    "resolve_flight", "split_lto", "tokenize", "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Roll-ups of per-flight results to airlines, airports, gases, and scatters.
+"""Roll-ups of per-flight results to airlines, airports and gases.
 
 Every finite double is an integer multiple of 2**-1074, so aggregation totals
 are kept as Python ints counting units of 2**-1074 kg: fixed point with no
@@ -12,12 +12,10 @@ derived values, each produced by one correctly rounded ``int / int`` division
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .emissions import Co2eFactors, EmissionsResult, GasVector, split_lto  # noqa: F401
+from .emissions import Co2eFactors, EmissionsResult, GasVector
+from .ingest import GASES  # noqa: F401  (re-exported for the writers)
 from .matching import ResolvedFlight
-
-GASES = ("HC", "CO2", "CO", "NOX")
 
 UNIT_BITS = 1074
 # A total in units of 2**-1074 divided by UNIT is its value; a product of two
@@ -41,18 +39,12 @@ def _gas_units(v: GasVector) -> tuple[int, int, int, int]:
 
 @dataclass
 class ExactGasTotals:
-    """Per-gas mass totals kept exact, as ints counting units of 2**-1074 kg.
-
-    `hc`, `co2`, `co`, `nox` and `get` read the totals as exact Fractions.
-    """
+    """Per-gas mass totals kept exact, as ints counting units of 2**-1074 kg."""
 
     hc_units: int = 0
     co2_units: int = 0
     co_units: int = 0
     nox_units: int = 0
-
-    def add(self, v: GasVector) -> None:
-        self.add_units(_gas_units(v))
 
     def add_units(self, units: tuple[int, int, int, int]) -> None:
         hc, co2, co, nox = units
@@ -61,37 +53,12 @@ class ExactGasTotals:
         self.co_units += co
         self.nox_units += nox
 
-    def __add__(self, other: "ExactGasTotals") -> "ExactGasTotals":
-        return ExactGasTotals(self.hc_units + other.hc_units,
-                              self.co2_units + other.co2_units,
-                              self.co_units + other.co_units,
-                              self.nox_units + other.nox_units)
-
     def units(self, gas: str) -> int:
         return {"HC": self.hc_units, "CO2": self.co2_units, "CO": self.co_units,
                 "NOX": self.nox_units}[gas]
 
-    def get(self, gas: str) -> Fraction:
-        return Fraction(self.units(gas), UNIT)
-
     def kg(self, gas: str) -> float:
         return self.units(gas) / UNIT
-
-    @property
-    def hc(self) -> Fraction:
-        return self.get("HC")
-
-    @property
-    def co2(self) -> Fraction:
-        return self.get("CO2")
-
-    @property
-    def co(self) -> Fraction:
-        return self.get("CO")
-
-    @property
-    def nox(self) -> Fraction:
-        return self.get("NOX")
 
     def co2e_units(self, f: Co2eFactors) -> int:
         """Exact CO2e in units of 2**-2148 kg (divide by UNIT_SQUARED)."""
@@ -164,36 +131,18 @@ class GasBreakdown:
         return self.raw.units(gas) * to_units(factor) / UNIT_SQUARED
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
-    distance_mi: float
-    value: float
-    canonical_type: str
-    engine_uid: str
-    carrier_code: str
-
-
 @dataclass
 class RollUp:
     """Every grouping of one set of outcomes.
 
     `airlines` are ordered by total flight count descending, `airports` by
-    LTO CO2e descending; the scatter points (CO2e vs distance and
-    CO2-per-seat-mile vs distance) hold one point per computed flight, in
-    input order.
+    LTO CO2e descending.
     """
 
     airlines: list[AirlineSummary]
     airports: list[AirportLtoSummary]
     lto: GasBreakdown
     ccd: GasBreakdown
-    co2e_points: list[ScatterPoint]
-    seat_mile_points: list[ScatterPoint]
-
-    @property
-    def system(self) -> ExactGasTotals:
-        """Grand per-gas total over all computed flights (LTO shares + CCD)."""
-        return self.lto.raw + self.ccd.raw
 
 
 @dataclass(frozen=True)
@@ -212,7 +161,7 @@ def unep_baseline(distance_mi: float, config: UnepBaseline) -> float:
 
 def roll_up(outcomes: list[FlightOutcome],
             co2e_factors: Co2eFactors = Co2eFactors()) -> RollUp:
-    """Per-airline, per-airport, per-cycle and scatter roll-ups in one pass.
+    """Per-airline, per-airport and per-cycle roll-ups in one pass.
 
     LTO mass is split between origin and destination airports; airline totals
     cover both LTO shares and CCD.
@@ -221,8 +170,6 @@ def roll_up(outcomes: list[FlightOutcome],
     by_airport: dict[str, AirportLtoSummary] = {}
     lto = GasBreakdown("LTO")
     ccd = GasBreakdown("CCD")
-    co2e_points: list[ScatterPoint] = []
-    seat_mile_points: list[ScatterPoint] = []
     for outcome in outcomes:
         rf = outcome.resolved
         flight = rf.flight
@@ -255,17 +202,10 @@ def roll_up(outcomes: list[FlightOutcome],
                 summary = by_airport[airport] = AirportLtoSummary(airport)
             summary.gas_totals.add_units(units)
 
-        common = (rf.canonical_type or "", rf.engine_uid or "", carrier)
-        co2e_points.append(ScatterPoint(flight.distance_mi, result.total_co2e_kg,
-                                        *common))
-        seat_mile_points.append(ScatterPoint(flight.distance_mi,
-                                             result.per_seat_mile_co2_kg, *common))
-
     for summary in by_airport.values():
         summary.lto_co2e = summary.gas_totals.co2e_units(co2e_factors)
     return RollUp(
         airlines=sorted(by_carrier.values(),
                         key=lambda s: (-s.total_flights, s.carrier_code)),
         airports=sorted(by_airport.values(), key=lambda s: (-s.lto_co2e, s.airport)),
-        lto=lto, ccd=ccd, co2e_points=co2e_points,
-        seat_mile_points=seat_mile_points)
+        lto=lto, ccd=ccd)

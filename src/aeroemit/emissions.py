@@ -36,12 +36,6 @@ class GasVector:
     def scaled(self, k: float) -> "GasVector":
         return GasVector(self.hc * k, self.co2 * k, self.co * k, self.nox * k)
 
-    def get(self, gas: str) -> float:
-        return {"HC": self.hc, "CO2": self.co2, "CO": self.co, "NOX": self.nox}[gas]
-
-
-ZERO_VECTOR = GasVector()
-
 
 @dataclass(frozen=True)
 class LtoTimes:
@@ -147,12 +141,6 @@ def interpolate_ccd(profile: CcdProfile, duration_min: float) -> tuple[GasVector
                      co=interp("CO"), nox=interp("NOX")), flag
 
 
-def ccd_interpolate(profile: CcdProfile, duration_min: float,
-                    efficiency_factor: float = 1.0) -> tuple[GasVector, str | None]:
-    vector, flag = interpolate_ccd(profile, duration_min)
-    return vector.scaled(efficiency_factor), flag
-
-
 def co2e(v: GasVector, f: Co2eFactors = Co2eFactors()) -> float:
     return v.co2 * f.co2 + f.co * v.co + f.hc * v.hc + f.nox * v.nox
 
@@ -198,7 +186,8 @@ def flight_emissions(rf: ResolvedFlight,
                                     rf.efficiency_factor)
     lto = origin + destination
     at = flight.air_time_min if interpolation_key == "time" else flight.distance_mi
-    ccd, flag = ccd_interpolate(profile, at, rf.efficiency_factor)
+    ccd, flag = interpolate_ccd(profile, at)
+    ccd = ccd.scaled(rf.efficiency_factor)
     lto_co2e = co2e(lto, co2e_factors)
     ccd_co2e = co2e(ccd, co2e_factors)
     total = lto_co2e + ccd_co2e

@@ -53,13 +53,8 @@ class FlightRecord:
     taxi_out_min: float | None
     distance_mi: float | None
 
-    @property
-    def incomputable(self) -> bool:
-        """True when required inputs for the emissions pipeline are absent."""
-        return self.tail_number is None or self.air_time_min is None
 
-
-@dataclass
+@dataclass(frozen=True)
 class AirframeRecord:
     tail_number: str
     raw_type_designator: str
@@ -114,10 +109,6 @@ class IngestReport:
     accepted: int = 0
     rejected: int = 0
     rejections: list[RowRejection] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return self.accepted + self.rejected
 
     def reject(self, line: int, reason: str) -> None:
         self.rejected += 1

@@ -8,6 +8,7 @@ similarity. Every fallback taken is recorded as a provenance flag.
 
 from __future__ import annotations
 
+import dataclasses
 import fnmatch
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,10 +106,6 @@ class NormalizationRuleSet:
             elif cleaned == rule.pattern:
                 return rule.canonical_type
         return None
-
-
-def normalize_airframe_type(raw: str, rules: NormalizationRuleSet) -> str | None:
-    return rules.normalize(raw)
 
 
 @dataclass(frozen=True)
@@ -279,11 +276,11 @@ class LookupTables:
               jaccard_threshold: float = DEFAULT_JACCARD_THRESHOLD,
               popular_engine_override: dict[str, str] | None = None,
               ) -> "LookupTables":
-        airframes_by_tail = {a.tail_number: a for a in airframes}
+        airframes_by_tail = {
+            a.tail_number: dataclasses.replace(
+                a, canonical_type=rules.normalize(a.raw_type_designator) or "")
+            for a in airframes}
         databank_by_uid = {e.engine_uid: e for e in databank}
-        for airframe in airframes_by_tail.values():
-            canonical = rules.normalize(airframe.raw_type_designator)
-            airframe.canonical_type = canonical or ""
         engine_by_tail = _resolve_engines(
             airframes_by_tail,
             {r.tail_number: r.faa_engine_designation for r in registry},

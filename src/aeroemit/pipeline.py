@@ -185,32 +185,46 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 def write_outputs(outcomes: list[agg.FlightOutcome], cfg: RunConfig,
                   coverage: CoverageReport) -> None:
-    """Write all run artifacts; each file lands atomically (temp then rename)."""
+    """Write all run artifacts; each file lands atomically (temp then rename).
+
+    The per-flight file and the two scatter files get one row per computed
+    flight, in input order, from one walk over the outcomes.
+    """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     factors = cfg.co2e_factors
 
-    rows = []
+    rows, co2e_rows, sm_rows = [], [], []
     for outcome in outcomes:
         result = outcome.result
         if result is None:
             continue
         rf = outcome.resolved
         flight = rf.flight
+        distance = repr(flight.distance_mi)
+        canonical_type, engine_uid = rf.canonical_type or "", rf.engine_uid or ""
+        total_co2e = _mass(result.total_co2e_kg)
+        per_seat_mile = _ratio(result.per_seat_mile_co2_kg)
         rows.append([
             flight.flight_date.isoformat(), flight.carrier_code,
             flight.flight_number, flight.tail_number or "", flight.origin,
-            flight.destination, repr(flight.distance_mi), repr(flight.air_time_min),
-            rf.canonical_type or "", rf.emissions_type or "", rf.engine_uid or "",
+            flight.destination, distance, repr(flight.air_time_min),
+            canonical_type, rf.emissions_type or "", engine_uid,
             "|".join(sorted(rf.provenance)),
             _mass(result.lto.hc), _mass(result.lto.co2), _mass(result.lto.co),
             _mass(result.lto.nox),
             _mass(result.ccd.hc), _mass(result.ccd.co2), _mass(result.ccd.co),
             _mass(result.ccd.nox),
             _mass(result.lto_co2e_kg), _mass(result.ccd_co2e_kg),
-            _mass(result.total_co2e_kg),
-            _mass(result.per_seat_co2e_kg), _ratio(result.per_seat_mile_co2_kg),
+            total_co2e, _mass(result.per_seat_co2e_kg), per_seat_mile,
         ])
+        co2e_rows.append([distance, total_co2e, canonical_type, engine_uid,
+                          flight.carrier_code])
+        sm_row = [distance, per_seat_mile, canonical_type, engine_uid,
+                  flight.carrier_code]
+        if cfg.unep is not None:
+            sm_row.append(_ratio(agg.unep_baseline(flight.distance_mi, cfg.unep)))
+        sm_rows.append(sm_row)
     _atomic_write(outdir / "flight_emissions.csv",
                   _csv_text(FLIGHT_EMISSIONS_HEADER, rows))
 
@@ -239,8 +253,6 @@ def write_outputs(outcomes: list[agg.FlightOutcome], cfg: RunConfig,
     _atomic_write(outdir / "gas_breakdown.csv",
                   _csv_text(GAS_BREAKDOWN_HEADER, bd_rows))
 
-    co2e_rows = [[repr(p.distance_mi), _mass(p.value), p.canonical_type,
-                  p.engine_uid, p.carrier_code] for p in rollup.co2e_points]
     _atomic_write(outdir / "scatter_co2e.csv",
                   _csv_text(SCATTER_CO2E_HEADER, co2e_rows))
 
@@ -250,13 +262,6 @@ def write_outputs(outcomes: list[agg.FlightOutcome], cfg: RunConfig,
     else:
         logger.warning("no UNEP baseline constants configured; "
                        "scatter_seat_mile.csv omits the baseline column")
-    sm_rows = []
-    for p in rollup.seat_mile_points:
-        row = [repr(p.distance_mi), _ratio(p.value), p.canonical_type,
-               p.engine_uid, p.carrier_code]
-        if cfg.unep is not None:
-            row.append(_ratio(agg.unep_baseline(p.distance_mi, cfg.unep)))
-        sm_rows.append(row)
     _atomic_write(outdir / "scatter_seat_mile.csv", _csv_text(header, sm_rows))
 
     _atomic_write(outdir / "coverage.json",

@@ -1,10 +1,13 @@
 import datetime
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from aeroemit import aggregate as agg
+from aeroemit import pipeline
+from aeroemit.config import RunConfig
 from aeroemit.emissions import Co2eFactors, GasVector, LtoTimes, split_lto
 from aeroemit.emissions import EmissionsResult, flight_emissions
 from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors, FlightRecord
@@ -169,32 +172,34 @@ class TestConservation:
                 distance=rng.uniform(100, 2500), number=str(i))))
         return outcomes
 
+    @staticmethod
+    def exact_kg(outcomes, gas, shares):
+        """Exact per-gas mass of the named result vectors over all outcomes."""
+        return sum((Fraction(getattr(getattr(o.result, share), gas.lower()))
+                    for o in outcomes for share in shares), Fraction(0))
+
     def test_airport_split_conserves_mass(self):
         outcomes = self.corpus()
         airports = agg.roll_up(outcomes).airports
-        total = agg.ExactGasTotals()
-        for a in airports:
-            total = total + a.gas_totals
-        flight_lto = agg.ExactGasTotals()
-        for o in outcomes:
-            flight_lto.add(o.result.lto_origin_share)
-            flight_lto.add(o.result.lto_destination_share)
-        assert total == flight_lto
+        for gas in agg.GASES:
+            total = sum(a.gas_totals.units(gas) for a in airports)
+            flight_lto = self.exact_kg(
+                outcomes, gas, ("lto_origin_share", "lto_destination_share"))
+            assert Fraction(total, agg.UNIT) == flight_lto
 
     def test_three_way_grouping_identity(self):
         outcomes = self.corpus()
-        airline_total = agg.ExactGasTotals()
-        for s in agg.roll_up(outcomes).airlines:
-            airline_total = airline_total + s.gas_totals
-        airport_total = agg.ExactGasTotals()
-        for a in agg.roll_up(outcomes).airports:
-            airport_total = airport_total + a.gas_totals
         rollup = agg.roll_up(outcomes)
         lto_bd, ccd_bd = rollup.lto, rollup.ccd
-        system = rollup.system
-        assert airline_total == system
-        assert airport_total + ccd_bd.raw == system
-        assert lto_bd.raw + ccd_bd.raw == system
+        for gas in agg.GASES:
+            system = self.exact_kg(
+                outcomes, gas, ("lto_origin_share", "lto_destination_share", "ccd"))
+            airline_total = sum(s.gas_totals.units(gas) for s in rollup.airlines)
+            airport_total = sum(a.gas_totals.units(gas) for a in rollup.airports)
+            assert Fraction(airline_total, agg.UNIT) == system
+            assert Fraction(airport_total + ccd_bd.raw.units(gas), agg.UNIT) == system
+            assert Fraction(lto_bd.raw.units(gas) + ccd_bd.raw.units(gas),
+                            agg.UNIT) == system
 
     def test_permutation_invariance(self):
         outcomes = self.corpus(100)
@@ -214,26 +219,73 @@ class TestGasBreakdown:
         f = Co2eFactors()
         for breakdown in (lto_bd, ccd_bd):
             assert breakdown.co2e_kg("NOX", f) == pytest.approx(
-                float(breakdown.raw.nox) * 298.0)
+                breakdown.raw.kg("NOX") * 298.0)
             assert breakdown.co2e_kg("CO2", f) == pytest.approx(
-                float(breakdown.raw.co2))
+                breakdown.raw.kg("CO2"))
+
+
+def incomputable_outcome():
+    rf = ResolvedFlight(
+        flight=make_flight(number="x"), canonical_type=None, seat_count=None,
+        engine_count=None, engine_uid=None, emissions_type=None,
+        efficiency_factor=1.0, provenance=frozenset({"INCOMPUTABLE"}),
+        incomputable_cause="MISSING_TAIL")
+    return agg.FlightOutcome(rf, None)
+
+
+def written_csv(outcomes, outdir, unep=None):
+    """Rows of the per-flight and scatter files `write_outputs` writes, as
+    dicts keyed by header."""
+    cfg = RunConfig(*(Path("unused.csv"),) * 6, output_dir=outdir, unep=unep)
+    resolved = [o.resolved for o in outcomes]
+    pipeline.write_outputs(outcomes, cfg, pipeline.coverage_report(resolved))
+    files = {}
+    for name in ("flight_emissions.csv", "scatter_co2e.csv", "scatter_seat_mile.csv"):
+        header, *rows = (outdir / name).read_text(encoding="utf-8").splitlines()
+        files[name] = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    return files
 
 
 class TestScatter:
-    def test_one_point_per_computed_flight(self):
+    def test_one_point_per_computed_flight(self, tmp_path):
         outcomes = [outcome(make_flight(number=str(i))) for i in range(4)]
-        rf = ResolvedFlight(
-            flight=make_flight(number="x"), canonical_type=None, seat_count=None,
-            engine_count=None, engine_uid=None, emissions_type=None,
-            efficiency_factor=1.0, provenance=frozenset({"INCOMPUTABLE"}),
-            incomputable_cause="MISSING_TAIL")
-        outcomes.append(agg.FlightOutcome(rf, None))
-        rollup = agg.roll_up(outcomes)
-        co2e_points, seat_mile_points = rollup.co2e_points, rollup.seat_mile_points
+        outcomes.append(incomputable_outcome())
+        files = written_csv(outcomes, tmp_path)
+        co2e_points = files["scatter_co2e.csv"]
+        seat_mile_points = files["scatter_seat_mile.csv"]
         assert len(co2e_points) == 4
         assert len(seat_mile_points) == 4
-        assert co2e_points[0].value == outcomes[0].result.total_co2e_kg
-        assert seat_mile_points[0].value == outcomes[0].result.per_seat_mile_co2_kg
+        assert co2e_points[0]["co2e_kg"] == f"{outcomes[0].result.total_co2e_kg:.2f}"
+        assert seat_mile_points[0]["co2_per_seat_mile"] \
+            == f"{outcomes[0].result.per_seat_mile_co2_kg:.6f}"
+
+    @pytest.mark.parametrize("unep", [None, agg.UnepBaseline(0.2, 0.1, 700.0)],
+                             ids=["no-unep", "unep"])
+    def test_rows_match_flight_emissions(self, tmp_path, unep):
+        rng = random.Random(3)
+        outcomes = [outcome(make_flight(carrier=rng.choice(["AA", "DL", "UA"]),
+                                        distance=rng.uniform(100, 2500), number=str(i)),
+                            seats=rng.choice([76, 160, 180]))
+                    for i in range(6)]
+        outcomes.insert(2, incomputable_outcome())
+        files = written_csv(outcomes, tmp_path, unep)
+        flights = files["flight_emissions.csv"]
+        assert len(flights) == 6
+        for name, value in (("scatter_co2e.csv", "total_co2e_kg"),
+                            ("scatter_seat_mile.csv", "per_seat_mile_co2_kg")):
+            points = files[name]
+            assert len(points) == len(flights)
+            for point, flight in zip(points, flights):
+                cells = list(point.values())
+                assert cells[:5] == [flight["distance_mi"], flight[value],
+                                     flight["canonical_type"], flight["engine_uid"],
+                                     flight["carrier"]]
+        for point in files["scatter_seat_mile.csv"]:
+            if unep is None:
+                assert "unep_baseline" not in point
+            else:
+                baseline = agg.unep_baseline(float(point["distance_mi"]), unep)
+                assert point["unep_baseline"] == f"{baseline:.6f}"
 
 
 class TestUnepBaseline:

@@ -1,6 +1,7 @@
 """Fixed-point aggregation: exactness against Fraction, and metamorphic checks."""
 
 import dataclasses
+import fractions
 import hashlib
 import json
 import random
@@ -75,12 +76,12 @@ def fraction_roll_up(outcomes):
                                (flight.destination, r.lto_destination_share)):
             totals = airports.setdefault(airport, [Fraction(0)] * 4)
             for i, gas in enumerate(agg.GASES):
-                totals[i] += Fraction(share.get(gas))
+                totals[i] += Fraction(getattr(share, gas.lower()))
         for cycle, vectors in (("LTO", (r.lto_origin_share, r.lto_destination_share)),
                                ("CCD", (r.ccd,))):
             for v in vectors:
                 for i, gas in enumerate(agg.GASES):
-                    cycles[cycle][i] += Fraction(v.get(gas))
+                    cycles[cycle][i] += Fraction(getattr(v, gas.lower()))
     return airlines, airports, cycles
 
 
@@ -136,18 +137,24 @@ def test_outputs_match_fraction_reference(corpus, tmp_path):
     assert files["gas_breakdown.csv"].splitlines()[1:] == breakdown
 
 
+def exact_kg(totals):
+    """Per-gas totals of an ExactGasTotals as exact Fractions of a kg."""
+    return [Fraction(totals.units(gas), agg.UNIT) for gas in agg.GASES]
+
+
 def test_totals_equal_fraction_reference(corpus):
     _, outcomes, _ = corpus
     airlines, airports, cycles = fraction_roll_up(outcomes)
     rollup = agg.roll_up(outcomes)
     for s in rollup.airlines:
-        exact = (Fraction(s.total_co2e, agg.UNIT), Fraction(s.seat_miles, agg.UNIT))
-        assert [s.total_flights, s.emission_flights, s.total_seats, s.gas_totals.co2,
+        exact = (Fraction(s.gas_totals.co2_units, agg.UNIT),
+                 Fraction(s.total_co2e, agg.UNIT), Fraction(s.seat_miles, agg.UNIT))
+        assert [s.total_flights, s.emission_flights, s.total_seats,
                 *exact] == airlines[s.carrier_code]
     for a in rollup.airports:
-        assert [a.gas_totals.get(gas) for gas in agg.GASES] == airports[a.airport]
+        assert exact_kg(a.gas_totals) == airports[a.airport]
     for breakdown in (rollup.lto, rollup.ccd):
-        assert [breakdown.raw.get(gas) for gas in agg.GASES] == cycles[breakdown.cycle]
+        assert exact_kg(breakdown.raw) == cycles[breakdown.cycle]
 
 
 def test_roll_up_builds_no_fraction(corpus, tmp_path, monkeypatch):
@@ -156,7 +163,12 @@ def test_roll_up_builds_no_fraction(corpus, tmp_path, monkeypatch):
     def no_fraction(*args):
         raise AssertionError("Fraction built during a run")
 
-    monkeypatch.setattr(agg, "Fraction", no_fraction)
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("aeroemit"):
+            for attr, value in list(vars(module).items()):
+                if value is Fraction:
+                    monkeypatch.setattr(module, attr, no_fraction)
     written(cfg, outcomes[:200], coverage, tmp_path)
 
 
@@ -211,13 +223,23 @@ def test_totals_of_union_are_sum_of_parts(corpus, seed):
     for o in outcomes:
         (part_a if rng.random() < 0.3 else part_b).append(o)
     union, a, b = agg.roll_up(outcomes), agg.roll_up(part_a), agg.roll_up(part_b)
-    assert union.lto.raw == a.lto.raw + b.lto.raw
-    assert union.ccd.raw == a.ccd.raw + b.ccd.raw
-    assert union.system == a.system + b.system
-    parts = {s.carrier_code: s.gas_totals for s in a.airlines}
+
+    def units(totals):
+        return tuple(totals.units(gas) for gas in agg.GASES)
+
+    def plus(x, y):
+        return tuple(p + q for p, q in zip(x, y))
+
+    def system(rollup):
+        return plus(units(rollup.lto.raw), units(rollup.ccd.raw))
+
+    assert units(union.lto.raw) == plus(units(a.lto.raw), units(b.lto.raw))
+    assert units(union.ccd.raw) == plus(units(a.ccd.raw), units(b.ccd.raw))
+    assert system(union) == plus(system(a), system(b))
+    parts = {s.carrier_code: units(s.gas_totals) for s in a.airlines}
     for s in b.airlines:
-        parts[s.carrier_code] = parts.get(s.carrier_code, agg.ExactGasTotals()) + s.gas_totals
-    assert {s.carrier_code: s.gas_totals for s in union.airlines} == parts
+        parts[s.carrier_code] = plus(parts.get(s.carrier_code, (0,) * 4), units(s.gas_totals))
+    assert {s.carrier_code: units(s.gas_totals) for s in union.airlines} == parts
 
 
 def test_computed_flights_are_the_computable_ones(tmp_path):
@@ -339,3 +361,21 @@ def test_outputs_match_golden_digests(corpus, tmp_path):
     outputs = run_outputs(tmp_path / "run", cfg.table_paths(), matching_tables_of(cfg))
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == GOLDEN_DIGESTS
+
+
+# The same run with UNEP baseline constants: only scatter_seat_mile.csv, which
+# gains the unep_baseline column, differs from GOLDEN_DIGESTS.
+UNEP_CONSTANTS = {"unep_short": "0.2", "unep_long": "0.1", "unep_cutoff_mi": "700"}
+GOLDEN_DIGESTS_UNEP = {
+    **GOLDEN_DIGESTS,
+    "scatter_seat_mile.csv":
+        "d3e2f4a34fbaa8b6440ba8298d717f00bffa8cd732f6c7b348848d0f2a3eabfb",
+}
+
+
+def test_outputs_with_unep_match_golden_digests(corpus, tmp_path):
+    cfg, _, _ = corpus
+    outputs = run_outputs(tmp_path / "run", cfg.table_paths(),
+                          {**matching_tables_of(cfg), **UNEP_CONSTANTS})
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == GOLDEN_DIGESTS_UNEP

@@ -35,12 +35,12 @@ class TestParseOntime:
         assert r.taxi_in_min == 7.43
         assert r.taxi_out_min == 15.42
         assert r.distance_mi == 666
-        assert not r.incomputable
+        assert r.tail_number is not None and r.air_time_min is not None
 
     def test_empty_file_with_header(self, tmp_path):
         records, report = ingest.parse_ontime(ontime_file(tmp_path, []))
         assert records == []
-        assert report.accepted == 0 and report.total == 0
+        assert report.accepted == 0 and report.accepted + report.rejected == 0
 
     def test_blank_tail_retained_but_flagged(self, tmp_path):
         rows = [GOLDEN_ROW,
@@ -48,13 +48,13 @@ class TestParseOntime:
                 ["2021-09-03", "DL", "2441", "N815DN", "PHL", "ATL", "122", "5", "10", "666"]]
         records, report = ingest.parse_ontime(ontime_file(tmp_path, rows))
         assert report.accepted == 3
-        assert sum(r.incomputable for r in records) == 1
+        assert sum(r.tail_number is None or r.air_time_min is None for r in records) == 1
 
     def test_blank_airtime_flagged(self, tmp_path):
         rows = [["2021-09-02", "DL", "1", "N1", "PHL", "ATL", "", "5", "10", "666"]]
         records, _ = ingest.parse_ontime(ontime_file(tmp_path, rows))
         assert records[0].air_time_min is None
-        assert records[0].incomputable
+        assert records[0].tail_number == "N1"
 
     def test_missing_numeric_is_none_not_zero(self, tmp_path):
         rows = [["2021-09-02", "DL", "1", "N1", "PHL", "ATL", "120", "", "", "666"]]

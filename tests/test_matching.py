@@ -298,6 +298,14 @@ class TestResolveFlight:
         with pytest.raises(matching.MatchingConfigError):
             self.default_tables(override={"737-900ER": "NOT-A-UID"})
 
+    def test_build_leaves_input_and_earlier_tables_unchanged(self):
+        airframes = [AirframeRecord("N815DN", "RAW", 180, 2)]
+        first = self.default_tables(airframes=airframes, rules_rows=[("RAW", "TA")])
+        second = self.default_tables(airframes=airframes, rules_rows=[("RAW", "TB")])
+        assert first.airframes_by_tail["N815DN"].canonical_type == "TA"
+        assert second.airframes_by_tail["N815DN"].canonical_type == "TB"
+        assert airframes == [AirframeRecord("N815DN", "RAW", 180, 2)]
+
 
 def reference_match(designation, databank, threshold):
     """The loop `match_engine` ran before the databank was tokenized once:

@@ -3,10 +3,12 @@
 Every finite double is an integer multiple of 2**-1074, so aggregation totals
 are kept as Python ints counting units of 2**-1074 kg: fixed point with no
 rounding, in which every grouping of the same flights sums to the same mass
-regardless of order. `roll_up` converts each per-flight double once and fills
-every grouping in a single walk over the outcomes. Floats appear only in
-derived values, each produced by one correctly rounded ``int / int`` division
-(the same double ``float(Fraction)`` gives).
+regardless of order. `RollUpAccumulator.add` converts each per-flight double
+once and fills every grouping, so a run streams its flights through it and
+holds only the per-carrier, per-airport and per-cycle sums; `roll_up` is the
+same pass over a list. Floats appear only in derived values, each produced by
+one correctly rounded ``int / int`` division (the same double
+``float(Fraction)`` gives).
 """
 
 from __future__ import annotations
@@ -159,28 +161,32 @@ def unep_baseline(distance_mi: float, config: UnepBaseline) -> float:
     return config.long_haul_co2_per_seat_mile
 
 
-def roll_up(outcomes: list[FlightOutcome],
-            co2e_factors: Co2eFactors = Co2eFactors()) -> RollUp:
-    """Per-airline, per-airport and per-cycle roll-ups in one pass.
+class RollUpAccumulator:
+    """Per-airline, per-airport and per-cycle roll-ups, one outcome at a time.
 
     LTO mass is split between origin and destination airports; airline totals
-    cover both LTO shares and CCD.
+    cover both LTO shares and CCD. The totals are exact integers, so the
+    order of `add` calls does not change what `finish` returns.
     """
-    by_carrier: dict[str, AirlineSummary] = {}
-    by_airport: dict[str, AirportLtoSummary] = {}
-    lto = GasBreakdown("LTO")
-    ccd = GasBreakdown("CCD")
-    for outcome in outcomes:
+
+    def __init__(self, co2e_factors: Co2eFactors = Co2eFactors()) -> None:
+        self.co2e_factors = co2e_factors
+        self.by_carrier: dict[str, AirlineSummary] = {}
+        self.by_airport: dict[str, AirportLtoSummary] = {}
+        self.lto = GasBreakdown("LTO")
+        self.ccd = GasBreakdown("CCD")
+
+    def add(self, outcome: FlightOutcome) -> None:
         rf = outcome.resolved
         flight = rf.flight
         carrier = flight.carrier_code
-        airline = by_carrier.get(carrier)
+        airline = self.by_carrier.get(carrier)
         if airline is None:
-            airline = by_carrier[carrier] = AirlineSummary(carrier)
+            airline = self.by_carrier[carrier] = AirlineSummary(carrier)
         airline.total_flights += 1
         result = outcome.result
         if result is None:
-            continue
+            return
         seats = rf.seat_count or 0
         airline.emission_flights += 1
         airline.total_seats += seats
@@ -192,20 +198,32 @@ def roll_up(outcomes: list[FlightOutcome],
         cruise = _gas_units(result.ccd)
         for units in (origin, destination, cruise):
             airline.gas_totals.add_units(units)
-        lto.raw.add_units(origin)
-        lto.raw.add_units(destination)
-        ccd.raw.add_units(cruise)
+        self.lto.raw.add_units(origin)
+        self.lto.raw.add_units(destination)
+        self.ccd.raw.add_units(cruise)
         for airport, units in ((flight.origin, origin),
                                (flight.destination, destination)):
-            summary = by_airport.get(airport)
+            summary = self.by_airport.get(airport)
             if summary is None:
-                summary = by_airport[airport] = AirportLtoSummary(airport)
+                summary = self.by_airport[airport] = AirportLtoSummary(airport)
             summary.gas_totals.add_units(units)
 
-    for summary in by_airport.values():
-        summary.lto_co2e = summary.gas_totals.co2e_units(co2e_factors)
-    return RollUp(
-        airlines=sorted(by_carrier.values(),
-                        key=lambda s: (-s.total_flights, s.carrier_code)),
-        airports=sorted(by_airport.values(), key=lambda s: (-s.lto_co2e, s.airport)),
-        lto=lto, ccd=ccd)
+    def finish(self) -> RollUp:
+        """The roll-up of every outcome added so far, with its rows sorted."""
+        for summary in self.by_airport.values():
+            summary.lto_co2e = summary.gas_totals.co2e_units(self.co2e_factors)
+        return RollUp(
+            airlines=sorted(self.by_carrier.values(),
+                            key=lambda s: (-s.total_flights, s.carrier_code)),
+            airports=sorted(self.by_airport.values(),
+                            key=lambda s: (-s.lto_co2e, s.airport)),
+            lto=self.lto, ccd=self.ccd)
+
+
+def roll_up(outcomes: list[FlightOutcome],
+            co2e_factors: Co2eFactors = Co2eFactors()) -> RollUp:
+    """Every grouping of `outcomes`, in one pass."""
+    accumulator = RollUpAccumulator(co2e_factors)
+    for outcome in outcomes:
+        accumulator.add(outcome)
+    return accumulator.finish()

@@ -44,13 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_validate(config_path: str | None) -> int:
     try:
         cfg = load_config(config_path)
-        data = pipeline.load_data(cfg)
+        reports, coverage = pipeline.validate_inputs(cfg)
     except (ConfigError, IngestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    coverage = pipeline.coverage_report(pipeline.resolve_all(data))
 
-    for name, rep in data.reports.items():
+    for name, rep in reports.items():
         print(f"{name}: {rep.accepted} accepted, {rep.rejected} rejected")
         for rejection in rep.rejections[:20]:
             print(f"  line {rejection.line}: {rejection.reason}")
@@ -69,7 +68,7 @@ def cmd_validate(config_path: str | None) -> int:
 def cmd_run(config_path: str | None) -> int:
     try:
         cfg = load_config(config_path)
-        outcomes, coverage = pipeline.run_pipeline(cfg)
+        coverage = pipeline.run_pipeline(cfg)
     except (ConfigError, IngestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

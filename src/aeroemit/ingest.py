@@ -8,11 +8,14 @@ for long-form tables and a record order. `read_table` rejects a malformed row
 with its line number and reason; only a missing file, a header mismatch, or a
 repeated primary key of a table whose keys must be unique aborts a parse.
 Numbers must be finite (inf and nan reject the row). Missing numeric fields
-are represented as None, never 0. `write_table` is the reader's inverse.
+are represented as None, never 0. `stream_table` is the reader itself, one
+record at a time, so a flight table of any length is read in constant memory.
+`write_table` is the reader's inverse.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -244,52 +247,81 @@ def _records(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
             yield exc
 
 
-def read_table(schema: TableSchema, path: str | Path) -> tuple[list, IngestReport]:
-    """Parse one table; record i is line i + 2 in rejections."""
+@contextlib.contextmanager
+def stream_table(schema: TableSchema, path: str | Path
+                 ) -> Iterator[tuple[Iterator, IngestReport]]:
+    """A table's accepted records one at a time, in file order, and its report:
+    ``with stream_table(schema, path) as (records, report)``.
+
+    The header is checked on entry and the file closed when the block exits.
+    Each rejected row goes to the report as it is read, so the counts are
+    final once the records are exhausted. A long-form table gives the
+    (line, values) of each accepted row, for `read_table` to group.
+    """
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
-    report = IngestReport(schema.table)
-    records: list = []
-    groups: dict[str, list[tuple[int, list]]] = {}
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         rows = _records(csv.reader(fh))
         columns = schema.columns_for(path, next(rows, None))
-        converters = [c.convert for c in columns]
-        arity = len(columns)
-        key_at = [schema.header.index(name) for name in schema.key]
-        key_of = itemgetter(*key_at) if key_at else None
-        seen: set = set()
-        build, check = schema.build, schema.check
-        for line, row in enumerate(rows, start=2):
-            try:
-                if isinstance(row, csv.Error):
-                    raise ValueError(str(row))
-                if len(row) != arity:
-                    raise ValueError(f"expected {arity} fields, got {len(row)}")
-                joined = "".join(row)
-                if not joined.isascii() and _UNDECODED.search(joined):
-                    raise ValueError("field holds bytes that are not UTF-8")
-                values = [convert(value) for convert, value in zip(converters, row)]
-                if check is not None:
-                    check(values)
-                if key_of is not None:
-                    key = key_of(values)
-                    if key in seen:
-                        repeat = "duplicate " + ", ".join(
-                            f"{name} {values[i]}" for name, i in zip(schema.key, key_at))
-                        if schema.repeat_fatal:
-                            raise DuplicateKeyError(f"{schema.table} line {line}: {repeat}")
-                        raise ValueError(repeat)
-                    seen.add(key)
-            except ValueError as exc:
-                report.reject(line, str(exc))
-                continue
-            report.accepted += 1
-            if build is not None:
-                records.append(build(*values))
-            else:
-                groups.setdefault(values[0], []).append((line, values))
+        report = IngestReport(schema.table)
+        yield _accepted(schema, columns, rows, report), report
+
+
+def _accepted(schema: TableSchema, columns: tuple[Column, ...],
+              rows: Iterator[list[str] | csv.Error], report: IngestReport) -> Iterator:
+    converters = [c.convert for c in columns]
+    arity = len(columns)
+    key_at = [schema.header.index(name) for name in schema.key]
+    key_of = itemgetter(*key_at) if key_at else None
+    seen: set = set()
+    build, check = schema.build, schema.check
+    for line, row in enumerate(rows, start=2):
+        try:
+            if isinstance(row, csv.Error):
+                raise ValueError(str(row))
+            if len(row) != arity:
+                raise ValueError(f"expected {arity} fields, got {len(row)}")
+            joined = "".join(row)
+            if not joined.isascii() and _UNDECODED.search(joined):
+                raise ValueError("field holds bytes that are not UTF-8")
+            values = [convert(value) for convert, value in zip(converters, row)]
+            if check is not None:
+                check(values)
+            if key_of is not None:
+                key = key_of(values)
+                if key in seen:
+                    repeat = "duplicate " + ", ".join(
+                        f"{name} {values[i]}" for name, i in zip(schema.key, key_at))
+                    if schema.repeat_fatal:
+                        raise DuplicateKeyError(f"{schema.table} line {line}: {repeat}")
+                    raise ValueError(repeat)
+                seen.add(key)
+        except ValueError as exc:
+            report.reject(line, str(exc))
+            continue
+        report.accepted += 1
+        yield build(*values) if build is not None else (line, values)
+
+
+def read_table(schema: TableSchema, path: str | Path) -> tuple[list, IngestReport]:
+    """Parse one table; record i is line i + 2 in rejections."""
+    with stream_table(schema, path) as (accepted, report):
+        records = (list(accepted) if schema.build is not None
+                   else _grouped(schema, accepted, report))
+    if schema.order is not None:
+        records.sort(key=schema.order)
+    return records, report
+
+
+def _grouped(schema: TableSchema, accepted: Iterator[tuple[int, list]],
+             report: IngestReport) -> list:
+    """One record per first-column value, in sorted order; a ValueError from
+    `schema.group` rejects every row of that record."""
+    groups: dict[str, list[tuple[int, list]]] = {}
+    for line, values in accepted:
+        groups.setdefault(values[0], []).append((line, values))
+    records = []
     for name in sorted(groups):
         members = groups[name]
         try:
@@ -298,9 +330,7 @@ def read_table(schema: TableSchema, path: str | Path) -> tuple[list, IngestRepor
             report.accepted -= len(members)
             for line, _ in members:
                 report.reject(line, str(exc))
-    if schema.order is not None:
-        records.sort(key=schema.order)
-    return records, report
+    return records
 
 
 def _format(value: Any) -> str:

@@ -1,17 +1,24 @@
 """Pipeline orchestration: ingest -> resolve -> compute -> aggregate -> write.
 
-Compute is one in-order pass over the resolved flights in one thread: the
-per-flight work is pure Python, which a thread pool cannot run in parallel.
-Output bytes depend on the inputs alone.
+`run_pipeline` is one pass over the flight table, in one thread: each
+flight is read, resolved, computed, written and added to the exact roll-up,
+then dropped, so memory does not grow with the number of flights. A thread
+pool cannot speed up the per-flight work, which is pure Python. The outputs
+are replaced together after the last flight (`OutputWriter`). Output bytes
+depend on the inputs alone. `load_data`, `resolve_all`, `compute_outcomes`,
+`coverage_report` and `write_outputs` are the same steps over lists.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import aggregate as agg
 from . import emissions, ingest, matching
@@ -57,6 +64,19 @@ class CoverageReport:
             return 0.0
         return self.computed_flights / self.total_flights
 
+    def add(self, rf: matching.ResolvedFlight) -> None:
+        """Count one resolved flight. `resolve_flight` marks a flight computable
+        only when its engine and CCD profile exist, so each one gets emissions."""
+        self.total_flights += 1
+        if rf.is_computable:
+            self.computed_flights += 1
+        elif rf.incomputable_cause is not None:
+            self.causes[rf.incomputable_cause] = self.causes.get(
+                rf.incomputable_cause, 0) + 1
+        for flag in rf.provenance:
+            if flag != matching.INCOMPUTABLE:
+                self.fallback_flags[flag] = self.fallback_flags.get(flag, 0) + 1
+
     def to_dict(self) -> dict:
         return {
             "total_flights": self.total_flights,
@@ -69,37 +89,50 @@ class CoverageReport:
 
 @dataclass
 class LoadedData:
-    flights: list[ingest.FlightRecord]
+    """The flights, the lookup tables and every table's ingest report. The
+    flights are a one-pass iterator inside `open_inputs`, a list from
+    `load_data`."""
+
+    flights: Iterable[ingest.FlightRecord]
     tables: matching.LookupTables
     reports: dict[str, IngestReport]
 
 
-def load_data(cfg: RunConfig) -> LoadedData:
+@contextlib.contextmanager
+def open_inputs(cfg: RunConfig) -> Iterator[LoadedData]:
+    """The inputs, the flights read as they are iterated. The flight table's
+    header is checked before any reference table is read."""
     cfg.validate_paths()
-    flights, ontime_report = ingest.parse_ontime(cfg.ontime)
-    airframes, b43_report = ingest.parse_b43(cfg.b43)
-    registry, registry_report = ingest.parse_tail_registry(cfg.tail_registry)
-    codes, codes_report = ingest.parse_engine_codes(cfg.engine_codes)
-    databank, icao_report = ingest.parse_icao_databank(cfg.icao_engines)
-    profiles, bada_report = ingest.parse_bada_ccd(cfg.bada_ccd)
+    with ingest.stream_table(ingest.ONTIME_TABLE, cfg.ontime) as (flights, ontime_report):
+        airframes, b43_report = ingest.parse_b43(cfg.b43)
+        registry, registry_report = ingest.parse_tail_registry(cfg.tail_registry)
+        codes, codes_report = ingest.parse_engine_codes(cfg.engine_codes)
+        databank, icao_report = ingest.parse_icao_databank(cfg.icao_engines)
+        profiles, bada_report = ingest.parse_bada_ccd(cfg.bada_ccd)
 
-    if cfg.interpolation_key == "distance":
-        profiles = _rekey_profiles_by_distance(profiles)
+        if cfg.interpolation_key == "distance":
+            profiles = _rekey_profiles_by_distance(profiles)
 
-    rules = matching.NormalizationRuleSet.from_csv(cfg.normalization_rules)
-    fallback = matching.load_family_fallback(cfg.family_fallback)
-    override = None
-    if cfg.popular_engine_override is not None:
-        override = matching.load_popular_engine_override(cfg.popular_engine_override)
+        rules = matching.NormalizationRuleSet.from_csv(cfg.normalization_rules)
+        fallback = matching.load_family_fallback(cfg.family_fallback)
+        override = None
+        if cfg.popular_engine_override is not None:
+            override = matching.load_popular_engine_override(cfg.popular_engine_override)
 
-    tables = matching.LookupTables.build(
-        airframes, registry, codes, databank, profiles, rules, fallback,
-        jaccard_threshold=cfg.jaccard_threshold,
-        popular_engine_override=override,
-    )
-    reports = {r.table: r for r in (ontime_report, b43_report, registry_report,
-                                    codes_report, icao_report, bada_report)}
-    return LoadedData(flights, tables, reports)
+        tables = matching.LookupTables.build(
+            airframes, registry, codes, databank, profiles, rules, fallback,
+            jaccard_threshold=cfg.jaccard_threshold,
+            popular_engine_override=override,
+        )
+        reports = {r.table: r for r in (ontime_report, b43_report, registry_report,
+                                        codes_report, icao_report, bada_report)}
+        yield LoadedData(flights, tables, reports)
+
+
+def load_data(cfg: RunConfig) -> LoadedData:
+    """`open_inputs` with every flight read into a list."""
+    with open_inputs(cfg) as data:
+        return dataclasses.replace(data, flights=list(data.flights))
 
 
 def _rekey_profiles_by_distance(profiles: list[CcdProfile]) -> list[CcdProfile]:
@@ -126,38 +159,29 @@ def resolve_all(data: LoadedData) -> list[matching.ResolvedFlight]:
     return [matching.resolve_flight(f, data.tables) for f in data.flights]
 
 
+def _outcome(rf: matching.ResolvedFlight, tables: matching.LookupTables,
+             cfg: RunConfig) -> agg.FlightOutcome:
+    """One resolved flight with its emissions, None when it is incomputable."""
+    per_engine = cfg.engine_multiplier_mode == "per-engine"
+    return agg.FlightOutcome(rf, emissions.flight_emissions(
+        rf, tables.databank_by_uid, tables.ccd_by_type, cfg.co2e_factors,
+        engine_multiplier=float(rf.engine_count or 1) if per_engine else 1.0,
+        interpolation_key=cfg.interpolation_key))
+
+
 def compute_outcomes(resolved: list[matching.ResolvedFlight], data: LoadedData,
                      cfg: RunConfig, threads: int | None = None,
                      ) -> list[agg.FlightOutcome]:
     """Per-flight emissions, in input order. `threads` is ignored; it is removed
     once perfbench/spans.py stops passing `threads=1`."""
-    engines = data.tables.databank_by_uid
-    profiles = data.tables.ccd_by_type
-    per_engine = cfg.engine_multiplier_mode == "per-engine"
-    return [agg.FlightOutcome(rf, emissions.flight_emissions(
-                rf, engines, profiles, cfg.co2e_factors,
-                engine_multiplier=float(rf.engine_count or 1) if per_engine else 1.0,
-                interpolation_key=cfg.interpolation_key))
-            for rf in resolved]
+    return [_outcome(rf, data.tables, cfg) for rf in resolved]
 
 
-def coverage_report(resolved: list[matching.ResolvedFlight]) -> CoverageReport:
-    """Computable flights, incomputable causes and resolution flags.
-
-    `resolve_flight` only marks a flight computable when its engine and CCD
-    profile exist, so every computable flight gets emissions.
-    """
+def coverage_report(resolved: Iterable[matching.ResolvedFlight]) -> CoverageReport:
+    """Computable flights, incomputable causes and resolution flags."""
     report = CoverageReport()
     for rf in resolved:
-        report.total_flights += 1
-        if rf.is_computable:
-            report.computed_flights += 1
-        elif rf.incomputable_cause is not None:
-            report.causes[rf.incomputable_cause] = report.causes.get(
-                rf.incomputable_cause, 0) + 1
-        for flag in rf.provenance:
-            if flag != matching.INCOMPUTABLE:
-                report.fallback_flags[flag] = report.fallback_flags.get(flag, 0) + 1
+        report.add(rf)
     return report
 
 
@@ -171,41 +195,68 @@ def _ratio(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _csv_line(row: list[str]) -> str:
+    return ",".join(row) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(map(_csv_line, [header, *rows]))
 
 
-def write_outputs(outcomes: list[agg.FlightOutcome], cfg: RunConfig,
-                  coverage: CoverageReport) -> None:
-    """Write all run artifacts; each file lands atomically (temp then rename).
+class OutputWriter:
+    """The seven output files of one run, staged and then committed together.
 
-    The per-flight file and the two scatter files get one row per computed
-    flight, in input order, from one walk over the outcomes.
+    ``with OutputWriter(cfg) as out``: `add` each outcome in input order, then
+    `commit`. Each file is staged as `<name>.tmp` in the output directory,
+    which entering creates, and replaces its target only in `commit`. Leaving
+    the block without a commit removes every staged file, so an error or an
+    interrupt leaves the previous outputs as they were.
     """
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    factors = cfg.co2e_factors
 
-    rows, co2e_rows, sm_rows = [], [], []
-    for outcome in outcomes:
+    def __init__(self, cfg: RunConfig) -> None:
+        self.cfg = cfg
+        self.outdir = Path(cfg.output_dir)
+        self.rollup = agg.RollUpAccumulator(cfg.co2e_factors)
+        self._files = contextlib.ExitStack()
+        self._committed = False
+
+    def _staged(self, name: str) -> Path:
+        return self.outdir / (name + ".tmp")
+
+    def __enter__(self) -> OutputWriter:
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        seat_mile_header = list(SCATTER_SEAT_MILE_HEADER)
+        if self.cfg.unep is not None:
+            seat_mile_header.append("unep_baseline")
+        else:
+            logger.warning("no UNEP baseline constants configured; "
+                           "scatter_seat_mile.csv omits the baseline column")
+        try:
+            self._flights, self._co2e, self._seat_mile = (
+                self._files.enter_context(open(self._staged(name), "w", encoding="utf-8"))
+                for name in ("flight_emissions.csv", "scatter_co2e.csv",
+                             "scatter_seat_mile.csv"))
+            self._flights.write(_csv_line(FLIGHT_EMISSIONS_HEADER))
+            self._co2e.write(_csv_line(SCATTER_CO2E_HEADER))
+            self._seat_mile.write(_csv_line(seat_mile_header))
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def add(self, outcome: agg.FlightOutcome) -> None:
+        """Roll up one flight and, if it was computed, write its three rows."""
+        self.rollup.add(outcome)
         result = outcome.result
         if result is None:
-            continue
+            return
         rf = outcome.resolved
         flight = rf.flight
         distance = repr(flight.distance_mi)
         canonical_type, engine_uid = rf.canonical_type or "", rf.engine_uid or ""
         total_co2e = _mass(result.total_co2e_kg)
         per_seat_mile = _ratio(result.per_seat_mile_co2_kg)
-        rows.append([
+        self._flights.write(_csv_line([
             flight.flight_date.isoformat(), flight.carrier_code,
             flight.flight_number, flight.tail_number or "", flight.origin,
             flight.destination, distance, repr(flight.air_time_min),
@@ -217,55 +268,62 @@ def write_outputs(outcomes: list[agg.FlightOutcome], cfg: RunConfig,
             _mass(result.ccd.nox),
             _mass(result.lto_co2e_kg), _mass(result.ccd_co2e_kg),
             total_co2e, _mass(result.per_seat_co2e_kg), per_seat_mile,
-        ])
-        co2e_rows.append([distance, total_co2e, canonical_type, engine_uid,
-                          flight.carrier_code])
+        ]))
+        self._co2e.write(_csv_line([distance, total_co2e, canonical_type, engine_uid,
+                                    flight.carrier_code]))
         sm_row = [distance, per_seat_mile, canonical_type, engine_uid,
                   flight.carrier_code]
-        if cfg.unep is not None:
-            sm_row.append(_ratio(agg.unep_baseline(flight.distance_mi, cfg.unep)))
-        sm_rows.append(sm_row)
-    _atomic_write(outdir / "flight_emissions.csv",
-                  _csv_text(FLIGHT_EMISSIONS_HEADER, rows))
+        if self.cfg.unep is not None:
+            sm_row.append(_ratio(agg.unep_baseline(flight.distance_mi, self.cfg.unep)))
+        self._seat_mile.write(_csv_line(sm_row))
 
-    rollup = agg.roll_up(outcomes, factors)
-    airline_rows = []
-    for s in rollup.airlines:
-        airline_rows.append([
-            s.carrier_code, str(s.total_flights), str(s.emission_flights),
-            str(s.total_seats), _mass(s.total_co2_kg), _mass(s.total_co2e_kg),
-            _ratio(s.co2_per_seat_mile), _ratio(s.co2e_per_seat_mile),
-        ])
-    _atomic_write(outdir / "airline_summary.csv",
-                  _csv_text(AIRLINE_HEADER, airline_rows))
+    def commit(self, coverage: CoverageReport) -> None:
+        """Write the roll-up files and coverage.json, then replace all seven
+        outputs with their staged files."""
+        rollup = self.rollup.finish()
+        factors = self.cfg.co2e_factors
+        airline_rows = [
+            [s.carrier_code, str(s.total_flights), str(s.emission_flights),
+             str(s.total_seats), _mass(s.total_co2_kg), _mass(s.total_co2e_kg),
+             _ratio(s.co2_per_seat_mile), _ratio(s.co2e_per_seat_mile)]
+            for s in rollup.airlines]
+        airport_rows = [
+            [a.airport, *(_mass(a.gas_totals.kg(gas)) for gas in agg.GASES),
+             _mass(a.lto_co2e_kg)]
+            for a in rollup.airports]
+        bd_rows = [
+            [breakdown.cycle, gas, _mass(breakdown.raw.kg(gas)),
+             _mass(breakdown.co2e_kg(gas, factors))]
+            for breakdown in (rollup.lto, rollup.ccd) for gas in agg.GASES]
+        small = {
+            "airline_summary.csv": _csv_text(AIRLINE_HEADER, airline_rows),
+            "airport_lto.csv": _csv_text(AIRPORT_HEADER, airport_rows),
+            "gas_breakdown.csv": _csv_text(GAS_BREAKDOWN_HEADER, bd_rows),
+            "coverage.json": json.dumps(coverage.to_dict(), indent=2) + "\n",
+        }
+        for name, text in small.items():
+            self._staged(name).write_text(text, encoding="utf-8")
+        self._files.close()
+        for name in OUTPUT_FILES:
+            os.replace(self._staged(name), self.outdir / name)
+        self._committed = True
 
-    airport_rows = []
-    for a in rollup.airports:
-        masses = [_mass(a.gas_totals.kg(gas)) for gas in agg.GASES]
-        airport_rows.append([a.airport, *masses, _mass(a.lto_co2e_kg)])
-    _atomic_write(outdir / "airport_lto.csv", _csv_text(AIRPORT_HEADER, airport_rows))
+    def __exit__(self, *exc_info) -> None:
+        try:
+            self._files.close()
+        finally:
+            if not self._committed:
+                for name in OUTPUT_FILES:
+                    self._staged(name).unlink(missing_ok=True)
 
-    bd_rows = []
-    for breakdown in (rollup.lto, rollup.ccd):
-        for gas in agg.GASES:
-            bd_rows.append([breakdown.cycle, gas, _mass(breakdown.raw.kg(gas)),
-                            _mass(breakdown.co2e_kg(gas, factors))])
-    _atomic_write(outdir / "gas_breakdown.csv",
-                  _csv_text(GAS_BREAKDOWN_HEADER, bd_rows))
 
-    _atomic_write(outdir / "scatter_co2e.csv",
-                  _csv_text(SCATTER_CO2E_HEADER, co2e_rows))
-
-    header = list(SCATTER_SEAT_MILE_HEADER)
-    if cfg.unep is not None:
-        header.append("unep_baseline")
-    else:
-        logger.warning("no UNEP baseline constants configured; "
-                       "scatter_seat_mile.csv omits the baseline column")
-    _atomic_write(outdir / "scatter_seat_mile.csv", _csv_text(header, sm_rows))
-
-    _atomic_write(outdir / "coverage.json",
-                  json.dumps(coverage.to_dict(), indent=2) + "\n")
+def write_outputs(outcomes: list[agg.FlightOutcome], cfg: RunConfig,
+                  coverage: CoverageReport) -> None:
+    """Write all run artifacts through the writer `run_pipeline` uses."""
+    with OutputWriter(cfg) as out:
+        for outcome in outcomes:
+            out.add(outcome)
+        out.commit(coverage)
 
 
 def _check_output_dir(outdir: Path) -> None:
@@ -278,11 +336,23 @@ def _check_output_dir(outdir: Path) -> None:
             return
 
 
-def run_pipeline(cfg: RunConfig) -> tuple[list[agg.FlightOutcome], CoverageReport]:
+def run_pipeline(cfg: RunConfig) -> CoverageReport:
+    """Every stage in one pass over the flight table; the outputs are
+    committed after the last flight."""
     _check_output_dir(Path(cfg.output_dir))
-    data = load_data(cfg)
-    resolved = resolve_all(data)
-    outcomes = compute_outcomes(resolved, data, cfg)
-    coverage = coverage_report(resolved)
-    write_outputs(outcomes, cfg, coverage)
-    return outcomes, coverage
+    coverage = CoverageReport()
+    with open_inputs(cfg) as data, OutputWriter(cfg) as out:
+        for flight in data.flights:
+            rf = matching.resolve_flight(flight, data.tables)
+            coverage.add(rf)
+            out.add(_outcome(rf, data.tables, cfg))
+        out.commit(coverage)
+    return coverage
+
+
+def validate_inputs(cfg: RunConfig) -> tuple[dict[str, IngestReport], CoverageReport]:
+    """Every table's report and the coverage of resolution, in one pass."""
+    with open_inputs(cfg) as data:
+        coverage = coverage_report(
+            matching.resolve_flight(flight, data.tables) for flight in data.flights)
+    return data.reports, coverage

@@ -231,10 +231,31 @@ class TestInputErrorsExit2:
         def no_load(cfg):
             raise AssertionError("inputs loaded before output_dir was checked")
 
-        monkeypatch.setattr(pipeline, "load_data", no_load)
+        monkeypatch.setattr(pipeline, "open_inputs", no_load)
         assert cli.main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"output_dir: {tmp_path / culprit} is not a directory" in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_flight_header_reported_before_reference_header(self, tmp_path, capsys,
+                                                             command):
+        paths = write_golden_inputs(tmp_path)
+        write_csv(paths["ontime"], ["wrong", "ontime"], [])
+        write_csv(paths["b43"], ["wrong", "b43"], [])
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        assert cli.main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{paths['ontime']}: header mismatch" in err
+        assert "b43" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_reference_header_leaves_no_output_dir(self, tmp_path, capsys):
+        paths = write_golden_inputs(tmp_path)
+        write_csv(paths["b43"], ["wrong", "b43"], [])
+        config = write_config(tmp_path, paths, tmp_path / "out" / "nested")
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert f"{paths['b43']}: header mismatch" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("jaccard_threshold", "nan"), ("co2e_nox", "nan"), ("co2e_co2", "inf"),

@@ -43,7 +43,7 @@ class TestStreamTable:
             with ingest.stream_table(ingest.ONTIME_TABLE, path):
                 pytest.fail("entered the block before the header was checked")
 
-    @pytest.mark.parametrize("leave", ["break", "raise"])
+    @pytest.mark.parametrize("leave", ["partly-read", "raise"])
     def test_file_closed_when_left_early(self, tmp_path, monkeypatch, leave):
         path = self.dirty_ontime(tmp_path)
         handles = []

@@ -42,13 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(config_path: str | None) -> int:
-    try:
-        cfg = load_config(config_path)
-        reports, coverage = pipeline.validate_inputs(cfg)
-    except (ConfigError, IngestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
+    reports, coverage = pipeline.validate_inputs(load_config(config_path))
     for name, rep in reports.items():
         print(f"{name}: {rep.accepted} accepted, {rep.rejected} rejected")
         for rejection in rep.rejections[:20]:
@@ -66,12 +60,8 @@ def cmd_validate(config_path: str | None) -> int:
 
 
 def cmd_run(config_path: str | None) -> int:
-    try:
-        cfg = load_config(config_path)
-        coverage = pipeline.run_pipeline(cfg)
-    except (ConfigError, IngestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    cfg = load_config(config_path)
+    coverage = pipeline.run_pipeline(cfg)
     print(f"computed {coverage.computed_flights} of {coverage.total_flights} "
           f"flights (coverage {coverage.coverage:.3f})")
     print(f"outputs written to {cfg.output_dir}")
@@ -151,11 +141,13 @@ def cmd_report(output_dir: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args.config)
-    if args.command == "run":
-        return cmd_run(args.config)
-    return cmd_report(args.output_dir)
+    if args.command == "report":
+        return cmd_report(args.output_dir)
+    try:
+        return (cmd_validate if args.command == "validate" else cmd_run)(args.config)
+    except (ConfigError, IngestError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import fnmatch
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable
@@ -151,19 +152,13 @@ def load_popular_engine_override(path: str | Path) -> dict[str, str]:
     return dict(_read_config_table(OVERRIDE_TABLE, path))
 
 
+# Runs of `str.isalnum` characters: `\w` is exactly isalnum plus "_".
+_TOKEN = re.compile(r"[^\W_]+")
+
+
 def tokenize(designation: str) -> frozenset[str]:
     """Uppercase tokens split on non-alphanumeric characters."""
-    tokens = []
-    current = []
-    for ch in designation.upper():
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    return frozenset(tokens)
+    return frozenset(_TOKEN.findall(designation.upper()))
 
 
 def jaccard_similarity(a: frozenset[str], b: frozenset[str]) -> float:

@@ -195,8 +195,19 @@ def _ratio(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
+def _quoted(cell: str) -> str:
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _csv_line(row: list[str]) -> str:
-    return ",".join(row) + "\n"
+    """One CSV row. A cell holding a comma, a quote or a line break is quoted
+    with its quotes doubled; a row with none is a plain join."""
+    line = ",".join(row)
+    if line.count(",") >= len(row) or '"' in line or "\r" in line or "\n" in line:
+        line = ",".join(map(_quoted, row))
+    return line + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from aeroemit import cli, config, pipeline
+from aeroemit import cli, config, ingest, pipeline
 from conftest import (B739ER_CCD_KNOTS, build_corpus, write_config, write_csv,
                       write_golden_inputs)
 
@@ -72,7 +72,7 @@ class TestRun:
         from aeroemit.pipeline import OUTPUT_FILES
         for name in OUTPUT_FILES:
             assert (tmp_path / "out" / name).is_file()
-        coverage = json.loads((tmp_path / "out" / "coverage.json").read_text())
+        coverage = json.loads((tmp_path / "out" / "coverage.json").read_text(encoding="utf-8"))
         assert coverage["computed_flights"] == 1
         assert coverage["coverage"] == 1.0
 
@@ -94,7 +94,7 @@ class TestRun:
         config = write_config(tmp_path, paths, tmp_path / "out")
         assert cli.main(["run", "--config", str(config)]) == 0
         assert read_rows(tmp_path / "out" / "flight_emissions.csv") == []
-        coverage = json.loads((tmp_path / "out" / "coverage.json").read_text())
+        coverage = json.loads((tmp_path / "out" / "coverage.json").read_text(encoding="utf-8"))
         assert coverage["total_flights"] == 0
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -144,6 +144,33 @@ class TestRun:
         lto2 = float(read_rows(tmp_path / "out2" / "flight_emissions.csv")[0]["lto_co2_kg"])
         # serialized values carry 2-decimal rounding
         assert lto2 == pytest.approx(2 * lto1, abs=0.011)
+
+    def test_cells_with_commas_and_quotes_round_trip(self, tmp_path, capsys):
+        paths = write_golden_inputs(tmp_path)
+        write_csv(paths["ontime"], ingest.ONTIME_TABLE.header,
+                  [["2021-09-01", "D,L", '24"41', "N815DN", "P,HL", "ATL",
+                    "124", "7.43", "15.42", "666"]])
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        outdir = tmp_path / "out"
+        for name in pipeline.OUTPUT_FILES[:-1]:
+            with open(outdir / name, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), name
+        flight = read_rows(outdir / "flight_emissions.csv")[0]
+        assert (flight["carrier"], flight["flight_number"], flight["origin"]) == (
+            "D,L", '24"41', "P,HL")
+        for name in ("scatter_co2e.csv", "scatter_seat_mile.csv"):
+            assert read_rows(outdir / name)[0]["carrier"] == "D,L"
+        assert {r["airport"] for r in read_rows(outdir / "airport_lto.csv")} == {
+            "P,HL", "ATL"}
+        [airline] = read_rows(outdir / "airline_summary.csv")
+        assert airline["carrier"] == "D,L"
+
+        capsys.readouterr()
+        assert cli.main(["report", str(outdir)]) == 0
+        total = float(airline["total_co2e_kg"])
+        assert f"   D,L  {total:>16,.2f}  (1/1 flights)\n" in capsys.readouterr().out
 
 
 class TestReport:
@@ -235,6 +262,19 @@ class TestInputErrorsExit2:
         assert cli.main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"output_dir: {tmp_path / culprit} is not a directory" in err
+
+    @pytest.mark.parametrize("key, command", [
+        ("output_dir", "run"), ("ontime", "validate"), ("ontime", "run")])
+    def test_empty_path_exit_2(self, tmp_path, capsys, key, command):
+        paths = write_golden_inputs(tmp_path)
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        text = config.read_text(encoding="utf-8")
+        config.write_text(re.sub(rf"^{key} = .*$", f"{key} =", text, flags=re.M),
+                          encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {key}: empty path\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_flight_header_reported_before_reference_header(self, tmp_path, capsys,
@@ -354,6 +394,40 @@ class TestOneComputePath:
             outputs[threads] = {name: (outdir / name).read_bytes()
                                 for name in pipeline.OUTPUT_FILES}
         assert outputs["1"] == outputs["4"]
+
+
+class TestDefaultsHaveOneSource:
+    def test_required_keys_alone_load_to_run_config_defaults(self, tmp_path):
+        paths = write_golden_inputs(tmp_path)
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in paths.items()),
+                        encoding="utf-8")
+        assert config.load_config(path) == config.RunConfig(**paths)
+
+    def test_choice_defaults_are_options(self):
+        for key, options in config.CHOICES.items():
+            assert getattr(config.RunConfig, key) in options
+
+    def test_readme_states_the_defaults(self):
+        paragraph = " ".join(TestReadmeMatchesCode.readme.split(
+            "### Config file\n\n", 1)[1].split("\n\n", 1)[0].split())
+        defaults = config.RunConfig(*(Path(),) * 6)
+
+        def stated(pattern):
+            match = re.search(pattern, paragraph)
+            assert match, f"README states no default matching {pattern}"
+            return match.group(1)
+
+        assert Path(stated(r"`output_dir` \(default `([^`]*)`")) == defaults.output_dir
+        assert float(stated(r"`jaccard_threshold` \(default ([\d.]+)")) == \
+            defaults.jaccard_threshold
+        for key in config.CHOICES:
+            assert stated(rf"`{key}` \([^()]*default `([^`]*)`") == getattr(defaults, key)
+        co2e_keys = re.escape("/".join(f"`{key}`" for key in config.CO2E_KEYS))
+        factors = stated(co2e_keys + r" \(defaults ([^;)]*)").split(", ")
+        assert [float(value) for value in factors] == [
+            getattr(defaults.co2e_factors, f.name)
+            for f in dataclasses.fields(defaults.co2e_factors)]
 
 
 class TestReadmeMatchesCode:

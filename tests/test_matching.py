@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aeroemit import matching
@@ -48,6 +48,27 @@ class TestTokenize:
     def test_empty(self):
         assert matching.tokenize("") == frozenset()
         assert matching.tokenize("--- ") == frozenset()
+
+    @example("cfm56_7b27e")
+    @given(st.text() | st.text(alphabet=st.sampled_from("aZ09_-. éßİ٣Ⅻ²\u0301")))
+    def test_equals_character_loop(self, designation):
+        assert matching.tokenize(designation) == tokenize_by_loop(designation)
+
+
+def tokenize_by_loop(designation):
+    """The reference `tokenize`: runs of `str.isalnum` characters of the
+    uppercased text."""
+    tokens = []
+    current = []
+    for ch in designation.upper():
+        if ch.isalnum():
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    return frozenset(tokens)
 
 
 class TestJaccard:

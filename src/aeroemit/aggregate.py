@@ -5,10 +5,9 @@ are kept as Python ints counting units of 2**-1074 kg: fixed point with no
 rounding, in which every grouping of the same flights sums to the same mass
 regardless of order. `RollUpAccumulator.add` converts each per-flight double
 once and fills every grouping, so a run streams its flights through it and
-holds only the per-carrier, per-airport and per-cycle sums; `roll_up` is the
-same pass over a list. Floats appear only in derived values, each produced by
-one correctly rounded ``int / int`` division (the same double
-``float(Fraction)`` gives).
+holds only the per-carrier, per-airport and per-cycle sums. Floats appear only
+in derived values, each produced by one correctly rounded ``int / int``
+division (the same double ``float(Fraction)`` gives).
 """
 
 from __future__ import annotations
@@ -61,6 +60,10 @@ class ExactGasTotals:
 
     def kg(self, gas: str) -> float:
         return self.units(gas) / UNIT
+
+    def co2e_kg(self, gas: str, f: Co2eFactors) -> float:
+        factor = {"HC": f.hc, "CO2": f.co2, "CO": f.co, "NOX": f.nox}[gas]
+        return self.units(gas) * to_units(factor) / UNIT_SQUARED
 
     def co2e_units(self, f: Co2eFactors) -> int:
         """Exact CO2e in units of 2**-2148 kg (divide by UNIT_SQUARED)."""
@@ -124,27 +127,17 @@ class AirportLtoSummary:
 
 
 @dataclass
-class GasBreakdown:
-    cycle: str
-    raw: ExactGasTotals = field(default_factory=ExactGasTotals)
-
-    def co2e_kg(self, gas: str, f: Co2eFactors) -> float:
-        factor = {"HC": f.hc, "CO2": f.co2, "CO": f.co, "NOX": f.nox}[gas]
-        return self.raw.units(gas) * to_units(factor) / UNIT_SQUARED
-
-
-@dataclass
 class RollUp:
     """Every grouping of one set of outcomes.
 
     `airlines` are ordered by total flight count descending, `airports` by
-    LTO CO2e descending.
+    LTO CO2e descending; `lto` and `ccd` are the per-gas totals of each cycle.
     """
 
     airlines: list[AirlineSummary]
     airports: list[AirportLtoSummary]
-    lto: GasBreakdown
-    ccd: GasBreakdown
+    lto: ExactGasTotals
+    ccd: ExactGasTotals
 
 
 @dataclass(frozen=True)
@@ -173,8 +166,8 @@ class RollUpAccumulator:
         self.co2e_factors = co2e_factors
         self.by_carrier: dict[str, AirlineSummary] = {}
         self.by_airport: dict[str, AirportLtoSummary] = {}
-        self.lto = GasBreakdown("LTO")
-        self.ccd = GasBreakdown("CCD")
+        self.lto = ExactGasTotals()
+        self.ccd = ExactGasTotals()
 
     def add(self, outcome: FlightOutcome) -> None:
         rf = outcome.resolved
@@ -198,9 +191,9 @@ class RollUpAccumulator:
         cruise = _gas_units(result.ccd)
         for units in (origin, destination, cruise):
             airline.gas_totals.add_units(units)
-        self.lto.raw.add_units(origin)
-        self.lto.raw.add_units(destination)
-        self.ccd.raw.add_units(cruise)
+        self.lto.add_units(origin)
+        self.lto.add_units(destination)
+        self.ccd.add_units(cruise)
         for airport, units in ((flight.origin, origin),
                                (flight.destination, destination)):
             summary = self.by_airport.get(airport)
@@ -219,11 +212,3 @@ class RollUpAccumulator:
                             key=lambda s: (-s.lto_co2e, s.airport)),
             lto=self.lto, ccd=self.ccd)
 
-
-def roll_up(outcomes: list[FlightOutcome],
-            co2e_factors: Co2eFactors = Co2eFactors()) -> RollUp:
-    """Every grouping of `outcomes`, in one pass."""
-    accumulator = RollUpAccumulator(co2e_factors)
-    for outcome in outcomes:
-        accumulator.add(outcome)
-    return accumulator.finish()

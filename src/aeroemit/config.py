@@ -53,9 +53,6 @@ class RunConfig:
     co2e_factors: Co2eFactors = field(default_factory=Co2eFactors)
     unep: UnepBaseline | None = None
 
-    def table_paths(self) -> dict[str, Path]:
-        return {key: getattr(self, key) for key in REQUIRED_TABLE_KEYS}
-
     def validate_paths(self) -> None:
         for key in REQUIRED_TABLE_KEYS + OPTIONAL_PATH_KEYS:
             path = getattr(self, key)
@@ -64,11 +61,12 @@ class RunConfig:
 
 
 def _parse_kv(path: Path) -> dict[str, str]:
+    raw = path.read_bytes()
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object lacks a leading byte-order mark
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
-                          f"at offset {exc.start})") from None
+                          f"at offset {exc.start + len(raw) - len(exc.object)})") from None
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()

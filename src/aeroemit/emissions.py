@@ -7,6 +7,7 @@ flight and tables always produce bit-identical results.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 from .ingest import CcdProfile, EngineLtoFactors
@@ -163,11 +164,12 @@ def flight_emissions(rf: ResolvedFlight,
                      engines: dict[str, EngineLtoFactors],
                      ccd_profiles: dict[str, CcdProfile],
                      co2e_factors: Co2eFactors = Co2eFactors(),
-                     engine_multiplier: float | None = None,
+                     engine_multiplier: float = 1.0,
                      interpolation_key: str = "time",
                      ) -> EmissionsResult | None:
-    """Full per-flight computation; None when the flight is not computable or
-    the tables lack its engine or CCD profile.
+    """Full per-flight computation; None when the flight is not computable, the
+    tables lack its engine or CCD profile, or its total CO2e or CO2 per seat
+    mile is not finite.
 
     The stored LTO vector is the sum of the origin and destination shares, so
     the airport split reproduces it bit-exactly.
@@ -179,10 +181,9 @@ def flight_emissions(rf: ResolvedFlight,
     if factors is None or profile is None:
         return None
     flight = rf.flight
-    multiplier = 1.0 if engine_multiplier is None else engine_multiplier
     times = LtoTimes.from_taxi(flight.taxi_in_min, flight.taxi_out_min)
     origin, destination = split_lto(factors, times, flight.taxi_in_min,
-                                    flight.taxi_out_min, multiplier,
+                                    flight.taxi_out_min, engine_multiplier,
                                     rf.efficiency_factor)
     lto = origin + destination
     at = flight.air_time_min if interpolation_key == "time" else flight.distance_mi
@@ -194,6 +195,9 @@ def flight_emissions(rf: ResolvedFlight,
     seats = rf.seat_count or 1
     per_seat = total / seats
     per_seat_mile = (lto.co2 + ccd.co2) / (seats * flight.distance_mi)
+    # A non-finite mass or share makes the total inf or NaN.
+    if not (math.isfinite(total) and math.isfinite(per_seat_mile)):
+        return None
     return EmissionsResult(
         lto=lto,
         ccd=ccd,

@@ -1,12 +1,13 @@
 """Input tables: one declarative `TableSchema` per table, one reader, one writer.
 
-Every table is comma-delimited UTF-8 with a fixed header row. A schema lists
-the table's columns, each with a converter that raises ValueError, and may add
-a row constraint, a primary key, an optional trailing column, a grouping step
-for long-form tables and a record order. `read_table` rejects a malformed row
-(wrong arity, bytes that are not UTF-8, an oversized field, a refused value)
-with its line number and reason; only a missing file, a header mismatch, or a
-repeated primary key of a table whose keys must be unique aborts a parse.
+Every table is comma-delimited UTF-8 (a leading byte-order mark is skipped)
+with a fixed header row. A schema lists the table's columns, each with a
+converter that raises ValueError, and may add a row constraint, a primary
+key, an optional trailing column and a grouping step for long-form tables.
+`read_table` rejects a malformed row (wrong arity, bytes that are not UTF-8,
+an oversized field, a refused value) with the file line it starts on and the
+reason; only a missing file, a header mismatch, or a repeated primary key of
+a table whose keys must be unique aborts a parse.
 Numbers must be finite (inf and nan reject the row). Missing numeric fields
 are represented as None, never 0. `stream_table` is the reader itself, one
 record at a time, so a flight table of any length is read in constant memory.
@@ -215,7 +216,6 @@ class TableSchema:
     key: tuple[str, ...] = ()
     repeat_fatal: bool = True  # a repeated key aborts the parse, else rejects the row
     optional: Column | None = None  # trailing column a file may add
-    order: Callable[[Any], Any] | None = None  # sort key of the records
 
     @property
     def header(self) -> list[str]:
@@ -236,15 +236,16 @@ class TableSchema:
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _records(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
-    """The reader's records; a record the csv module cannot split yields its error."""
+def _records(reader: Any) -> Iterator[tuple[int, list[str] | csv.Error]]:
+    """(first file line, record) per record; one csv cannot split gives its error."""
     while True:
+        line = reader.line_num + 1
         try:
-            yield next(reader)
+            yield line, next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
-            yield exc
+            yield line, exc
 
 
 @contextlib.contextmanager
@@ -261,22 +262,22 @@ def stream_table(schema: TableSchema, path: str | Path
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         rows = _records(csv.reader(fh))
-        columns = schema.columns_for(path, next(rows, None))
+        columns = schema.columns_for(path, next(rows, (1, None))[1])
         report = IngestReport(schema.table)
         yield _accepted(schema, columns, rows, report), report
 
 
 def _accepted(schema: TableSchema, columns: tuple[Column, ...],
-              rows: Iterator[list[str] | csv.Error], report: IngestReport) -> Iterator:
+              rows: Iterator[tuple[int, Any]], report: IngestReport) -> Iterator:
     converters = [c.convert for c in columns]
     arity = len(columns)
     key_at = [schema.header.index(name) for name in schema.key]
     key_of = itemgetter(*key_at) if key_at else None
     seen: set = set()
     build, check = schema.build, schema.check
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         try:
             if isinstance(row, csv.Error):
                 raise ValueError(str(row))
@@ -305,12 +306,10 @@ def _accepted(schema: TableSchema, columns: tuple[Column, ...],
 
 
 def read_table(schema: TableSchema, path: str | Path) -> tuple[list, IngestReport]:
-    """Parse one table; record i is line i + 2 in rejections."""
+    """Parse one table; a rejection gives the file line its row starts on."""
     with stream_table(schema, path) as (accepted, report):
         records = (list(accepted) if schema.build is not None
                    else _grouped(schema, accepted, report))
-    if schema.order is not None:
-        records.sort(key=schema.order)
     return records, report
 
 
@@ -341,8 +340,6 @@ def _format(value: Any) -> str:
 
 def write_table(schema: TableSchema, records: list, path: str | Path) -> None:
     """Write records so that `read_table` parses them back to equal records."""
-    if schema.order is not None:
-        records = sorted(records, key=schema.order)
     rows = [row for record in records for row in schema.rows(record)]
     columns = list(schema.columns)
     if schema.optional is not None and any(row[len(columns)] is not None for row in rows):
@@ -386,13 +383,13 @@ B43_TABLE = TableSchema(
     "b43",
     (text("tail_number"), text("type_designator"), integer("seat_count", 1),
      integer("engine_count", 1, 4, default=2)),
-    build=AirframeRecord, key=("tail_number",), order=attrgetter("tail_number"))
+    build=AirframeRecord, key=("tail_number",))
 TAIL_REGISTRY_TABLE = TableSchema(
     "tail_registry", (text("tail_number"), text("engine_designation")),
-    build=TailEngineRecord, key=("tail_number",), order=attrgetter("tail_number"))
+    build=TailEngineRecord, key=("tail_number",))
 ENGINE_CODES_TABLE = TableSchema(
     "engine_codes", (text("faa_code"), text("designation")),
-    build=EngineCodeRecord, key=("faa_code",), order=attrgetter("faa_code"))
+    build=EngineCodeRecord, key=("faa_code",))
 ICAO_ENGINES_TABLE = TableSchema(
     "icao_engines",
     (text("engine_uid"), choice("gas", GASES), choice("mode", MODES),
@@ -400,7 +397,7 @@ ICAO_ENGINES_TABLE = TableSchema(
     group=_engine_factors,
     rows=lambda e: [(e.engine_uid, gas, mode, e.rate_kg_per_s[(gas, mode)])
                     for gas in GASES for mode in MODES],
-    key=("engine_uid", "gas", "mode"), order=attrgetter("engine_uid"))
+    key=("engine_uid", "gas", "mode"))
 BADA_CCD_TABLE = TableSchema(
     "bada_ccd",
     (text("canonical_type"), number("duration_min", 0.0, strict=True),
@@ -410,8 +407,7 @@ BADA_CCD_TABLE = TableSchema(
                      *(k.emissions_kg[gas] for gas in GASES), k.distance_mi)
                     for k in p.knots],
     key=("duration_min", "canonical_type"), repeat_fatal=False,
-    optional=number("distance_mi", 0.0, strict=True, optional=True),
-    order=attrgetter("canonical_type"))
+    optional=number("distance_mi", 0.0, strict=True, optional=True))
 INPUT_TABLES = (ONTIME_TABLE, B43_TABLE, TAIL_REGISTRY_TABLE, ENGINE_CODES_TABLE,
                 ICAO_ENGINES_TABLE, BADA_CCD_TABLE)
 

@@ -36,7 +36,6 @@ ENGINE_EXACT = "ENGINE_EXACT"
 ENGINE_JACCARD = "ENGINE_JACCARD"
 ENGINE_POPULAR_FALLBACK = "ENGINE_POPULAR_FALLBACK"
 FAMILY_FALLBACK = "FAMILY_FALLBACK"
-INCOMPUTABLE = "INCOMPUTABLE"
 
 # Incomputable causes
 MISSING_TAIL = "MISSING_TAIL"
@@ -46,6 +45,7 @@ NO_AIRFRAME = "NO_AIRFRAME"
 NO_TYPE_MATCH = "NO_TYPE_MATCH"
 NO_CCD_PROFILE = "NO_CCD_PROFILE"
 NO_ENGINE_MATCH = "NO_ENGINE_MATCH"
+NONFINITE_EMISSIONS = "NONFINITE_EMISSIONS"  # set after compute, by `run`
 
 _DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_NORMALIZATION_RULES = _DATA_DIR / "normalization_rules.csv"
@@ -70,7 +70,7 @@ class ResolvedFlight:
 
     @property
     def is_computable(self) -> bool:
-        return INCOMPUTABLE not in self.provenance
+        return self.incomputable_cause is None
 
 
 @dataclass(frozen=True)
@@ -298,7 +298,7 @@ class LookupTables:
 def resolve_flight(flight: FlightRecord, tables: LookupTables) -> ResolvedFlight:
     """Resolve a flight through the matching cascade.
 
-    Failure never raises; it is encoded as the INCOMPUTABLE flag plus a cause.
+    Failure never raises; it is encoded as the incomputable cause.
     """
     flags: set[str] = set()
     cause: str | None = None
@@ -350,8 +350,6 @@ def resolve_flight(flight: FlightRecord, tables: LookupTables) -> ResolvedFlight
     if cause is None and flight.distance_mi is None:
         cause = MISSING_DISTANCE
 
-    if cause is not None:
-        flags.add(INCOMPUTABLE)
     return ResolvedFlight(
         flight=flight,
         canonical_type=canonical_type,

@@ -5,8 +5,8 @@ flight is read, resolved, computed, written and added to the exact roll-up,
 then dropped, so memory does not grow with the number of flights. A thread
 pool cannot speed up the per-flight work, which is pure Python. The outputs
 are replaced together after the last flight (`OutputWriter`). Output bytes
-depend on the inputs alone. `load_data`, `resolve_all`, `compute_outcomes`,
-`coverage_report` and `write_outputs` are the same steps over lists.
+depend on the inputs alone. `load_data`, `resolve_all` and `compute_outcomes`
+are the same steps over lists.
 """
 
 from __future__ import annotations
@@ -65,17 +65,16 @@ class CoverageReport:
         return self.computed_flights / self.total_flights
 
     def add(self, rf: matching.ResolvedFlight) -> None:
-        """Count one resolved flight. `resolve_flight` marks a flight computable
-        only when its engine and CCD profile exist, so each one gets emissions."""
+        """Count one flight, resolved or, in `run`, also computed: a flight
+        whose emissions are not finite carries NONFINITE_EMISSIONS."""
         self.total_flights += 1
-        if rf.is_computable:
+        cause = rf.incomputable_cause
+        if cause is None:
             self.computed_flights += 1
-        elif rf.incomputable_cause is not None:
-            self.causes[rf.incomputable_cause] = self.causes.get(
-                rf.incomputable_cause, 0) + 1
+        else:
+            self.causes[cause] = self.causes.get(cause, 0) + 1
         for flag in rf.provenance:
-            if flag != matching.INCOMPUTABLE:
-                self.fallback_flags[flag] = self.fallback_flags.get(flag, 0) + 1
+            self.fallback_flags[flag] = self.fallback_flags.get(flag, 0) + 1
 
     def to_dict(self) -> dict:
         return {
@@ -161,12 +160,16 @@ def resolve_all(data: LoadedData) -> list[matching.ResolvedFlight]:
 
 def _outcome(rf: matching.ResolvedFlight, tables: matching.LookupTables,
              cfg: RunConfig) -> agg.FlightOutcome:
-    """One resolved flight with its emissions, None when it is incomputable."""
+    """One resolved flight with its emissions, None when it is incomputable. A
+    resolvable flight whose emissions are not finite gets NONFINITE_EMISSIONS."""
     per_engine = cfg.engine_multiplier_mode == "per-engine"
-    return agg.FlightOutcome(rf, emissions.flight_emissions(
+    result = emissions.flight_emissions(
         rf, tables.databank_by_uid, tables.ccd_by_type, cfg.co2e_factors,
         engine_multiplier=float(rf.engine_count or 1) if per_engine else 1.0,
-        interpolation_key=cfg.interpolation_key))
+        interpolation_key=cfg.interpolation_key)
+    if result is None and rf.incomputable_cause is None:
+        rf = dataclasses.replace(rf, incomputable_cause=matching.NONFINITE_EMISSIONS)
+    return agg.FlightOutcome(rf, result)
 
 
 def compute_outcomes(resolved: list[matching.ResolvedFlight], data: LoadedData,
@@ -175,14 +178,6 @@ def compute_outcomes(resolved: list[matching.ResolvedFlight], data: LoadedData,
     """Per-flight emissions, in input order. `threads` is ignored; it is removed
     once perfbench/spans.py stops passing `threads=1`."""
     return [_outcome(rf, data.tables, cfg) for rf in resolved]
-
-
-def coverage_report(resolved: Iterable[matching.ResolvedFlight]) -> CoverageReport:
-    """Computable flights, incomputable causes and resolution flags."""
-    report = CoverageReport()
-    for rf in resolved:
-        report.add(rf)
-    return report
 
 
 # --- serialization ---
@@ -293,27 +288,29 @@ class OutputWriter:
         outputs with their staged files."""
         rollup = self.rollup.finish()
         factors = self.cfg.co2e_factors
-        airline_rows = [
+        airline_rows = (
             [s.carrier_code, str(s.total_flights), str(s.emission_flights),
              str(s.total_seats), _mass(s.total_co2_kg), _mass(s.total_co2e_kg),
              _ratio(s.co2_per_seat_mile), _ratio(s.co2e_per_seat_mile)]
-            for s in rollup.airlines]
-        airport_rows = [
+            for s in rollup.airlines)
+        airport_rows = (
             [a.airport, *(_mass(a.gas_totals.kg(gas)) for gas in agg.GASES),
              _mass(a.lto_co2e_kg)]
-            for a in rollup.airports]
-        bd_rows = [
-            [breakdown.cycle, gas, _mass(breakdown.raw.kg(gas)),
-             _mass(breakdown.co2e_kg(gas, factors))]
-            for breakdown in (rollup.lto, rollup.ccd) for gas in agg.GASES]
-        small = {
-            "airline_summary.csv": _csv_text(AIRLINE_HEADER, airline_rows),
-            "airport_lto.csv": _csv_text(AIRPORT_HEADER, airport_rows),
-            "gas_breakdown.csv": _csv_text(GAS_BREAKDOWN_HEADER, bd_rows),
-            "coverage.json": json.dumps(coverage.to_dict(), indent=2) + "\n",
-        }
-        for name, text in small.items():
+            for a in rollup.airports)
+        bd_rows = ([cycle, gas, _mass(totals.kg(gas)), _mass(totals.co2e_kg(gas, factors))]
+                   for cycle, totals in (("LTO", rollup.lto), ("CCD", rollup.ccd))
+                   for gas in agg.GASES)
+        for name, header, rows in (("airline_summary.csv", AIRLINE_HEADER, airline_rows),
+                                   ("airport_lto.csv", AIRPORT_HEADER, airport_rows),
+                                   ("gas_breakdown.csv", GAS_BREAKDOWN_HEADER, bd_rows)):
+            try:  # the rows are generated here; a total beyond a double overflows
+                text = _csv_text(header, rows)
+            except OverflowError:
+                raise ConfigError(f"{self.outdir / name}: a total is too large for a "
+                                  f"float; check the input values") from None
             self._staged(name).write_text(text, encoding="utf-8")
+        self._staged("coverage.json").write_text(
+            json.dumps(coverage.to_dict(), indent=2) + "\n", encoding="utf-8")
         self._files.close()
         for name in OUTPUT_FILES:
             os.replace(self._staged(name), self.outdir / name)
@@ -326,15 +323,6 @@ class OutputWriter:
             if not self._committed:
                 for name in OUTPUT_FILES:
                     self._staged(name).unlink(missing_ok=True)
-
-
-def write_outputs(outcomes: list[agg.FlightOutcome], cfg: RunConfig,
-                  coverage: CoverageReport) -> None:
-    """Write all run artifacts through the writer `run_pipeline` uses."""
-    with OutputWriter(cfg) as out:
-        for outcome in outcomes:
-            out.add(outcome)
-        out.commit(coverage)
 
 
 def _check_output_dir(outdir: Path) -> None:
@@ -354,16 +342,18 @@ def run_pipeline(cfg: RunConfig) -> CoverageReport:
     coverage = CoverageReport()
     with open_inputs(cfg) as data, OutputWriter(cfg) as out:
         for flight in data.flights:
-            rf = matching.resolve_flight(flight, data.tables)
-            coverage.add(rf)
-            out.add(_outcome(rf, data.tables, cfg))
+            outcome = _outcome(matching.resolve_flight(flight, data.tables),
+                               data.tables, cfg)
+            coverage.add(outcome.resolved)
+            out.add(outcome)
         out.commit(coverage)
     return coverage
 
 
 def validate_inputs(cfg: RunConfig) -> tuple[dict[str, IngestReport], CoverageReport]:
     """Every table's report and the coverage of resolution, in one pass."""
+    coverage = CoverageReport()
     with open_inputs(cfg) as data:
-        coverage = coverage_report(
-            matching.resolve_flight(flight, data.tables) for flight in data.flights)
+        for flight in data.flights:
+            coverage.add(matching.resolve_flight(flight, data.tables))
     return data.reports, coverage

@@ -8,6 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from aeroemit import aggregate as agg
+from aeroemit import pipeline
+from aeroemit.config import REQUIRED_TABLE_KEYS
+from aeroemit.emissions import Co2eFactors
 from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors
 
 # CFM56-7B27E LTO emission rates, kg/s.
@@ -35,6 +39,37 @@ B739ER_CCD_KNOTS = [
     (340, 3.03, 44475, 14.73, 197.69),
     (410, 3.55, 54250, 17.11, 240.25),
 ]
+
+
+# The list forms of the streaming pieces `run` feeds one flight at a time.
+
+def roll_up(outcomes, co2e_factors: Co2eFactors = Co2eFactors()) -> agg.RollUp:
+    """Every grouping of `outcomes`, through `RollUpAccumulator`."""
+    accumulator = agg.RollUpAccumulator(co2e_factors)
+    for outcome in outcomes:
+        accumulator.add(outcome)
+    return accumulator.finish()
+
+
+def coverage_report(resolved) -> pipeline.CoverageReport:
+    """`CoverageReport.add` over every resolved flight."""
+    report = pipeline.CoverageReport()
+    for rf in resolved:
+        report.add(rf)
+    return report
+
+
+def write_outputs(outcomes, cfg, coverage: pipeline.CoverageReport) -> None:
+    """All seven run outputs of `outcomes`, through `OutputWriter`."""
+    with pipeline.OutputWriter(cfg) as out:
+        for outcome in outcomes:
+            out.add(outcome)
+        out.commit(coverage)
+
+
+def table_paths(cfg) -> dict[str, Path]:
+    """The six input table paths of a run config, keyed by config key."""
+    return {key: getattr(cfg, key) for key in REQUIRED_TABLE_KEYS}
 
 
 @pytest.fixture

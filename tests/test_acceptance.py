@@ -10,7 +10,8 @@ from aeroemit import aggregate as agg
 from aeroemit import cli, matching, pipeline
 from aeroemit.config import load_config
 from aeroemit.emissions import GasVector, co2e, interpolate_ccd
-from conftest import B739ER_CCD_KNOTS, build_corpus, write_config, write_golden_inputs
+from conftest import (B739ER_CCD_KNOTS, build_corpus, coverage_report, roll_up, write_config,
+                      write_golden_inputs)
 from test_emissions import oracle_interpolate
 
 
@@ -115,15 +116,15 @@ def test_criterion_6_conservation(corpus_outcomes):
     for o in outcomes:
         assert o.result.lto_origin_share + o.result.lto_destination_share == o.result.lto
 
-    rollup = agg.roll_up(outcomes)
+    rollup = roll_up(outcomes)
     ccd_bd = rollup.ccd
 
     for gas in agg.GASES:
-        system = rollup.lto.raw.units(gas) + ccd_bd.raw.units(gas)
+        system = rollup.lto.units(gas) + ccd_bd.units(gas)
         airline_total = sum(s.gas_totals.units(gas) for s in rollup.airlines)
         airport_total = sum(a.gas_totals.units(gas) for a in rollup.airports)
         assert airline_total == system
-        assert airport_total + ccd_bd.raw.units(gas) == system
+        assert airport_total + ccd_bd.units(gas) == system
     print("\nPASS: criterion 6 — mass conserved bit-exact across groupings, "
           "5000 flights")
 
@@ -135,7 +136,7 @@ def test_criterion_7_coverage_accounting(tmp_path):
     cfg = load_config(config)
     data = pipeline.load_data(cfg)
     resolved = pipeline.resolve_all(data)
-    coverage = pipeline.coverage_report(resolved)
+    coverage = coverage_report(resolved)
     assert coverage.total_flights == 200
     assert coverage.computed_flights == 185
     assert coverage.coverage == 185 / 200
@@ -171,7 +172,7 @@ def test_criterion_8_determinism_across_workers(corpus_cfg, tmp_path):
 
 
 def test_criterion_9_co2e_ratio_dominates(corpus_outcomes):
-    summaries = agg.roll_up(corpus_outcomes).airlines
+    summaries = roll_up(corpus_outcomes).airlines
     assert summaries
     for s in summaries:
         assert s.co2e_per_seat_mile >= s.co2_per_seat_mile

@@ -6,13 +6,12 @@ from pathlib import Path
 import pytest
 
 from aeroemit import aggregate as agg
-from aeroemit import pipeline
 from aeroemit.config import RunConfig
 from aeroemit.emissions import Co2eFactors, GasVector, LtoTimes, split_lto
 from aeroemit.emissions import EmissionsResult, flight_emissions
 from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors, FlightRecord
 from aeroemit.matching import ENGINE_EXACT, ResolvedFlight
-from conftest import CFM56_7B27E_RATES
+from conftest import CFM56_7B27E_RATES, coverage_report, roll_up, write_outputs
 
 
 def make_flight(carrier="DL", origin="PHL", dest="ATL", taxi_in=7.43,
@@ -103,7 +102,7 @@ class TestSplitLto:
 class TestAirlineAggregation:
     def test_single_airline_additivity(self):
         outcomes = [outcome(make_flight(number=str(i))) for i in range(2)]
-        (summary,) = agg.roll_up(outcomes).airlines
+        (summary,) = roll_up(outcomes).airlines
         expected = sum(o.result.lto.co2 + o.result.ccd.co2 for o in outcomes)
         assert summary.total_co2_kg == pytest.approx(expected)
         assert summary.total_flights == 2
@@ -119,7 +118,7 @@ class TestAirlineAggregation:
                 taxi_in=rng.uniform(1, 20), taxi_out=rng.uniform(1, 20),
                 distance=rng.uniform(100, 2500), number=str(i)),
                 seats=rng.choice([76, 160, 180])))
-        summaries = {s.carrier_code: s for s in agg.roll_up(outcomes).airlines}
+        summaries = {s.carrier_code: s for s in roll_up(outcomes).airlines}
         # independent naive loop
         for carrier in carriers:
             mine = [o for o in outcomes if o.resolved.flight.carrier_code == carrier]
@@ -136,9 +135,9 @@ class TestAirlineAggregation:
         rf = ResolvedFlight(
             flight=rf.flight, canonical_type=None, seat_count=None,
             engine_count=None, engine_uid=None, emissions_type=None,
-            efficiency_factor=1.0, provenance=frozenset({"INCOMPUTABLE"}),
+            efficiency_factor=1.0, provenance=frozenset(),
             incomputable_cause="MISSING_TAIL")
-        (summary,) = agg.roll_up([agg.FlightOutcome(rf, None)]).airlines
+        (summary,) = roll_up([agg.FlightOutcome(rf, None)]).airlines
         assert summary.total_flights == 1
         assert summary.emission_flights == 0
         assert summary.co2_per_seat_mile is None
@@ -149,12 +148,12 @@ class TestAirlineAggregation:
                      for i in range(3)]
                     + [outcome(make_flight(carrier="DL", number=str(i)))
                        for i in range(5)])
-        summaries = agg.roll_up(outcomes).airlines
+        summaries = roll_up(outcomes).airlines
         assert [s.carrier_code for s in summaries] == ["DL", "AA"]
 
     def test_co2e_ratio_dominates_co2_ratio(self):
         outcomes = [outcome(make_flight(number=str(i))) for i in range(5)]
-        for s in agg.roll_up(outcomes).airlines:
+        for s in roll_up(outcomes).airlines:
             assert s.co2e_per_seat_mile >= s.co2_per_seat_mile
 
 
@@ -180,7 +179,7 @@ class TestConservation:
 
     def test_airport_split_conserves_mass(self):
         outcomes = self.corpus()
-        airports = agg.roll_up(outcomes).airports
+        airports = roll_up(outcomes).airports
         for gas in agg.GASES:
             total = sum(a.gas_totals.units(gas) for a in airports)
             flight_lto = self.exact_kg(
@@ -189,7 +188,7 @@ class TestConservation:
 
     def test_three_way_grouping_identity(self):
         outcomes = self.corpus()
-        rollup = agg.roll_up(outcomes)
+        rollup = roll_up(outcomes)
         lto_bd, ccd_bd = rollup.lto, rollup.ccd
         for gas in agg.GASES:
             system = self.exact_kg(
@@ -197,16 +196,16 @@ class TestConservation:
             airline_total = sum(s.gas_totals.units(gas) for s in rollup.airlines)
             airport_total = sum(a.gas_totals.units(gas) for a in rollup.airports)
             assert Fraction(airline_total, agg.UNIT) == system
-            assert Fraction(airport_total + ccd_bd.raw.units(gas), agg.UNIT) == system
-            assert Fraction(lto_bd.raw.units(gas) + ccd_bd.raw.units(gas),
+            assert Fraction(airport_total + ccd_bd.units(gas), agg.UNIT) == system
+            assert Fraction(lto_bd.units(gas) + ccd_bd.units(gas),
                             agg.UNIT) == system
 
     def test_permutation_invariance(self):
         outcomes = self.corpus(100)
         shuffled = list(outcomes)
         random.Random(9).shuffle(shuffled)
-        a = agg.roll_up(outcomes).airlines
-        b = agg.roll_up(shuffled).airlines
+        a = roll_up(outcomes).airlines
+        b = roll_up(shuffled).airlines
         assert [(s.carrier_code, s.gas_totals, s.total_co2e) for s in a] \
             == [(s.carrier_code, s.gas_totals, s.total_co2e) for s in b]
 
@@ -214,21 +213,21 @@ class TestConservation:
 class TestGasBreakdown:
     def test_co2e_is_raw_times_factor(self):
         outcomes = [outcome(make_flight(number=str(i))) for i in range(3)]
-        rollup = agg.roll_up(outcomes)
+        rollup = roll_up(outcomes)
         lto_bd, ccd_bd = rollup.lto, rollup.ccd
         f = Co2eFactors()
         for breakdown in (lto_bd, ccd_bd):
             assert breakdown.co2e_kg("NOX", f) == pytest.approx(
-                breakdown.raw.kg("NOX") * 298.0)
+                breakdown.kg("NOX") * 298.0)
             assert breakdown.co2e_kg("CO2", f) == pytest.approx(
-                breakdown.raw.kg("CO2"))
+                breakdown.kg("CO2"))
 
 
 def incomputable_outcome():
     rf = ResolvedFlight(
         flight=make_flight(number="x"), canonical_type=None, seat_count=None,
         engine_count=None, engine_uid=None, emissions_type=None,
-        efficiency_factor=1.0, provenance=frozenset({"INCOMPUTABLE"}),
+        efficiency_factor=1.0, provenance=frozenset(),
         incomputable_cause="MISSING_TAIL")
     return agg.FlightOutcome(rf, None)
 
@@ -238,7 +237,7 @@ def written_csv(outcomes, outdir, unep=None):
     dicts keyed by header."""
     cfg = RunConfig(*(Path("unused.csv"),) * 6, output_dir=outdir, unep=unep)
     resolved = [o.resolved for o in outcomes]
-    pipeline.write_outputs(outcomes, cfg, pipeline.coverage_report(resolved))
+    write_outputs(outcomes, cfg, coverage_report(resolved))
     files = {}
     for name in ("flight_emissions.csv", "scatter_co2e.csv", "scatter_seat_mile.csv"):
         header, *rows = (outdir / name).read_text(encoding="utf-8").splitlines()

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import json
@@ -8,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from aeroemit import cli, config, ingest, pipeline
-from conftest import (B739ER_CCD_KNOTS, build_corpus, write_config, write_csv,
-                      write_golden_inputs)
+from aeroemit import cli, config, ingest, matching, pipeline
+from conftest import (B739ER_CCD_KNOTS, CFM56_7B27E_RATES, build_corpus, icao_rows,
+                      write_config, write_csv, write_golden_inputs)
 
 
 def read_rows(path):
@@ -359,6 +360,93 @@ class TestInputErrorsExit2:
         config = self._distance_ccd(tmp_path, distances)
         assert cli.main(["run", "--config", str(config)]) == 2
         assert "type 737-900ER has two knots at distance_mi 700.0" in capsys.readouterr().err
+
+
+class TestOverflowingArithmetic:
+    """Finite inputs whose emissions or totals are beyond a double: no traceback.
+    `validate` does not compute, so it counts such a flight as resolvable."""
+
+    @pytest.mark.parametrize("table, column, value", [
+        ("ontime", "taxi_in_min", "1e308"), ("ontime", "air_time_min", "1e308"),
+        ("icao_engines", "NOX,IDLE", "1e306")], ids=["taxi-in", "air-time", "nox-idle-rate"])
+    def test_nonfinite_flight_counted_not_written(self, tmp_path, capsys, table, column,
+                                                  value):
+        paths = write_golden_inputs(tmp_path)
+        if table == "ontime":
+            (row,) = read_rows(paths["ontime"])
+            write_csv(paths["ontime"], list(row),
+                      [[value if k == column else v for k, v in row.items()]])
+        else:
+            gas, mode = column.split(",")
+            write_csv(paths["icao_engines"], ingest.ICAO_ENGINES_TABLE.header, icao_rows(
+                "CFM56-7B27E", {**CFM56_7B27E_RATES, (gas, mode): float(value)}))
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        assert cli.main(["validate", "--config", str(config)]) == 0
+        assert "1 resolvable" in capsys.readouterr().out
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert "computed 0 of 1 flights" in capsys.readouterr().out
+        coverage = json.loads((tmp_path / "out" / "coverage.json").read_text(encoding="utf-8"))
+        assert coverage["incomputable_causes"] == {"NONFINITE_EMISSIONS": 1}
+        assert read_rows(tmp_path / "out" / "flight_emissions.csv") == []
+
+    def test_airline_total_beyond_a_double_exit_2(self, tmp_path, capsys):
+        """Each flight's CO2e is finite; the sum of 20 is not."""
+        paths = write_golden_inputs(tmp_path)
+        header, row = paths["ontime"].read_text(encoding="utf-8").splitlines()
+        paths["ontime"].write_text("\n".join([header] + [row] * 20) + "\n", encoding="utf-8")
+        outdir = tmp_path / "out"
+        (tmp_path / "ok").mkdir()
+        assert cli.main(["run", "--config",
+                         str(write_config(tmp_path / "ok", paths, outdir))]) == 0
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        config = write_config(tmp_path, paths, outdir, extra={"co2e_nox": "1e306"})
+        assert cli.main(["validate", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {outdir / 'airline_summary.csv'}: ")
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+
+class TestByteOrderMark:
+    """Excel's "CSV UTF-8" starts a file with a UTF-8 byte-order mark."""
+
+    @staticmethod
+    def add_bom(path):
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+
+    @pytest.mark.parametrize("table", ["ontime", "b43"])
+    def test_input_table(self, tmp_path, capsys, table):
+        paths = write_golden_inputs(tmp_path)
+        self.add_bom(paths[table])
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        assert cli.main(["validate", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert f"{table}: 1 accepted, 0 rejected" in out
+        assert "coverage 1.000" in out
+
+    def test_matching_table(self, tmp_path, capsys):
+        paths = write_golden_inputs(tmp_path)
+        rules = tmp_path / "rules.csv"
+        rules.write_bytes(matching.DEFAULT_NORMALIZATION_RULES.read_bytes())
+        self.add_bom(rules)
+        cfg = write_config(tmp_path, paths, tmp_path / "out",
+                           extra={"normalization_rules": rules})
+        assert cli.main(["validate", "--config", str(cfg)]) == 0
+        assert "coverage 1.000" in capsys.readouterr().out
+
+    def test_config(self, golden_config, tmp_path, capsys):
+        self.add_bom(golden_config)
+        assert cli.main(["run", "--config", str(golden_config)]) == 0
+        assert len(read_rows(tmp_path / "out" / "flight_emissions.csv")) == 1
+
+    def test_config_not_utf8_offset_counts_the_mark(self, golden_config, capsys):
+        self.add_bom(golden_config)
+        with open(golden_config, "ab") as fh:
+            fh.write(b"# caf\xe9\n")
+        offset = golden_config.read_bytes().index(b"\xe9")
+        assert cli.main(["validate", "--config", str(golden_config)]) == 2
+        assert f"(byte 0xe9 at offset {offset})" in capsys.readouterr().err
 
 
 class TestOneComputePath:

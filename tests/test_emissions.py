@@ -16,7 +16,7 @@ from aeroemit.emissions import (
     lto_emissions,
 )
 from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors, FlightRecord
-from aeroemit.matching import ENGINE_EXACT, INCOMPUTABLE, ResolvedFlight
+from aeroemit.matching import ENGINE_EXACT, MISSING_AIRTIME, ResolvedFlight
 from conftest import B739ER_CCD_KNOTS
 
 
@@ -264,7 +264,7 @@ class TestFlightEmissions:
         assert result is None
 
     def test_incomputable_rejected(self, cfm56_factors, b739er_profile):
-        rf = resolved(dl2441(), provenance=frozenset({INCOMPUTABLE}))
+        rf = resolved(dl2441(), incomputable_cause=MISSING_AIRTIME)
         assert flight_emissions(rf, {"CFM56-7B27E": cfm56_factors},
                                 {"737-900ER": b739er_profile}) is None
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from aeroemit import aggregate as agg
 from aeroemit import cli, pipeline
 from aeroemit.config import REQUIRED_TABLE_KEYS, load_config
-from conftest import build_corpus, write_config
+from conftest import (build_corpus, coverage_report, roll_up, table_paths, write_config,
+                      write_outputs)
 
 SMALLEST_SUBNORMAL = 5e-324
 EDGE_VALUES = [0.0, -0.0, SMALLEST_SUBNORMAL, -SMALLEST_SUBNORMAL,
@@ -118,11 +119,11 @@ def corpus(tmp_path_factory):
     data = pipeline.load_data(cfg)
     resolved = pipeline.resolve_all(data)
     outcomes = pipeline.compute_outcomes(resolved, data, cfg)
-    return cfg, outcomes, pipeline.coverage_report(resolved)
+    return cfg, outcomes, coverage_report(resolved)
 
 
 def written(cfg, outcomes, coverage, outdir):
-    pipeline.write_outputs(outcomes, dataclasses.replace(cfg, output_dir=outdir), coverage)
+    write_outputs(outcomes, dataclasses.replace(cfg, output_dir=outdir), coverage)
     return {name: (outdir / name).read_text(encoding="utf-8")
             for name in pipeline.OUTPUT_FILES}
 
@@ -145,7 +146,7 @@ def exact_kg(totals):
 def test_totals_equal_fraction_reference(corpus):
     _, outcomes, _ = corpus
     airlines, airports, cycles = fraction_roll_up(outcomes)
-    rollup = agg.roll_up(outcomes)
+    rollup = roll_up(outcomes)
     for s in rollup.airlines:
         exact = (Fraction(s.gas_totals.co2_units, agg.UNIT),
                  Fraction(s.total_co2e, agg.UNIT), Fraction(s.seat_miles, agg.UNIT))
@@ -153,8 +154,8 @@ def test_totals_equal_fraction_reference(corpus):
                 *exact] == airlines[s.carrier_code]
     for a in rollup.airports:
         assert exact_kg(a.gas_totals) == airports[a.airport]
-    for breakdown in (rollup.lto, rollup.ccd):
-        assert exact_kg(breakdown.raw) == cycles[breakdown.cycle]
+    for cycle, totals in (("LTO", rollup.lto), ("CCD", rollup.ccd)):
+        assert exact_kg(totals) == cycles[cycle]
 
 
 def test_roll_up_builds_no_fraction(corpus, tmp_path, monkeypatch):
@@ -176,7 +177,7 @@ def test_shuffled_outcomes_give_identical_outputs(corpus, tmp_path):
     cfg, outcomes, coverage = corpus
     shuffled = list(outcomes)
     random.Random(17).shuffle(shuffled)
-    a, b = agg.roll_up(outcomes), agg.roll_up(shuffled)
+    a, b = roll_up(outcomes), roll_up(shuffled)
     assert (a.airlines, a.airports, a.lto, a.ccd) == (b.airlines, b.airports, b.lto, b.ccd)
     in_order = written(cfg, outcomes, coverage, tmp_path / "a")
     reordered = written(cfg, shuffled, coverage, tmp_path / "b")
@@ -199,7 +200,7 @@ def test_shuffled_input_rows_give_identical_outputs(corpus, tmp_path):
     matching_tables = {"normalization_rules": str(cfg.normalization_rules),
                        "family_fallback": str(cfg.family_fallback)}
     outputs = {}
-    for name, paths in (("original", cfg.table_paths()), ("shuffled", shuffled)):
+    for name, paths in (("original", table_paths(cfg)), ("shuffled", shuffled)):
         (tmp_path / name).mkdir()
         config = write_config(tmp_path / name, paths, tmp_path / name / "out",
                               extra=matching_tables)
@@ -222,7 +223,7 @@ def test_totals_of_union_are_sum_of_parts(corpus, seed):
     part_a, part_b = [], []
     for o in outcomes:
         (part_a if rng.random() < 0.3 else part_b).append(o)
-    union, a, b = agg.roll_up(outcomes), agg.roll_up(part_a), agg.roll_up(part_b)
+    union, a, b = roll_up(outcomes), roll_up(part_a), roll_up(part_b)
 
     def units(totals):
         return tuple(totals.units(gas) for gas in agg.GASES)
@@ -231,10 +232,10 @@ def test_totals_of_union_are_sum_of_parts(corpus, seed):
         return tuple(p + q for p, q in zip(x, y))
 
     def system(rollup):
-        return plus(units(rollup.lto.raw), units(rollup.ccd.raw))
+        return plus(units(rollup.lto), units(rollup.ccd))
 
-    assert units(union.lto.raw) == plus(units(a.lto.raw), units(b.lto.raw))
-    assert units(union.ccd.raw) == plus(units(a.ccd.raw), units(b.ccd.raw))
+    assert units(union.lto) == plus(units(a.lto), units(b.lto))
+    assert units(union.ccd) == plus(units(a.ccd), units(b.ccd))
     assert system(union) == plus(system(a), system(b))
     parts = {s.carrier_code: units(s.gas_totals) for s in a.airlines}
     for s in b.airlines:
@@ -250,7 +251,7 @@ def test_computed_flights_are_the_computable_ones(tmp_path):
     resolved = pipeline.resolve_all(data)
     outcomes = pipeline.compute_outcomes(resolved, data, cfg)
     assert [o.result is not None for o in outcomes] == [rf.is_computable for rf in resolved]
-    assert pipeline.coverage_report(resolved).computed_flights == 185
+    assert coverage_report(resolved).computed_flights == 185
 
 
 def run_outputs(workdir, paths, matching_tables):
@@ -281,12 +282,12 @@ def test_file_totals_of_union_are_sum_of_parts(corpus, tmp_path):
     part_rows = {"a": [], "b": []}
     for row in rows:
         part_rows["a" if rng.random() < 0.4 else "b"].append(row)
-    outputs = {"union": run_outputs(tmp_path / "union", cfg.table_paths(),
+    outputs = {"union": run_outputs(tmp_path / "union", table_paths(cfg),
                                     matching_tables_of(cfg))}
     for part, chosen in part_rows.items():
         ontime = tmp_path / f"ontime_{part}.csv"
         ontime.write_bytes(header + b"".join(chosen))
-        outputs[part] = run_outputs(tmp_path / part, {**cfg.table_paths(), "ontime": ontime},
+        outputs[part] = run_outputs(tmp_path / part, {**table_paths(cfg), "ontime": ontime},
                                     matching_tables_of(cfg))
     union, a, b = outputs["union"], outputs["a"], outputs["b"]
 
@@ -358,7 +359,7 @@ GOLDEN_DIGESTS = {
 
 def test_outputs_match_golden_digests(corpus, tmp_path):
     cfg, _, _ = corpus
-    outputs = run_outputs(tmp_path / "run", cfg.table_paths(), matching_tables_of(cfg))
+    outputs = run_outputs(tmp_path / "run", table_paths(cfg), matching_tables_of(cfg))
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == GOLDEN_DIGESTS
 
@@ -375,7 +376,7 @@ GOLDEN_DIGESTS_UNEP = {
 
 def test_outputs_with_unep_match_golden_digests(corpus, tmp_path):
     cfg, _, _ = corpus
-    outputs = run_outputs(tmp_path / "run", cfg.table_paths(),
+    outputs = run_outputs(tmp_path / "run", table_paths(cfg),
                           {**matching_tables_of(cfg), **UNEP_CONSTANTS})
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == GOLDEN_DIGESTS_UNEP

@@ -230,7 +230,7 @@ class TestResolveFlight:
 
     def test_blank_tail_incomputable(self):
         rf = matching.resolve_flight(flight(tail=None), self.default_tables())
-        assert matching.INCOMPUTABLE in rf.provenance
+        assert not rf.is_computable
         assert rf.incomputable_cause == matching.MISSING_TAIL
 
     def test_unknown_tail_incomputable(self):

@@ -8,7 +8,7 @@ import pytest
 
 from aeroemit import cli, emissions, ingest, pipeline
 from aeroemit.config import load_config
-from conftest import build_corpus, write_config, write_csv
+from conftest import build_corpus, coverage_report, write_config, write_csv, write_outputs
 
 ONTIME_HEADER = ["flight_date", "carrier", "flight_number", "tail_number", "origin",
                  "dest", "air_time_min", "taxi_in_min", "taxi_out_min", "distance_mi"]
@@ -72,8 +72,8 @@ def test_run_writes_what_the_list_functions_write(tmp_path, capsys):
     cfg = load_config(config)
     data = pipeline.load_data(cfg)
     resolved = pipeline.resolve_all(data)
-    coverage = pipeline.coverage_report(resolved)
-    pipeline.write_outputs(pipeline.compute_outcomes(resolved, data, cfg),
+    coverage = coverage_report(resolved)
+    write_outputs(pipeline.compute_outcomes(resolved, data, cfg),
                            dataclasses.replace(cfg, output_dir=tmp_path / "lists"), coverage)
     assert outputs(tmp_path / "run") == outputs(tmp_path / "lists")
     assert pipeline.validate_inputs(cfg) == (data.reports, coverage)

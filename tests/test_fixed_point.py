@@ -380,3 +380,60 @@ def test_outputs_with_unep_match_golden_digests(corpus, tmp_path):
                           {**matching_tables_of(cfg), **UNEP_CONSTANTS})
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == GOLDEN_DIGESTS_UNEP
+
+
+def knot_distances(cfg, path):
+    """The corpus's CCD table with a distance_mi column of 40 + 7 miles per knot
+    minute: of the corpus's distances, 23 fall below the knots, 145 above and
+    one on a knot."""
+    header, *rows = cfg.bada_ccd.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join([f"{header},distance_mi\n",
+                             *(f"{row},{40.0 + 7.0 * float(row.split(',')[1])!r}\n" for row in rows)]),
+                    encoding="utf-8")
+    return path
+
+
+# The same run with each engine's rates times its engine count, and with CCD
+# interpolated over distance; both computed before the per-flight fast path.
+GOLDEN_DIGESTS_PER_ENGINE = {
+    **GOLDEN_DIGESTS,
+    "flight_emissions.csv":
+        "5addd43a67d73dcd859819ed3f60e115f4494442eda82f6e1cd83319eee60d44",
+    "airline_summary.csv":
+        "1a5928e3399cb3360c98cf0262cfdd2bf9820282ad96ef2accd65b4ac004bc29",
+    "airport_lto.csv":
+        "ef8bf04654306b0d96bfbcb4d6d000ac3c7a099867aa24a9727a71030d0e9197",
+    "gas_breakdown.csv":
+        "35b0161c349c06a95d418ffab67987eeaf5820f2c615c1f1f3c4d31b0f786e37",
+    "scatter_co2e.csv":
+        "28a087759276b367ea2366c095015d30a664b19e45489522159a2bf9ddf4dbe3",
+    "scatter_seat_mile.csv":
+        "ffd5a06e7ceecc9808a9f36714e8a0b49d2ce555fdd080fecf36275b02b3a886",
+}
+GOLDEN_DIGESTS_DISTANCE = {
+    **GOLDEN_DIGESTS,
+    "flight_emissions.csv":
+        "4a698c2fde37cdef9d09a881f8c3eb6cba9fa72f508b766d3c5da06f1151e46f",
+    "airline_summary.csv":
+        "05ff6cf20d01fcfdfcab8decb2b169daf6d50b063b90895e9fc35d573de9d323",
+    "gas_breakdown.csv":
+        "b24b4a52a4a1c36012472ad5f64cd035a13f311aab9c983aed9168d0cb36542a",
+    "scatter_co2e.csv":
+        "20ff1c38771fb1694ab9d7c95add6b15ace30788604c3f592319d9f2f4711cbb",
+    "scatter_seat_mile.csv":
+        "336121aad77eb06fe5c15d12695e3efc4aaab87dbd403b03ab090547555686c8",
+}
+
+
+@pytest.mark.parametrize("setting, golden", [
+    ({"engine_multiplier_mode": "per-engine"}, GOLDEN_DIGESTS_PER_ENGINE),
+    ({"interpolation_key": "distance"}, GOLDEN_DIGESTS_DISTANCE),
+], ids=["per-engine", "distance"])
+def test_outputs_per_setting_match_golden_digests(corpus, tmp_path, setting, golden):
+    cfg, _, _ = corpus
+    paths = table_paths(cfg)
+    if "interpolation_key" in setting:
+        paths["bada_ccd"] = knot_distances(cfg, tmp_path / "bada_ccd.csv")
+    outputs = run_outputs(tmp_path / "run", paths, {**matching_tables_of(cfg), **setting})
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == golden

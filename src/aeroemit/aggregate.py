@@ -4,17 +4,18 @@ Every finite double is an integer multiple of 2**-1074, so aggregation totals
 are kept as Python ints counting units of 2**-1074 kg: fixed point with no
 rounding, in which every grouping of the same flights sums to the same mass
 regardless of order. `RollUpAccumulator.add` converts each per-flight double
-once and fills every grouping, so a run streams its flights through it and
-holds only the per-carrier, per-airport and per-cycle sums. Floats appear only
-in derived values, each produced by one correctly rounded ``int / int``
-division (the same double ``float(Fraction)`` gives).
+once, with the `as_integer_ratio` and shift of `to_units` written inline, and
+fills every grouping, so a run streams its flights through it and holds only
+the per-carrier, per-airport and per-cycle sums. Floats appear only in derived
+values, each produced by one correctly rounded ``int / int`` division (the
+same double ``float(Fraction)`` gives).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .emissions import Co2eFactors, EmissionsResult, GasVector
+from .emissions import Co2eFactors, EmissionsResult
 from .ingest import GASES  # noqa: F401  (re-exported for the writers)
 from .matching import ResolvedFlight
 
@@ -34,10 +35,6 @@ def to_units(x: float) -> int:
     return n << (UNIT_BITS + 1 - d.bit_length())
 
 
-def _gas_units(v: GasVector) -> tuple[int, int, int, int]:
-    return to_units(v.hc), to_units(v.co2), to_units(v.co), to_units(v.nox)
-
-
 @dataclass
 class ExactGasTotals:
     """Per-gas mass totals kept exact, as ints counting units of 2**-1074 kg."""
@@ -47,7 +44,7 @@ class ExactGasTotals:
     co_units: int = 0
     nox_units: int = 0
 
-    def add_units(self, units: tuple[int, int, int, int]) -> None:
+    def add_units(self, units: list[int]) -> None:
         hc, co2, co, nox = units
         self.hc_units += hc
         self.co2_units += co2
@@ -183,12 +180,15 @@ class RollUpAccumulator:
         seats = rf.seat_count or 0
         airline.emission_flights += 1
         airline.total_seats += seats
-        airline.total_co2e += to_units(result.total_co2e_kg)
-        airline.seat_miles += seats * to_units(flight.distance_mi)
-
-        origin = _gas_units(result.lto_origin_share)
-        destination = _gas_units(result.lto_destination_share)
-        cruise = _gas_units(result.ccd)
+        o, d, c = result.lto_origin_share, result.lto_destination_share, result.ccd
+        exact = []
+        for x in (o.hc, o.co2, o.co, o.nox, d.hc, d.co2, d.co, d.nox,
+                  c.hc, c.co2, c.co, c.nox, result.total_co2e_kg, flight.distance_mi):
+            n, den = x.as_integer_ratio()  # to_units, inline
+            exact.append(n << (UNIT_BITS + 1 - den.bit_length()))
+        airline.total_co2e += exact[12]
+        airline.seat_miles += seats * exact[13]
+        origin, destination, cruise = exact[0:4], exact[4:8], exact[8:12]
         for units in (origin, destination, cruise):
             airline.gas_totals.add_units(units)
         self.lto.add_units(origin)

@@ -1,16 +1,21 @@
 """Per-flight emissions arithmetic: LTO mode sums, CCD interpolation, CO2e.
 
 All arithmetic is 64-bit floating point. Every function here is pure: the same
-flight and tables always produce bit-identical results.
+flight and tables always produce bit-identical results. `flight_emissions` is
+the per-flight fast path: it reads each engine's rates flattened once per UID
+(`EngineLtoFactors.flat_rates`) and keeps the masses in local floats, with every
+multiply and add of `split_lto`, `interpolate_ccd` and `co2e` in the same
+order, so its results equal that reference bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
-from .ingest import CcdProfile, EngineLtoFactors
+from .ingest import GASES, CcdProfile, EngineLtoFactors
 from .matching import ResolvedFlight
 
 EXTRAPOLATED_LOW = "EXTRAPOLATED_LOW"
@@ -114,32 +119,28 @@ def interpolate_ccd(profile: CcdProfile, duration_min: float) -> tuple[GasVector
     outside the knot range extrapolate linearly from the nearest segment and
     are flagged, never clamped.
     """
-    durations = [k.duration_min for k in profile.knots]
+    *masses, flag = _interpolate(profile, duration_min)
+    return GasVector(*masses), flag
+
+
+def _interpolate(profile: CcdProfile, x: float) -> tuple[float, float, float, float, str | None]:
+    """The HC, CO2, CO and NOX masses of `interpolate_ccd`, then its flag."""
+    durations = profile.durations
     flag = None
-    if duration_min < durations[0]:
-        lo, hi = 0, 1
-        flag = EXTRAPOLATED_LOW
-    elif duration_min > durations[-1]:
-        lo, hi = len(durations) - 2, len(durations) - 1
-        flag = EXTRAPOLATED_HIGH
+    if x < durations[0]:
+        lo, flag = 0, EXTRAPOLATED_LOW
+    elif x > durations[-1]:
+        lo, flag = len(durations) - 2, EXTRAPOLATED_HIGH
     else:
-        idx = bisect.bisect_left(durations, duration_min)
-        if durations[idx] == duration_min:
-            knot = profile.knots[idx]
-            return GasVector(hc=knot.emissions_kg["HC"], co2=knot.emissions_kg["CO2"],
-                             co=knot.emissions_kg["CO"], nox=knot.emissions_kg["NOX"]), None
-        lo, hi = idx - 1, idx
-    lo_knot, hi_knot = profile.knots[lo], profile.knots[hi]
-    span = hi_knot.duration_min - lo_knot.duration_min
-    offset = duration_min - lo_knot.duration_min
-
-    def interp(gas: str) -> float:
-        lo_v = lo_knot.emissions_kg[gas]
-        hi_v = hi_knot.emissions_kg[gas]
-        return lo_v + (hi_v - lo_v) * offset / span
-
-    return GasVector(hc=interp("HC"), co2=interp("CO2"),
-                     co=interp("CO"), nox=interp("NOX")), flag
+        lo = bisect.bisect_left(durations, x)
+        if durations[lo] == x:
+            m = profile.knots[lo].emissions_kg
+            return m["HC"], m["CO2"], m["CO"], m["NOX"], None
+        lo -= 1
+    lo_m, hi_m = profile.knots[lo].emissions_kg, profile.knots[lo + 1].emissions_kg
+    span = durations[lo + 1] - durations[lo]
+    offset = x - durations[lo]
+    return (*(lo_m[g] + (hi_m[g] - lo_m[g]) * offset / span for g in GASES), flag)
 
 
 def co2e(v: GasVector, f: Co2eFactors = Co2eFactors()) -> float:
@@ -181,14 +182,25 @@ def flight_emissions(rf: ResolvedFlight,
     if factors is None or profile is None:
         return None
     flight = rf.flight
-    times = LtoTimes.from_taxi(flight.taxi_in_min, flight.taxi_out_min)
-    origin, destination = split_lto(factors, times, flight.taxi_in_min,
-                                    flight.taxi_out_min, engine_multiplier,
-                                    rf.efficiency_factor)
-    lto = origin + destination
+    taxi_in, taxi_out = flight.taxi_in_min, flight.taxi_out_min
+    idle_s, w_in = DEFAULT_IDLE_S, 0.5
+    if taxi_in is not None and taxi_out is not None:
+        idle_s = (taxi_in + taxi_out) * 60.0
+        if taxi_in + taxi_out > 0:
+            w_in = taxi_in / (taxi_in + taxi_out)
+    # split_lto per gas, each mode mass (rate * seconds) * multiplier.
+    r, k, eff = factors.flat_rates, engine_multiplier, rf.efficiency_factor
+    origin, destination = [], []
+    for i in (0, 4, 8, 12):
+        idle = r[i + 3] * idle_s * k
+        dest_idle = idle * w_in
+        origin.append(((r[i] * TAKEOFF_S * k + r[i + 1] * CLIMBOUT_S * k)
+                       + (idle - dest_idle)) * eff)
+        destination.append((r[i + 2] * APPROACH_S * k + dest_idle) * eff)
+    lto = GasVector(*map(operator.add, origin, destination))
     at = flight.air_time_min if interpolation_key == "time" else flight.distance_mi
-    ccd, flag = interpolate_ccd(profile, at)
-    ccd = ccd.scaled(rf.efficiency_factor)
+    hc, co2, co, nox, flag = _interpolate(profile, at)
+    ccd = GasVector(hc * eff, co2 * eff, co * eff, nox * eff)
     lto_co2e = co2e(lto, co2e_factors)
     ccd_co2e = co2e(ccd, co2e_factors)
     total = lto_co2e + ccd_co2e
@@ -201,8 +213,8 @@ def flight_emissions(rf: ResolvedFlight,
     return EmissionsResult(
         lto=lto,
         ccd=ccd,
-        lto_origin_share=origin,
-        lto_destination_share=destination,
+        lto_origin_share=GasVector(*origin),
+        lto_destination_share=GasVector(*destination),
         lto_co2e_kg=lto_co2e,
         ccd_co2e_kg=ccd_co2e,
         total_co2e_kg=total,

@@ -87,6 +87,11 @@ class EngineLtoFactors:
     def rate(self, gas: str, mode: str) -> float:
         return self.rate_kg_per_s[(gas, mode)]
 
+    @functools.cached_property
+    def flat_rates(self) -> tuple[float, ...]:
+        """The 16 rates flat, the four MODES of each gas in GASES order."""
+        return tuple(self.rate_kg_per_s[(gas, mode)] for gas in GASES for mode in MODES)
+
 
 @dataclass(frozen=True)
 class CcdKnot:
@@ -99,6 +104,11 @@ class CcdKnot:
 class CcdProfile:
     canonical_type: str
     knots: tuple[CcdKnot, ...]
+
+    @functools.cached_property
+    def durations(self) -> tuple[float, ...]:
+        """The knots' durations, ascending."""
+        return tuple(k.duration_min for k in self.knots)
 
 
 @dataclass

@@ -196,13 +196,15 @@ def _quoted(cell: str) -> str:
     return cell
 
 
-def _csv_line(row: list[str]) -> str:
-    """One CSV row. A cell holding a comma, a quote or a line break is quoted
-    with its quotes doubled; a row with none is a plain join."""
+def _csv_line(row: list[str], numbers: str = "") -> str:
+    """One CSV row: the cells of `row`, then `numbers`, formatted cells that
+    need no quoting, each led by a comma. A cell of `row` holding a comma, a
+    quote or a line break is quoted with its quotes doubled; a row with none is
+    a plain join."""
     line = ",".join(row)
     if line.count(",") >= len(row) or '"' in line or "\r" in line or "\n" in line:
         line = ",".join(map(_quoted, row))
-    return line + "\n"
+    return line + numbers + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -234,6 +236,9 @@ class OutputWriter:
         seat_mile_header = list(SCATTER_SEAT_MILE_HEADER)
         if self.cfg.unep is not None:
             seat_mile_header.append("unep_baseline")
+            unep = self.cfg.unep
+            self._unep_cells = (_ratio(unep.short_haul_co2_per_seat_mile),
+                                _ratio(unep.long_haul_co2_per_seat_mile))
         else:
             logger.warning("no UNEP baseline constants configured; "
                            "scatter_seat_mile.csv omits the baseline column")
@@ -260,27 +265,26 @@ class OutputWriter:
         flight = rf.flight
         distance = repr(flight.distance_mi)
         canonical_type, engine_uid = rf.canonical_type or "", rf.engine_uid or ""
-        total_co2e = _mass(result.total_co2e_kg)
-        per_seat_mile = _ratio(result.per_seat_mile_co2_kg)
+        lto, ccd = result.lto, result.ccd
+        total_co2e = f"{result.total_co2e_kg:.2f}"
+        per_seat_mile = f"{result.per_seat_mile_co2_kg:.6f}"
         self._flights.write(_csv_line([
             flight.flight_date.isoformat(), flight.carrier_code,
             flight.flight_number, flight.tail_number or "", flight.origin,
             flight.destination, distance, repr(flight.air_time_min),
             canonical_type, rf.emissions_type or "", engine_uid,
-            "|".join(sorted(rf.provenance)),
-            _mass(result.lto.hc), _mass(result.lto.co2), _mass(result.lto.co),
-            _mass(result.lto.nox),
-            _mass(result.ccd.hc), _mass(result.ccd.co2), _mass(result.ccd.co),
-            _mass(result.ccd.nox),
-            _mass(result.lto_co2e_kg), _mass(result.ccd_co2e_kg),
-            total_co2e, _mass(result.per_seat_co2e_kg), per_seat_mile,
-        ]))
+            "|".join(sorted(rf.provenance))],
+            f",{lto.hc:.2f},{lto.co2:.2f},{lto.co:.2f},{lto.nox:.2f}"
+            f",{ccd.hc:.2f},{ccd.co2:.2f},{ccd.co:.2f},{ccd.nox:.2f}"
+            f",{result.lto_co2e_kg:.2f},{result.ccd_co2e_kg:.2f},{total_co2e}"
+            f",{result.per_seat_co2e_kg:.2f},{per_seat_mile}"))
         self._co2e.write(_csv_line([distance, total_co2e, canonical_type, engine_uid,
                                     flight.carrier_code]))
         sm_row = [distance, per_seat_mile, canonical_type, engine_uid,
                   flight.carrier_code]
-        if self.cfg.unep is not None:
-            sm_row.append(_ratio(agg.unep_baseline(flight.distance_mi, self.cfg.unep)))
+        if self.cfg.unep is not None:  # the cell of agg.unep_baseline
+            short, long = self._unep_cells
+            sm_row.append(short if flight.distance_mi < self.cfg.unep.cutoff_mi else long)
         self._seat_mile.write(_csv_line(sm_row))
 
     def commit(self, coverage: CoverageReport) -> None:

@@ -2,7 +2,7 @@ import datetime
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aeroemit import emissions
@@ -14,6 +14,7 @@ from aeroemit.emissions import (
     flight_emissions,
     interpolate_ccd,
     lto_emissions,
+    split_lto,
 )
 from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors, FlightRecord
 from aeroemit.matching import ENGINE_EXACT, MISSING_AIRTIME, ResolvedFlight
@@ -279,3 +280,72 @@ class TestFlightEmissions:
                                   {"737-900ER": b739er_profile})
         assert scaled.lto.co2 == pytest.approx(0.85 * base.lto.co2)
         assert scaled.ccd.co2 == pytest.approx(0.85 * base.ccd.co2)
+
+
+def reference_emissions(rf, factors, profile, co2e_factors, engine_multiplier,
+                        interpolation_key):
+    """`flight_emissions` built from the public reference pieces: its LTO, both
+    LTO shares, CCD, the three CO2e values and the CCD flag."""
+    flight = rf.flight
+    times = LtoTimes.from_taxi(flight.taxi_in_min, flight.taxi_out_min)
+    origin, destination = split_lto(factors, times, flight.taxi_in_min, flight.taxi_out_min,
+                                    engine_multiplier, rf.efficiency_factor)
+    lto = origin + destination
+    x = flight.air_time_min if interpolation_key == "time" else flight.distance_mi
+    ccd, flag = interpolate_ccd(profile, x)
+    ccd = ccd.scaled(rf.efficiency_factor)
+    lto_co2e, ccd_co2e = co2e(lto, co2e_factors), co2e(ccd, co2e_factors)
+    return lto, origin, destination, ccd, lto_co2e, ccd_co2e, lto_co2e + ccd_co2e, flag
+
+
+def bits(value):
+    """Every double of a GasVector or a float, as text that tells -0.0 from 0.0."""
+    if isinstance(value, GasVector):
+        return tuple(x.hex() for x in (value.hc, value.co2, value.co, value.nox))
+    return value if value is None or isinstance(value, str) else value.hex()
+
+
+KNOT_DURATIONS = [float(k[0]) for k in B739ER_CCD_KNOTS]
+rates = st.one_of(st.floats(min_value=0.0, max_value=10.0),
+                  st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e150, 1e300]))
+taxi = st.one_of(st.none(), st.just(0.0), st.floats(min_value=0.0, max_value=90.0))
+knot_axis = st.one_of(st.floats(min_value=0.5, max_value=700.0),
+                      st.sampled_from(KNOT_DURATIONS))
+
+
+class TestKernelEqualsReference:
+    @given(st.lists(rates, min_size=16, max_size=16), taxi, taxi,
+           st.integers(min_value=1, max_value=4),
+           st.one_of(st.just(1.0), st.just(0.85), st.floats(min_value=0.0, max_value=2.0)),
+           knot_axis, knot_axis, st.sampled_from(["time", "distance"]),
+           st.one_of(st.none(), st.integers(min_value=1, max_value=400)))
+    @example([0.37] * 16, None, None, 2, 0.85, 22.0, 700.0, "time", None)  # on a knot
+    @example([5e-324] * 16, 0.0, 0.0, 4, 1.0, 10.0, 500.0, "distance", 180)  # taxi sum 0
+    @example([1e300] * 16, 0.0, 12.0, 3, 0.5, 300.0, 410.0, "time", 1)  # not finite
+    def test_bit_for_bit(self, rate_list, taxi_in, taxi_out, multiplier, efficiency,
+                         air_time, distance, key, seats):
+        factors = EngineLtoFactors("R", dict(zip(
+            [(g, m) for g in ("HC", "CO2", "CO", "NOX")
+             for m in ("TAKEOFF", "CLIMBOUT", "APPROACH", "IDLE")], rate_list)))
+        profile = _profile()
+        flight = FlightRecord(
+            flight_date=datetime.date(2021, 9, 1), carrier_code="XX",
+            flight_number="1", tail_number="N1", origin="AAA", destination="BBB",
+            air_time_min=air_time, taxi_in_min=taxi_in, taxi_out_min=taxi_out,
+            distance_mi=distance)
+        rf = resolved(flight, seat_count=seats, engine_uid="R", emissions_type="T",
+                      efficiency_factor=efficiency)
+        result = flight_emissions(rf, {"R": factors}, {"T": profile}, Co2eFactors(),
+                                  engine_multiplier=float(multiplier),
+                                  interpolation_key=key)
+        expected = reference_emissions(rf, factors, profile, Co2eFactors(),
+                                       float(multiplier), key)
+        total = expected[6]
+        seat_mile = (expected[0].co2 + expected[3].co2) / ((seats or 1) * distance)
+        if not (math.isfinite(total) and math.isfinite(seat_mile)):
+            assert result is None
+            return
+        got = (result.lto, result.lto_origin_share, result.lto_destination_share,
+               result.ccd, result.lto_co2e_kg, result.ccd_co2e_kg, result.total_co2e_kg,
+               result.ccd_flag)
+        assert list(map(bits, got)) == list(map(bits, expected))

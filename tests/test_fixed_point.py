@@ -1,6 +1,7 @@
 """Fixed-point aggregation: exactness against Fraction, and metamorphic checks."""
 
 import dataclasses
+import datetime
 import fractions
 import hashlib
 import json
@@ -9,12 +10,15 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aeroemit import aggregate as agg
 from aeroemit import cli, pipeline
 from aeroemit.config import REQUIRED_TABLE_KEYS, load_config
+from aeroemit.emissions import EmissionsResult, GasVector
+from aeroemit.ingest import FlightRecord
+from aeroemit.matching import ResolvedFlight
 from conftest import (build_corpus, coverage_report, roll_up, table_paths, write_config,
                       write_outputs)
 
@@ -49,6 +53,52 @@ def test_integer_sum_equals_fraction_sum(xs):
 def test_nonfinite_has_no_units(x, error):
     with pytest.raises(error):
         agg.to_units(x)
+
+
+def synthetic_outcome(carrier, origin, destination, seats, masses):
+    """A computed flight whose 14 doubles the accumulator reads are `masses`:
+    origin share, destination share and CCD (four gases each), total CO2e and
+    distance."""
+    o, d, c = (GasVector(*masses[i:i + 4]) for i in (0, 4, 8))
+    flight = FlightRecord(datetime.date(2021, 9, 1), carrier, "1", "N1", origin,
+                          destination, 60.0, None, None, masses[13])
+    rf = ResolvedFlight(flight, "T", seats, 2, "E", "T", 1.0, frozenset())
+    result = EmissionsResult(o + d, c, o, d, 0.0, 0.0, masses[12], 0.0, 0.0)
+    return agg.FlightOutcome(rf, result)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["AA", "DL"]), st.sampled_from(["X", "Y", "Z"]),
+                          st.sampled_from(["X", "Y", "Z"]), st.integers(0, 300),
+                          st.lists(doubles, min_size=14, max_size=14)), max_size=12))
+@example([("AA", "X", "Y", 2, [0.0, -0.0, 5e-324, -5e-324, -0.0, 0.0, 1e-310, 3.5,
+                               -0.0, 2.0**-1074 * 3, 1e300, 0.1, 0.0, 5e-324])])
+def test_accumulator_totals_are_sums_of_to_units(flights):
+    """The accumulator's inlined conversion gives what `to_units` gives."""
+    outcomes = [synthetic_outcome(*f) for f in flights]
+    rollup = roll_up(outcomes)
+    expected_airlines, expected_airports = {}, {}
+    cycles = {"LTO": [0] * 4, "CCD": [0] * 4}
+    for carrier, origin, destination, seats, masses in flights:
+        units = [agg.to_units(x) for x in masses]
+        a = expected_airlines.setdefault(carrier, [0] * 6)
+        for i in range(4):
+            a[i] += units[i] + units[4 + i] + units[8 + i]
+            cycles["LTO"][i] += units[i] + units[4 + i]
+            cycles["CCD"][i] += units[8 + i]
+        a[4] += units[12]
+        a[5] += seats * units[13]
+        for airport, share in ((origin, units[0:4]), (destination, units[4:8])):
+            totals = expected_airports.setdefault(airport, [0] * 4)
+            for i in range(4):
+                totals[i] += share[i]
+
+    def units(totals):
+        return [totals.units(gas) for gas in agg.GASES]
+
+    assert {s.carrier_code: [*units(s.gas_totals), s.total_co2e, s.seat_miles]
+            for s in rollup.airlines} == expected_airlines
+    assert {a.airport: units(a.gas_totals) for a in rollup.airports} == expected_airports
+    assert {"LTO": units(rollup.lto), "CCD": units(rollup.ccd)} == cycles
 
 
 def fraction_roll_up(outcomes):

@@ -3,10 +3,11 @@
 Every finite double is an integer multiple of 2**-1074, so aggregation totals
 are kept as Python ints counting units of 2**-1074 kg: fixed point with no
 rounding, in which every grouping of the same flights sums to the same mass
-regardless of order. `RollUpAccumulator.add` converts each per-flight double
-once, with the `as_integer_ratio` and shift of `to_units` written inline, and
-fills every grouping, so a run streams its flights through it and holds only
-the per-carrier, per-airport and per-cycle sums. Floats appear only in derived
+regardless of order. `RollUpAccumulator.add` takes one flight's
+`emissions.emissions_row` tuple, converts each double it sums once, with
+`to_units` written inline as a `frexp` and a shift, and fills every
+grouping, so a run streams its flights through it and holds only the
+per-carrier, per-airport and per-cycle sums. Floats appear only in derived
 values, each produced by one correctly rounded ``int / int`` division (the
 same double ``float(Fraction)`` gives).
 """
@@ -14,9 +15,10 @@ same double ``float(Fraction)`` gives).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import frexp
 
 from .emissions import Co2eFactors, EmissionsResult
-from .ingest import GASES  # noqa: F401  (re-exported for the writers)
+from .ingest import GASES, FlightRecord  # noqa: F401  (GASES is re-exported for the writers)
 from .matching import ResolvedFlight
 
 UNIT_BITS = 1074
@@ -24,6 +26,7 @@ UNIT_BITS = 1074
 # such totals (a mass times a CO2e factor) is divided by UNIT_SQUARED.
 UNIT = 1 << UNIT_BITS
 UNIT_SQUARED = UNIT * UNIT
+_TWO_53 = float(1 << 53)
 
 
 def to_units(x: float) -> int:
@@ -43,13 +46,6 @@ class ExactGasTotals:
     co2_units: int = 0
     co_units: int = 0
     nox_units: int = 0
-
-    def add_units(self, units: list[int]) -> None:
-        hc, co2, co, nox = units
-        self.hc_units += hc
-        self.co2_units += co2
-        self.co_units += co
-        self.nox_units += nox
 
     def units(self, gas: str) -> int:
         return {"HC": self.hc_units, "CO2": self.co2_units, "CO": self.co_units,
@@ -166,40 +162,47 @@ class RollUpAccumulator:
         self.lto = ExactGasTotals()
         self.ccd = ExactGasTotals()
 
-    def add(self, outcome: FlightOutcome) -> None:
-        rf = outcome.resolved
-        flight = rf.flight
+    def add(self, flight: FlightRecord, seats: int, row: tuple | None) -> None:
+        """Count one flight of `seats` seats; add its emissions, the tuple of
+        `emissions.emissions_row`, unless it has none (`row` is None)."""
         carrier = flight.carrier_code
         airline = self.by_carrier.get(carrier)
         if airline is None:
             airline = self.by_carrier[carrier] = AirlineSummary(carrier)
         airline.total_flights += 1
-        result = outcome.result
-        if result is None:
+        if row is None:
             return
-        seats = rf.seat_count or 0
         airline.emission_flights += 1
         airline.total_seats += seats
-        o, d, c = result.lto_origin_share, result.lto_destination_share, result.ccd
-        exact = []
-        for x in (o.hc, o.co2, o.co, o.nox, d.hc, d.co2, d.co, d.nox,
-                  c.hc, c.co2, c.co, c.nox, result.total_co2e_kg, flight.distance_mi):
-            n, den = x.as_integer_ratio()  # to_units, inline
-            exact.append(n << (UNIT_BITS + 1 - den.bit_length()))
-        airline.total_co2e += exact[12]
-        airline.seat_miles += seats * exact[13]
-        origin, destination, cruise = exact[0:4], exact[4:8], exact[8:12]
-        for units in (origin, destination, cruise):
-            airline.gas_totals.add_units(units)
-        self.lto.add_units(origin)
-        self.lto.add_units(destination)
-        self.ccd.add_units(cruise)
-        for airport, units in ((flight.origin, origin),
-                               (flight.destination, destination)):
-            summary = self.by_airport.get(airport)
-            if summary is None:
-                summary = self.by_airport[airport] = AirportLtoSummary(airport)
-            summary.gas_totals.add_units(units)
+        # The shares, the CCD masses, the total CO2e and the distance in units.
+        values = (*row[0:8], *row[12:16], row[18], flight.distance_mi)
+        try:  # to_units, inline: a normal double is m * 2**e, m * 2**53 an integer
+            units = [int(m * _TWO_53) << (e + UNIT_BITS - 53) for m, e in map(frexp, values)]
+        except ValueError:  # a subnormal has e < 53 - UNIT_BITS
+            units = list(map(to_units, values))
+        (o_hc, o_co2, o_co, o_nox, d_hc, d_co2, d_co, d_nox,
+         c_hc, c_co2, c_co, c_nox, total_co2e, distance) = units
+        airline.total_co2e += total_co2e
+        airline.seat_miles += seats * distance
+        l_hc, l_co2, l_co, l_nox = o_hc + d_hc, o_co2 + d_co2, o_co + d_co, o_nox + d_nox
+        by_airport = self.by_airport
+        origin = by_airport.get(flight.origin) or self._new_airport(flight.origin)
+        destination = (by_airport.get(flight.destination)
+                       or self._new_airport(flight.destination))
+        for totals, hc, co2, co, nox in (
+                (airline.gas_totals, l_hc + c_hc, l_co2 + c_co2, l_co + c_co, l_nox + c_nox),
+                (self.lto, l_hc, l_co2, l_co, l_nox),
+                (self.ccd, c_hc, c_co2, c_co, c_nox),
+                (origin.gas_totals, o_hc, o_co2, o_co, o_nox),
+                (destination.gas_totals, d_hc, d_co2, d_co, d_nox)):
+            totals.hc_units += hc
+            totals.co2_units += co2
+            totals.co_units += co
+            totals.nox_units += nox
+
+    def _new_airport(self, airport: str) -> AirportLtoSummary:
+        self.by_airport[airport] = summary = AirportLtoSummary(airport)
+        return summary
 
     def finish(self) -> RollUp:
         """The roll-up of every outcome added so far, with its rows sorted."""

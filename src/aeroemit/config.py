@@ -102,7 +102,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
 
     def number(key: str, hi: float = math.inf) -> float:
-        """The value of `key`, a finite number in [0, hi]."""
+        """The value of `key`, a finite number in [0, hi]; -0 gives +0.0."""
         try:
             value = float(pairs[key])
         except ValueError:
@@ -111,7 +111,7 @@ def load_config(path: str | Path | None) -> RunConfig:
             raise ConfigError(f"{key}: must be finite, got {value}")
         if not 0.0 <= value <= hi:
             raise ConfigError(f"{key}: {value} out of range")
-        return value
+        return abs(value)  # -0.0 passes the range check; outputs must not print it
 
     settings: dict[str, object] = {}
     for key in (*REQUIRED_TABLE_KEYS, *OPTIONAL_PATH_KEYS, "output_dir"):

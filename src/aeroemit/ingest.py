@@ -106,9 +106,11 @@ class CcdProfile:
     knots: tuple[CcdKnot, ...]
 
     @functools.cached_property
-    def durations(self) -> tuple[float, ...]:
-        """The knots' durations, ascending."""
-        return tuple(k.duration_min for k in self.knots)
+    def table(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+        """The knots' durations, ascending, and each knot's masses in GASES
+        order: what the interpolation reads."""
+        return (tuple(k.duration_min for k in self.knots),
+                tuple(tuple(k.emissions_kg[gas] for gas in GASES) for k in self.knots))
 
 
 @dataclass

@@ -3,10 +3,13 @@
 `run_pipeline` is one pass over the flight table, in one thread: each
 flight is read, resolved, computed, written and added to the exact roll-up,
 then dropped, so memory does not grow with the number of flights. A thread
-pool cannot speed up the per-flight work, which is pure Python. The outputs
-are replaced together after the last flight (`OutputWriter`). Output bytes
-depend on the inputs alone. `load_data`, `resolve_all` and `compute_outcomes`
-are the same steps over lists.
+pool cannot speed up the per-flight work, which is pure Python. Resolution
+runs once per tail (`TailPlans`); per flight only the air time and distance
+checks and the `emissions.emissions_row` kernel remain, and its flat tuple
+goes straight to the writers. The outputs are replaced together after the last
+flight (`OutputWriter`). Output bytes depend on the inputs alone. `load_data`,
+`resolve_all` and `compute_outcomes` are the same steps over lists, through
+the reference `resolve_flight` and `flight_emissions`.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ import contextlib
 import dataclasses
 import json
 import logging
+import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import aggregate as agg
 from . import emissions, ingest, matching
@@ -64,16 +68,16 @@ class CoverageReport:
             return 0.0
         return self.computed_flights / self.total_flights
 
-    def add(self, rf: matching.ResolvedFlight) -> None:
-        """Count one flight, resolved or, in `run`, also computed: a flight
-        whose emissions are not finite carries NONFINITE_EMISSIONS."""
+    def add(self, cause: str | None, flags: Iterable[str]) -> None:
+        """Count one flight by its incomputable cause and provenance flags,
+        resolved or, in `run`, also computed: a flight whose emissions are not
+        finite has the cause NONFINITE_EMISSIONS."""
         self.total_flights += 1
-        cause = rf.incomputable_cause
         if cause is None:
             self.computed_flights += 1
         else:
             self.causes[cause] = self.causes.get(cause, 0) + 1
-        for flag in rf.provenance:
+        for flag in flags:
             self.fallback_flags[flag] = self.fallback_flags.get(flag, 0) + 1
 
     def to_dict(self) -> dict:
@@ -180,6 +184,121 @@ def compute_outcomes(resolved: list[matching.ResolvedFlight], data: LoadedData,
     return [_outcome(rf, data.tables, cfg) for rf in resolved]
 
 
+# --- the per-tail plan: resolution once per tail ---
+
+# Rates for an engine the databank lacks, possible only in tables not made by
+# LookupTables.build: the kernel drops such a flight by its finite check, as
+# flight_emissions drops it, and `run` gives it NONFINITE_EMISSIONS.
+_NAN_RATES = (float("nan"),) * 16
+_FLIGHT_CAUSES = (matching.MISSING_AIRTIME, matching.MISSING_DISTANCE)
+
+
+class TailPlan(NamedTuple):
+    """What `run` and `validate` need of one tail: `resolve_flight`'s result
+    for any flight of it, less the flight-level causes, and the kernel inputs."""
+
+    cause: str | None  # the tail-level incomputable cause
+    flags: tuple[str, ...]  # the provenance flags, sorted
+    seats: int  # the seat count, 0 when unknown
+    cells: str  # ",type,emissions type,engine UID,provenance", CSV-quoted
+    scatter_cells: str  # ",type,engine UID", CSV-quoted
+    terms: tuple[float, ...] | None  # emissions.kernel_terms; None when incomputable
+    ccd: tuple | None  # the CCD profile's table; None when incomputable
+
+    @classmethod
+    def of(cls, rf: matching.ResolvedFlight, cause: str | None,
+           terms: tuple[float, ...] | None, ccd: tuple | None) -> TailPlan:
+        flags = tuple(sorted(rf.provenance))
+        canonical_type, engine_uid = _quoted(rf.canonical_type or ""), _quoted(rf.engine_uid or "")
+        return cls(cause, flags, rf.seat_count or 0,
+                   f",{canonical_type},{_quoted(rf.emissions_type or '')},{engine_uid},"
+                   f"{_quoted('|'.join(flags))}",
+                   f",{canonical_type},{engine_uid}", terms, ccd)
+
+
+class TailPlans:
+    """Each tail's `TailPlan`, built on its first flight by `resolve_flight`.
+
+    Only tails of the airframe inventory get an entry; a blank tail and an
+    unknown tail each share one plan and add no entry, so dirty data does not
+    grow the dict. Equal plans, and equal text items of plans, are one object.
+    Two plans with equal cells have one engine UID and one CCD profile, and
+    their kernel terms are one object unless the multiplier or the efficiency
+    factor differs, so plan equality never merges floats that are equal but
+    differ in the sign of a zero.
+    """
+
+    def __init__(self, tables: matching.LookupTables, cfg: RunConfig) -> None:
+        self.tables = tables
+        self.cfg = cfg
+        self.by_tail: dict[str, TailPlan] = {}
+        self._untracked: dict[bool, TailPlan] = {}
+        self._shared: dict = {}
+        self._terms: dict[tuple[str, float, float], tuple[float, ...]] = {}
+        self._ccd_key = operator.attrgetter(
+            "air_time_min" if cfg.interpolation_key == "time" else "distance_mi")
+
+    def resolve(self, flight: ingest.FlightRecord) -> tuple[TailPlan, str | None]:
+        """The flight's tail plan and its cause, that of `resolve_flight`."""
+        plan = self.by_tail.get(flight.tail_number) or self._build(flight)
+        cause = plan.cause
+        if cause is None:
+            if flight.air_time_min is None:
+                cause = matching.MISSING_AIRTIME
+            elif flight.distance_mi is None:
+                cause = matching.MISSING_DISTANCE
+        return plan, cause
+
+    def compute(self, flight: ingest.FlightRecord,
+                ) -> tuple[TailPlan, str | None, tuple | None]:
+        """`resolve`, then the flight's `emissions.emissions_row`, None when it
+        is incomputable; a resolvable flight whose emissions are not finite
+        gets NONFINITE_EMISSIONS."""
+        plan, cause = self.resolve(flight)
+        row = None
+        if cause is None:
+            row = emissions.emissions_row(plan.terms, plan.ccd, plan.seats, flight.taxi_in_min,
+                                          flight.taxi_out_min, self._ccd_key(flight),
+                                          flight.distance_mi)
+            if row is None:
+                cause = matching.NONFINITE_EMISSIONS
+        return plan, cause, row
+
+    def _build(self, flight: ingest.FlightRecord) -> TailPlan:
+        airframe = self.tables.airframes_by_tail.get(flight.tail_number)
+        if airframe is None:  # the plan depends only on whether the tail is blank
+            blank = flight.tail_number is None
+            plan = self._untracked.get(blank)
+            if plan is None:
+                plan = self._untracked[blank] = self._plan(flight)
+            return plan
+        # Keyed by the inventory's own string, so no flight's is kept.
+        plan = self.by_tail[airframe.tail_number] = self._plan(flight)
+        return plan
+
+    def _plan(self, flight: ingest.FlightRecord) -> TailPlan:
+        rf = matching.resolve_flight(flight, self.tables)
+        cause = None if rf.incomputable_cause in _FLIGHT_CAUSES else rf.incomputable_cause
+        terms = ccd = None
+        if cause is None:  # then the engine UID is set and its CCD profile exists
+            multiplier = 1.0
+            if self.cfg.engine_multiplier_mode == "per-engine":
+                multiplier = float(rf.engine_count or 1)
+            key = (rf.engine_uid, multiplier, rf.efficiency_factor)
+            terms = self._terms.get(key)
+            if terms is None:
+                factors = self.tables.databank_by_uid.get(rf.engine_uid)
+                terms = self._terms[key] = emissions.kernel_terms(
+                    _NAN_RATES if factors is None else factors.flat_rates, multiplier,
+                    rf.efficiency_factor, self.cfg.co2e_factors)
+            ccd = self.tables.ccd_by_type[rf.emissions_type].table
+        shared = self._shared.setdefault
+        cause, flags, seats, cells, scatter_cells, terms, ccd = TailPlan.of(rf, cause, terms, ccd)
+        plan = TailPlan(cause, shared(flags, flags), seats, shared(cells, cells),
+                        shared(scatter_cells, scatter_cells), terms, ccd)
+        return shared(plan, plan)
+
+
 # --- serialization ---
 
 def _mass(value: float) -> str:
@@ -191,9 +310,13 @@ def _ratio(value: float | None) -> str:
 
 
 def _quoted(cell: str) -> str:
-    if any(c in cell for c in ',"\r\n'):
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
+
+
+# The numeric cells of a flight_emissions.csv row, from emissions_row's [8:21].
+_FLIGHT_NUMBERS = ",%.2f" * 12 + ",%.6f"
 
 
 def _csv_line(row: list[str], numbers: str = "") -> str:
@@ -214,7 +337,7 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 class OutputWriter:
     """The seven output files of one run, staged and then committed together.
 
-    ``with OutputWriter(cfg) as out``: `add` each outcome in input order, then
+    ``with OutputWriter(cfg) as out``: `add` each flight in input order, then
     `commit`. Each file is staged as `<name>.tmp` in the output directory,
     which entering creates, and replaces its target only in `commit`. Leaving
     the block without a commit removes every staged file, so an error or an
@@ -234,11 +357,13 @@ class OutputWriter:
     def __enter__(self) -> OutputWriter:
         self.outdir.mkdir(parents=True, exist_ok=True)
         seat_mile_header = list(SCATTER_SEAT_MILE_HEADER)
+        self._unep_cells = None
         if self.cfg.unep is not None:
             seat_mile_header.append("unep_baseline")
             unep = self.cfg.unep
-            self._unep_cells = (_ratio(unep.short_haul_co2_per_seat_mile),
-                                _ratio(unep.long_haul_co2_per_seat_mile))
+            self._unep_cells = ("," + _ratio(unep.short_haul_co2_per_seat_mile),
+                                "," + _ratio(unep.long_haul_co2_per_seat_mile),
+                                unep.cutoff_mi)
         else:
             logger.warning("no UNEP baseline constants configured; "
                            "scatter_seat_mile.csv omits the baseline column")
@@ -255,37 +380,25 @@ class OutputWriter:
             raise
         return self
 
-    def add(self, outcome: agg.FlightOutcome) -> None:
-        """Roll up one flight and, if it was computed, write its three rows."""
-        self.rollup.add(outcome)
-        result = outcome.result
-        if result is None:
+    def add(self, flight: ingest.FlightRecord, plan: TailPlan, row: tuple | None) -> None:
+        """Roll up one flight and, if it was computed (`row`, the tuple of
+        `emissions.emissions_row`, is not None), write its three rows."""
+        self.rollup.add(flight, plan.seats, row)
+        if row is None:
             return
-        rf = outcome.resolved
-        flight = rf.flight
         distance = repr(flight.distance_mi)
-        canonical_type, engine_uid = rf.canonical_type or "", rf.engine_uid or ""
-        lto, ccd = result.lto, result.ccd
-        total_co2e = f"{result.total_co2e_kg:.2f}"
-        per_seat_mile = f"{result.per_seat_mile_co2_kg:.6f}"
-        self._flights.write(_csv_line([
-            flight.flight_date.isoformat(), flight.carrier_code,
-            flight.flight_number, flight.tail_number or "", flight.origin,
-            flight.destination, distance, repr(flight.air_time_min),
-            canonical_type, rf.emissions_type or "", engine_uid,
-            "|".join(sorted(rf.provenance))],
-            f",{lto.hc:.2f},{lto.co2:.2f},{lto.co:.2f},{lto.nox:.2f}"
-            f",{ccd.hc:.2f},{ccd.co2:.2f},{ccd.co:.2f},{ccd.nox:.2f}"
-            f",{result.lto_co2e_kg:.2f},{result.ccd_co2e_kg:.2f},{total_co2e}"
-            f",{result.per_seat_co2e_kg:.2f},{per_seat_mile}"))
-        self._co2e.write(_csv_line([distance, total_co2e, canonical_type, engine_uid,
-                                    flight.carrier_code]))
-        sm_row = [distance, per_seat_mile, canonical_type, engine_uid,
-                  flight.carrier_code]
-        if self.cfg.unep is not None:  # the cell of agg.unep_baseline
-            short, long = self._unep_cells
-            sm_row.append(short if flight.distance_mi < self.cfg.unep.cutoff_mi else long)
-        self._seat_mile.write(_csv_line(sm_row))
+        carrier = flight.carrier_code
+        self._flights.write(_csv_line(
+            [flight.flight_date.isoformat(), carrier, flight.flight_number,
+             flight.tail_number or "", flight.origin, flight.destination],
+            f",{distance},{flight.air_time_min!r}{plan.cells}" + _FLIGHT_NUMBERS % row[8:21]))
+        scatter = f"{plan.scatter_cells},{_quoted(carrier)}"
+        self._co2e.write("%s,%.2f%s\n" % (distance, row[18], scatter))
+        unep = self._unep_cells  # the cell of agg.unep_baseline
+        if unep is not None:
+            short, long, cutoff = unep
+            scatter += short if flight.distance_mi < cutoff else long
+        self._seat_mile.write("%s,%.6f%s\n" % (distance, row[20], scatter))
 
     def commit(self, coverage: CoverageReport) -> None:
         """Write the roll-up files and coverage.json, then replace all seven
@@ -345,11 +458,11 @@ def run_pipeline(cfg: RunConfig) -> CoverageReport:
     _check_output_dir(Path(cfg.output_dir))
     coverage = CoverageReport()
     with open_inputs(cfg) as data, OutputWriter(cfg) as out:
+        compute = TailPlans(data.tables, cfg).compute
         for flight in data.flights:
-            outcome = _outcome(matching.resolve_flight(flight, data.tables),
-                               data.tables, cfg)
-            coverage.add(outcome.resolved)
-            out.add(outcome)
+            plan, cause, row = compute(flight)
+            coverage.add(cause, plan.flags)
+            out.add(flight, plan, row)
         out.commit(coverage)
     return coverage
 
@@ -358,6 +471,8 @@ def validate_inputs(cfg: RunConfig) -> tuple[dict[str, IngestReport], CoverageRe
     """Every table's report and the coverage of resolution, in one pass."""
     coverage = CoverageReport()
     with open_inputs(cfg) as data:
+        resolve = TailPlans(data.tables, cfg).resolve
         for flight in data.flights:
-            coverage.add(matching.resolve_flight(flight, data.tables))
+            plan, cause = resolve(flight)
+            coverage.add(cause, plan.flags)
     return data.reports, coverage

@@ -43,11 +43,23 @@ B739ER_CCD_KNOTS = [
 
 # The list forms of the streaming pieces `run` feeds one flight at a time.
 
+def row_of(result):
+    """The `emissions.emissions_row` tuple of an `EmissionsResult`, or None."""
+    if result is None:
+        return None
+    return (*(getattr(v, gas) for v in (result.lto_origin_share, result.lto_destination_share,
+                                        result.lto, result.ccd)
+              for gas in ("hc", "co2", "co", "nox")),
+            result.lto_co2e_kg, result.ccd_co2e_kg, result.total_co2e_kg,
+            result.per_seat_co2e_kg, result.per_seat_mile_co2_kg, result.ccd_flag)
+
+
 def roll_up(outcomes, co2e_factors: Co2eFactors = Co2eFactors()) -> agg.RollUp:
     """Every grouping of `outcomes`, through `RollUpAccumulator`."""
     accumulator = agg.RollUpAccumulator(co2e_factors)
     for outcome in outcomes:
-        accumulator.add(outcome)
+        rf = outcome.resolved
+        accumulator.add(rf.flight, rf.seat_count or 0, row_of(outcome.result))
     return accumulator.finish()
 
 
@@ -55,7 +67,7 @@ def coverage_report(resolved) -> pipeline.CoverageReport:
     """`CoverageReport.add` over every resolved flight."""
     report = pipeline.CoverageReport()
     for rf in resolved:
-        report.add(rf)
+        report.add(rf.incomputable_cause, rf.provenance)
     return report
 
 
@@ -63,7 +75,9 @@ def write_outputs(outcomes, cfg, coverage: pipeline.CoverageReport) -> None:
     """All seven run outputs of `outcomes`, through `OutputWriter`."""
     with pipeline.OutputWriter(cfg) as out:
         for outcome in outcomes:
-            out.add(outcome)
+            rf = outcome.resolved
+            out.add(rf.flight, pipeline.TailPlan.of(rf, rf.incomputable_cause, None, None),
+                    row_of(outcome.result))
         out.commit(coverage)
 
 

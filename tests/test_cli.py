@@ -129,6 +129,21 @@ class TestRun:
             expected = "0.2" if float(row["distance_mi"]) < 700 else "0.1"
             assert row["unep_baseline"].startswith(expected)
 
+    def test_negative_zero_config_numbers_print_no_negative_zero(self, tmp_path):
+        """-0 is in range for a UNEP constant or a CO2e factor; it is stored as
+        +0.0, so no output cell reads -0.000000 or -0.00."""
+        paths = build_corpus(tmp_path, n_flights=50)
+        config = write_config(tmp_path, paths, tmp_path / "out", extra={
+            "unep_short": "-0", "unep_long": "-0.0", "unep_cutoff_mi": "700",
+            "co2e_hc": "-0"})
+        assert config.read_text(encoding="utf-8").count("-0") == 3
+        assert cli.main(["run", "--config", str(config)]) == 0
+        rows = read_rows(tmp_path / "out" / "scatter_seat_mile.csv")
+        assert {row["unep_baseline"] for row in rows} == {"0.000000"}
+        for name in pipeline.OUTPUT_FILES:
+            text = (tmp_path / "out" / name).read_text(encoding="utf-8")
+            assert not re.search(r"(^|[,\s])-0\.0*($|[,\s])", text, re.MULTILINE), name
+
     def test_no_unep_config_omits_column(self, golden_config, tmp_path):
         cli.main(["run", "--config", str(golden_config)])
         rows = read_rows(tmp_path / "out" / "scatter_seat_mile.csv")

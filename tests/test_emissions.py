@@ -117,6 +117,15 @@ class TestCcdInterpolate:
         _, high = interpolate_ccd(b739er_profile, 500.0)
         assert high == emissions.EXTRAPOLATED_HIGH
 
+    def test_nan_duration_raises(self, b739er_profile, cfm56_factors):
+        with pytest.raises(ValueError, match="NaN"):
+            interpolate_ccd(b739er_profile, math.nan)
+        # The kernel has no such check: its finite check drops the flight.
+        terms = emissions.kernel_terms(cfm56_factors.flat_rates, 1.0, 1.0, Co2eFactors())
+        ccd = b739er_profile.table
+        assert emissions.emissions_row(terms, ccd, 180, 7.0, 15.0, 124.0, 666.0) is not None
+        assert emissions.emissions_row(terms, ccd, 180, 7.0, 15.0, math.nan, 666.0) is None
+
     def test_extrapolation_is_linear_not_clamped(self, b739er_profile):
         v, _ = interpolate_ccd(b739er_profile, 450.0)
         # continues the last segment's slope past the final knot

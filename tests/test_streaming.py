@@ -2,13 +2,19 @@
 
 import contextlib
 import dataclasses
+import datetime
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aeroemit import cli, emissions, ingest, pipeline
-from aeroemit.config import load_config
-from conftest import build_corpus, coverage_report, write_config, write_csv, write_outputs
+from aeroemit import cli, emissions, ingest, matching, pipeline
+from aeroemit.config import RunConfig, load_config
+from aeroemit.ingest import AirframeRecord, EngineLtoFactors, FlightRecord, TailEngineRecord
+from conftest import (CFM56_7B27E_RATES, build_corpus, coverage_report, make_b739er_profile,
+                      row_of, write_config, write_csv, write_outputs)
 
 ONTIME_HEADER = ["flight_date", "carrier", "flight_number", "tail_number", "origin",
                  "dest", "air_time_min", "taxi_in_min", "taxi_out_min", "distance_mi"]
@@ -62,6 +68,130 @@ class TestStreamTable:
         assert handle.closed
 
 
+def plan_test_tables() -> matching.LookupTables:
+    """One tail per resolution path: exact, Jaccard and popular engine, family
+    fallback, no type match, no CCD profile and no engine match."""
+    airframes = [AirframeRecord("N1", "B739ER", 180, 2), AirframeRecord("N2", "737-8X", 172, 2),
+                 AirframeRecord("N3", "B739ER", 160, 2), AirframeRecord("N4", "ZZZ", 90, 1),
+                 AirframeRecord("N5", "A320", 150, 2), AirframeRecord("N6", "B739ER", 400, 3),
+                 AirframeRecord("N7", "737-7X", 140, 4)]
+    registry = [TailEngineRecord("N1", "CFM56-7B27E"), TailEngineRecord("N2", "CFM56-7B27E"),
+                TailEngineRecord("N4", "CFM56-7B27E"), TailEngineRecord("N6", "CFM56 7B26 X"),
+                TailEngineRecord("N7", "PW4000")]
+    databank = [EngineLtoFactors(uid, {k: v * scale for k, v in CFM56_7B27E_RATES.items()})
+                for uid, scale in (("CFM56-7B27E", 1.0), ("CFM56-7B26", 0.9))]
+    rules = matching.NormalizationRuleSet([
+        matching.NormalizationRule("B739ER", "737-900ER"),
+        matching.NormalizationRule("737-8*", "737-8"),
+        matching.NormalizationRule("737-7*", "737-7"),
+        matching.NormalizationRule("A320", "A320")])
+    fallback = {"737-8": matching.FamilyFallback("737-900ER", 0.85),
+                "737-7": matching.FamilyFallback("737-900ER", 0.8)}
+    return matching.LookupTables.build(airframes, registry, [], databank,
+                                       [make_b739er_profile()], rules, fallback)
+
+
+PLAN_TEST_TABLES = plan_test_tables()
+# N0 is not in the inventory, None is a blank tail.
+tails = st.sampled_from(["N1", "N2", "N3", "N4", "N5", "N6", "N7", "N0", None])
+times = st.one_of(st.none(), st.floats(min_value=0.0, max_value=600.0),
+                  st.sampled_from([22.0, 410.0, 1e300]))
+taxis = st.one_of(st.none(), st.floats(min_value=0.0, max_value=60.0))
+
+
+@st.composite
+def plan_flights(draw):
+    tail = draw(tails)
+    return FlightRecord(datetime.date(2021, 9, 1), draw(st.sampled_from(["DL", "AA"])), "1",
+                        tail, "PHL", "ATL", draw(times), draw(taxis), draw(taxis),
+                        draw(st.one_of(st.none(), st.floats(min_value=1.0, max_value=3000.0),
+                                       st.just(1e300))))
+
+
+def first_flight_incomplete():
+    """N1's first flight lacks an air time, its second a distance; then a
+    complete one, which must not inherit either cause."""
+    base = FlightRecord(datetime.date(2021, 9, 1), "DL", "1", "N1", "PHL", "ATL",
+                        124.0, 7.43, 15.42, 666.0)
+    return [dataclasses.replace(base, air_time_min=None),
+            dataclasses.replace(base, distance_mi=None), base]
+
+
+def bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestPlanPathEqualsReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(plan_flights(), max_size=40), st.sampled_from(["time", "distance"]),
+           st.sampled_from(["paper-compatible", "per-engine"]))
+    @example(first_flight_incomplete(), "time", "paper-compatible")
+    @example(first_flight_incomplete(), "distance", "per-engine")
+    def test_every_flight(self, flights, key, mode):
+        """`TailPlans.compute` (run) and `TailPlans.resolve` (validate) give each
+        flight the cause, flags, seats and emissions of `resolve_flight` and
+        `flight_emissions`, the reference the list functions use."""
+        tables = PLAN_TEST_TABLES
+        cfg = RunConfig(*(Path("unused.csv"),) * 6, interpolation_key=key,
+                        engine_multiplier_mode=mode)
+        resolved = [matching.resolve_flight(f, tables) for f in flights]
+        outcomes = pipeline.compute_outcomes(
+            resolved, pipeline.LoadedData(flights, tables, {}), cfg)
+        run, validate = pipeline.TailPlans(tables, cfg), pipeline.TailPlans(tables, cfg)
+        for flight, rf, outcome in zip(flights, resolved, outcomes):
+            plan, cause, row = run.compute(flight)
+            assert cause == outcome.resolved.incomputable_cause
+            assert plan.flags == tuple(sorted(rf.provenance))
+            assert plan.seats == (rf.seat_count or 0)
+            expected = row_of(outcome.result)
+            assert (row is None) == (expected is None)
+            if row is not None:
+                assert list(map(bits, row)) == list(map(bits, expected))
+            plan, cause = validate.resolve(flight)
+            assert (cause, plan.flags) == (rf.incomputable_cause, tuple(sorted(rf.provenance)))
+        # Only inventory tails get an entry.
+        assert set(run.by_tail) <= {f.tail_number for f in flights} - {"N0", None}
+
+    def test_tables_cover_every_path(self):
+        """The tables above reach each fallback and cause the property needs."""
+        causes, flags = set(), set()
+        for tail in ("N1", "N2", "N3", "N4", "N5", "N6", "N7", "N0", None):
+            base = first_flight_incomplete()[-1]
+            rf = matching.resolve_flight(dataclasses.replace(base, tail_number=tail),
+                                         PLAN_TEST_TABLES)
+            causes.add(rf.incomputable_cause)
+            flags |= rf.provenance
+        assert causes == {None, matching.NO_TYPE_MATCH, matching.NO_CCD_PROFILE,
+                          matching.NO_ENGINE_MATCH, matching.NO_AIRFRAME,
+                          matching.MISSING_TAIL}
+        assert flags == {matching.ENGINE_EXACT, matching.ENGINE_JACCARD,
+                         matching.ENGINE_POPULAR_FALLBACK, matching.FAMILY_FALLBACK}
+
+    def test_engine_missing_from_hand_built_tables(self):
+        """Tables not made by LookupTables.build can name an engine the databank
+        lacks: like flight_emissions, the plan path computes nothing for it, and
+        `run` gives it NONFINITE_EMISSIONS."""
+        tables = dataclasses.replace(PLAN_TEST_TABLES, databank_by_uid={})
+        cfg = RunConfig(*(Path("unused.csv"),) * 6)
+        flight = first_flight_incomplete()[-1]
+        rf = matching.resolve_flight(flight, tables)
+        (outcome,) = pipeline.compute_outcomes([rf], pipeline.LoadedData([], tables, {}), cfg)
+        plan, cause, row = pipeline.TailPlans(tables, cfg).compute(flight)
+        assert (cause, row) == (outcome.resolved.incomputable_cause, None)
+        assert cause == matching.NONFINITE_EMISSIONS
+
+    def test_unknown_and_blank_tails_add_no_entry(self):
+        cfg = RunConfig(*(Path("unused.csv"),) * 6)
+        plans = pipeline.TailPlans(PLAN_TEST_TABLES, cfg)
+        base = first_flight_incomplete()[-1]
+        seen = {plans.compute(dataclasses.replace(base, tail_number=tail))[0]
+                for tail in [f"X{i}" for i in range(100)] + [None] * 3}
+        assert plans.by_tail == {} and len(seen) == 2
+        plans.compute(base)
+        plans.compute(dataclasses.replace(base, tail_number="N7"))
+        assert list(plans.by_tail) == ["N1", "N7"]
+
+
 def test_run_writes_what_the_list_functions_write(tmp_path, capsys):
     """`run` streams; `write_outputs` over the list API gives the same bytes,
     and `validate_inputs` the same reports and coverage."""
@@ -95,7 +225,7 @@ def test_interrupted_run_leaves_previous_outputs(tmp_path, monkeypatch, capsys,
     config = write_config(tmp_path, {**paths, "ontime": fewer}, outdir, extra=UNEP_CONSTANTS)
     calls = 0
     if stage == "compute":
-        real = emissions.flight_emissions
+        real = emissions.emissions_row
 
         def failing(*args, **kwargs):
             nonlocal calls
@@ -103,7 +233,7 @@ def test_interrupted_run_leaves_previous_outputs(tmp_path, monkeypatch, capsys,
             if calls == 100:
                 raise error("stopped at flight 100")
             return real(*args, **kwargs)
-        monkeypatch.setattr(emissions, "flight_emissions", failing)
+        monkeypatch.setattr(emissions, "emissions_row", failing)
     else:
         def failing(self):
             nonlocal calls

@@ -7,7 +7,6 @@ from .emissions import (
     LtoTimes,
     co2e,
     flight_emissions,
-    lto_emissions,
     split_lto,
 )
 from .ingest import (
@@ -32,6 +31,6 @@ __all__ = [
     "AirframeRecord", "CcdProfile", "Co2eFactors", "EmissionsResult",
     "EngineLtoFactors", "FlightRecord", "GasVector", "IngestReport",
     "LtoTimes", "NormalizationRuleSet", "ResolvedFlight", "co2e",
-    "flight_emissions", "jaccard_similarity", "lto_emissions", "match_engine",
-    "resolve_flight", "split_lto", "tokenize", "__version__",
+    "flight_emissions", "jaccard_similarity", "match_engine", "resolve_flight",
+    "split_lto", "tokenize", "__version__",
 ]

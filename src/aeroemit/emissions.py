@@ -78,15 +78,6 @@ def _mode_vector(factors: EngineLtoFactors, mode: str, seconds: float,
     )
 
 
-def lto_emissions(factors: EngineLtoFactors, times: LtoTimes,
-                  engine_multiplier: float = 1.0) -> GasVector:
-    """Per-gas LTO mass: sum over the four modes of rate x time."""
-    return (_mode_vector(factors, "TAKEOFF", times.takeoff_s, engine_multiplier)
-            + _mode_vector(factors, "CLIMBOUT", times.climbout_s, engine_multiplier)
-            + _mode_vector(factors, "APPROACH", times.approach_s, engine_multiplier)
-            + _mode_vector(factors, "IDLE", times.idle_s, engine_multiplier))
-
-
 def split_lto(factors: EngineLtoFactors, times: LtoTimes,
               taxi_in_min: float | None, taxi_out_min: float | None,
               engine_multiplier: float = 1.0, efficiency_factor: float = 1.0,

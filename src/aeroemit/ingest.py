@@ -156,7 +156,10 @@ def number(name: str, minimum: float | None = None, strict: bool = False,
     def convert(value: str) -> float | None:
         if optional and value == "":
             return None
-        result = float(value)
+        try:
+            result = float(value)
+        except ValueError:
+            raise ValueError(f"{name} must be a number, got {value!r}") from None
         if not math.isfinite(result):
             raise ValueError(f"{name} must be finite, got {result}")
         if minimum is not None and not (result > minimum if strict else result >= minimum):
@@ -172,7 +175,10 @@ def integer(name: str, lo: int, hi: int | None = None, default: int | None = Non
     def convert(value: str) -> int:
         if default is not None and value == "":
             return default
-        result = int(value)
+        try:
+            result = int(value)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if result < lo or hi is not None and result > hi:
             raise ValueError(f"{name} must be {bound}, got {result}")
         return result
@@ -422,10 +428,6 @@ BADA_CCD_TABLE = TableSchema(
     optional=number("distance_mi", 0.0, strict=True, optional=True))
 INPUT_TABLES = (ONTIME_TABLE, B43_TABLE, TAIL_REGISTRY_TABLE, ENGINE_CODES_TABLE,
                 ICAO_ENGINES_TABLE, BADA_CCD_TABLE)
-
-
-def parse_ontime(path: str | Path) -> tuple[list[FlightRecord], IngestReport]:
-    return read_table(ONTIME_TABLE, path)
 
 
 def parse_b43(path: str | Path) -> tuple[list[AirframeRecord], IngestReport]:

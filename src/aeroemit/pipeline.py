@@ -20,6 +20,7 @@ import json
 import logging
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -211,9 +212,9 @@ class TailPlan(NamedTuple):
         flags = tuple(sorted(rf.provenance))
         canonical_type, engine_uid = _quoted(rf.canonical_type or ""), _quoted(rf.engine_uid or "")
         return cls(cause, flags, rf.seat_count or 0,
-                   f",{canonical_type},{_quoted(rf.emissions_type or '')},{engine_uid},"
-                   f"{_quoted('|'.join(flags))}",
-                   f",{canonical_type},{engine_uid}", terms, ccd)
+                   sys.intern(f",{canonical_type},{_quoted(rf.emissions_type or '')},"
+                              f"{engine_uid},{_quoted('|'.join(flags))}"),
+                   sys.intern(f",{canonical_type},{engine_uid}"), terms, ccd)
 
 
 class TailPlans:
@@ -221,7 +222,7 @@ class TailPlans:
 
     Only tails of the airframe inventory get an entry; a blank tail and an
     unknown tail each share one plan and add no entry, so dirty data does not
-    grow the dict. Equal plans, and equal text items of plans, are one object.
+    grow the dict. Equal plans are one object, and `TailPlan.of` interns the CSV cells.
     Two plans with equal cells have one engine UID and one CCD profile, and
     their kernel terms are one object unless the multiplier or the efficiency
     factor differs, so plan equality never merges floats that are equal but
@@ -233,7 +234,7 @@ class TailPlans:
         self.cfg = cfg
         self.by_tail: dict[str, TailPlan] = {}
         self._untracked: dict[bool, TailPlan] = {}
-        self._shared: dict = {}
+        self._shared: dict[TailPlan, TailPlan] = {}
         self._terms: dict[tuple[str, float, float], tuple[float, ...]] = {}
         self._ccd_key = operator.attrgetter(
             "air_time_min" if cfg.interpolation_key == "time" else "distance_mi")
@@ -292,11 +293,8 @@ class TailPlans:
                     _NAN_RATES if factors is None else factors.flat_rates, multiplier,
                     rf.efficiency_factor, self.cfg.co2e_factors)
             ccd = self.tables.ccd_by_type[rf.emissions_type].table
-        shared = self._shared.setdefault
-        cause, flags, seats, cells, scatter_cells, terms, ccd = TailPlan.of(rf, cause, terms, ccd)
-        plan = TailPlan(cause, shared(flags, flags), seats, shared(cells, cells),
-                        shared(scatter_cells, scatter_cells), terms, ccd)
-        return shared(plan, plan)
+        plan = TailPlan.of(rf, cause, terms, ccd)
+        return self._shared.setdefault(plan, plan)
 
 
 # --- serialization ---

@@ -27,7 +27,8 @@ GOLDEN_ROW = ["2021-09-01", "DL", "2441", "N815DN", "PHL", "ATL",
 
 class TestParseOntime:
     def test_golden_row(self, tmp_path):
-        records, report = ingest.parse_ontime(ontime_file(tmp_path, [GOLDEN_ROW]))
+        records, report = ingest.read_table(ingest.ONTIME_TABLE,
+                                            ontime_file(tmp_path, [GOLDEN_ROW]))
         assert report.accepted == 1 and report.rejected == 0
         (r,) = records
         assert r.flight_date == datetime.date(2021, 9, 1)
@@ -40,7 +41,7 @@ class TestParseOntime:
         assert r.tail_number is not None and r.air_time_min is not None
 
     def test_empty_file_with_header(self, tmp_path):
-        records, report = ingest.parse_ontime(ontime_file(tmp_path, []))
+        records, report = ingest.read_table(ingest.ONTIME_TABLE, ontime_file(tmp_path, []))
         assert records == []
         assert report.accepted == 0 and report.accepted + report.rejected == 0
 
@@ -48,19 +49,19 @@ class TestParseOntime:
         rows = [GOLDEN_ROW,
                 ["2021-09-02", "DL", "2441", "", "PHL", "ATL", "120", "5", "10", "666"],
                 ["2021-09-03", "DL", "2441", "N815DN", "PHL", "ATL", "122", "5", "10", "666"]]
-        records, report = ingest.parse_ontime(ontime_file(tmp_path, rows))
+        records, report = ingest.read_table(ingest.ONTIME_TABLE, ontime_file(tmp_path, rows))
         assert report.accepted == 3
         assert sum(r.tail_number is None or r.air_time_min is None for r in records) == 1
 
     def test_blank_airtime_flagged(self, tmp_path):
         rows = [["2021-09-02", "DL", "1", "N1", "PHL", "ATL", "", "5", "10", "666"]]
-        records, _ = ingest.parse_ontime(ontime_file(tmp_path, rows))
+        records, _ = ingest.read_table(ingest.ONTIME_TABLE, ontime_file(tmp_path, rows))
         assert records[0].air_time_min is None
         assert records[0].tail_number == "N1"
 
     def test_missing_numeric_is_none_not_zero(self, tmp_path):
         rows = [["2021-09-02", "DL", "1", "N1", "PHL", "ATL", "120", "", "", "666"]]
-        records, _ = ingest.parse_ontime(ontime_file(tmp_path, rows))
+        records, _ = ingest.read_table(ingest.ONTIME_TABLE, ontime_file(tmp_path, rows))
         assert records[0].taxi_in_min is None
         assert records[0].taxi_out_min is None
 
@@ -74,7 +75,8 @@ class TestParseOntime:
     ], ids=["bad-date", "same-airport", "negative-airtime", "zero-distance",
             "blank-carrier", "short-row"])
     def test_rejected_with_reason(self, tmp_path, row, fragment):
-        records, report = ingest.parse_ontime(ontime_file(tmp_path, [GOLDEN_ROW, row]))
+        records, report = ingest.read_table(ingest.ONTIME_TABLE,
+                                            ontime_file(tmp_path, [GOLDEN_ROW, row]))
         assert len(records) == 1
         assert report.rejected == 1
         assert report.rejections[0].line == 3
@@ -84,7 +86,7 @@ class TestParseOntime:
         """A quoted cell spanning two lines moves every later row down a line."""
         rows = [["2021-09-01", "D\nL", *GOLDEN_ROW[2:]],
                 ["2021-09-01", "DL", "1", "N1", "ATL", "ATL", "1", "1", "1", "1"]]
-        records, report = ingest.parse_ontime(ontime_file(tmp_path, rows))
+        records, report = ingest.read_table(ingest.ONTIME_TABLE, ontime_file(tmp_path, rows))
         assert records[0].carrier_code == "D\nL"
         assert [r.line for r in report.rejections] == [4]
 
@@ -95,7 +97,8 @@ class TestParseOntime:
     def test_nonfinite_rejected(self, tmp_path, column, text):
         row = list(GOLDEN_ROW)
         row[ONTIME_HEADER.index(column)] = text
-        records, report = ingest.parse_ontime(ontime_file(tmp_path, [GOLDEN_ROW, row]))
+        records, report = ingest.read_table(ingest.ONTIME_TABLE,
+                                            ontime_file(tmp_path, [GOLDEN_ROW, row]))
         assert len(records) == 1
         assert report.rejected == 1
         assert report.rejections[0].line == 3
@@ -105,7 +108,8 @@ class TestParseOntime:
                                       "2021-09-01T00:00", "2021-09-0\u0661"])
     def test_date_must_be_yyyy_mm_dd(self, tmp_path, text):
         row = [text] + GOLDEN_ROW[1:]
-        records, report = ingest.parse_ontime(ontime_file(tmp_path, [GOLDEN_ROW, row]))
+        records, report = ingest.read_table(ingest.ONTIME_TABLE,
+                                            ontime_file(tmp_path, [GOLDEN_ROW, row]))
         assert len(records) == 1
         (rejection,) = report.rejections
         assert rejection.line == 3
@@ -115,7 +119,7 @@ class TestParseOntime:
         path = ontime_file(tmp_path, [GOLDEN_ROW, GOLDEN_ROW, GOLDEN_ROW])
         data = path.read_bytes().replace(b"DL", b"D\xff", 1)
         path.write_bytes(data)
-        records, report = ingest.parse_ontime(path)
+        records, report = ingest.read_table(ingest.ONTIME_TABLE, path)
         assert len(records) == 2
         (rejection,) = report.rejections
         assert rejection.line == 2
@@ -125,7 +129,7 @@ class TestParseOntime:
         huge = list(GOLDEN_ROW)
         huge[2] = "9" * 200_000
         path = ontime_file(tmp_path, [GOLDEN_ROW, huge, GOLDEN_ROW])
-        records, report = ingest.parse_ontime(path)
+        records, report = ingest.read_table(ingest.ONTIME_TABLE, path)
         assert len(records) == 2
         assert report.accepted + report.rejected == 3
         (rejection,) = report.rejections
@@ -134,25 +138,25 @@ class TestParseOntime:
 
     def test_conservation(self, tmp_path):
         rows = [GOLDEN_ROW, ["bad"] * 10, GOLDEN_ROW, ["x"]]
-        _, report = ingest.parse_ontime(ontime_file(tmp_path, rows))
+        _, report = ingest.read_table(ingest.ONTIME_TABLE, ontime_file(tmp_path, rows))
         assert report.accepted + report.rejected == len(rows)
 
     def test_header_mismatch_fatal(self, tmp_path):
         path = ontime_file(tmp_path, [GOLDEN_ROW], header=["a", "b"])
         with pytest.raises(ingest.HeaderMismatchError):
-            ingest.parse_ontime(path)
+            ingest.read_table(ingest.ONTIME_TABLE, path)
 
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(ingest.IngestError, match="not found"):
-            ingest.parse_ontime(tmp_path / "nope.csv")
+            ingest.read_table(ingest.ONTIME_TABLE, tmp_path / "nope.csv")
 
     def test_round_trip(self, tmp_path):
         rows = [GOLDEN_ROW,
                 ["2021-09-02", "AA", "77", "", "JFK", "LAX", "", "", "", "2475.5"]]
-        records, _ = ingest.parse_ontime(ontime_file(tmp_path, rows))
+        records, _ = ingest.read_table(ingest.ONTIME_TABLE, ontime_file(tmp_path, rows))
         out = tmp_path / "rt.csv"
         ingest.write_table(ingest.ONTIME_TABLE, records, out)
-        records2, report2 = ingest.parse_ontime(out)
+        records2, report2 = ingest.read_table(ingest.ONTIME_TABLE, out)
         assert records2 == records
         assert report2.rejected == 0
 
@@ -447,6 +451,21 @@ def test_fuzzed_rows_are_accepted_or_rejected_and_round_trip(schema, header, dat
         again, report2 = ingest.read_table(schema, out)
         assert again == records
         assert report2.rejected == 0 and report2.accepted == report.accepted
+
+
+ALL_COLUMNS = {f"{schema.table}.{column.name}": column
+               for schema in ingest.INPUT_TABLES + matching.CONFIG_TABLES
+               for column in schema.columns + ((schema.optional,) if schema.optional else ())}
+
+
+@pytest.mark.parametrize("column", list(ALL_COLUMNS.values()), ids=list(ALL_COLUMNS))
+@pytest.mark.parametrize("value", ["", "x", "nan"], ids=["empty", "x", "nan"])
+def test_refused_value_names_its_column(column, value):
+    """A rejection's reason says which column holds the refused cell."""
+    try:
+        column.convert(value)
+    except ValueError as exc:
+        assert column.name in str(exc)
 
 
 def test_readme_schema_table_matches_schemas():

@@ -64,7 +64,6 @@ class AirframeRecord:
     raw_type_designator: str
     seat_count: int
     engine_count: int
-    canonical_type: str = ""
 
 
 @dataclass(frozen=True)
@@ -177,8 +176,11 @@ def integer(name: str, lo: int, hi: int | None = None, default: int | None = Non
             return default
         try:
             result = int(value)
+            float(result)  # an int beyond a double would overflow the arithmetic
         except ValueError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
         if result < lo or hi is not None and result > hi:
             raise ValueError(f"{name} must be {bound}, got {result}")
         return result
@@ -203,7 +205,10 @@ def iso_date(name: str) -> Column:
     def convert(value: str) -> datetime.date:
         if not _ISO_DATE.fullmatch(value):
             raise ValueError(f"{name} must be YYYY-MM-DD, got {value!r}")
-        return datetime.date.fromisoformat(value)
+        try:
+            return datetime.date.fromisoformat(value)
+        except ValueError as exc:  # a day, month or year out of range
+            raise ValueError(f"{name} must be a real date, got {value!r}: {exc}") from None
     return Column(name, convert)
 
 

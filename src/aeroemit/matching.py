@@ -8,7 +8,6 @@ similarity. Every fallback taken is recorded as a provenance flag.
 
 from __future__ import annotations
 
-import dataclasses
 import fnmatch
 import re
 from dataclasses import dataclass
@@ -216,43 +215,45 @@ def build_popular_engine_table(fleet: Iterable[tuple[str, str]]) -> dict[str, st
     return table
 
 
-def _resolve_engines(tails: Iterable[str], registry_by_tail: dict[str, str],
+def _resolve_engines(tails: Collection[str], registry_by_tail: dict[str, str],
                      engine_code_text: dict[str, str], uids: Collection[str],
                      threshold: float) -> dict[str, tuple[str, str]]:
-    """(engine_uid, flag) per tail whose registry engine matches a databank UID.
-
-    A designation naming a UID exactly is ENGINE_EXACT; any other is scored by
-    Jaccard similarity, once per distinct token set, against UIDs tokenized once.
+    """(engine_uid, flag) per tail whose registry engine matches a databank UID,
+    one tuple per distinct registry designation. A designation naming a UID
+    exactly is ENGINE_EXACT; any other is scored by Jaccard similarity, once per
+    distinct token set, against UIDs tokenized once.
     """
     tokenized = _tokenize_uids(uids)
     fuzzy: dict[frozenset[str], tuple[str, float] | None] = {}
-    engine_by_tail = {}
-    for tail in tails:
-        designation = registry_by_tail.get(tail)
-        if designation is None:
+    matched: dict[str, tuple[str, str]] = {}  # per registry designation that matches
+    for registered in dict.fromkeys(map(registry_by_tail.get, tails)):
+        designation = engine_code_text.get(registered, registered)
+        if designation is None:  # a tail the registry lacks
             continue
-        designation = engine_code_text.get(designation, designation)
         exact = designation.strip().upper()
         if exact in uids:
-            engine_by_tail[tail] = (exact, ENGINE_EXACT)
+            matched[registered] = (exact, ENGINE_EXACT)
             continue
         query = tokenize(designation)
         if query not in fuzzy:
             fuzzy[query] = _best_match(query, tokenized, threshold)
         if fuzzy[query] is not None:
-            engine_by_tail[tail] = (fuzzy[query][0], ENGINE_JACCARD)
-    return engine_by_tail
+            matched[registered] = (fuzzy[query][0], ENGINE_JACCARD)
+    return {tail: matched[registered] for tail in tails
+            if (registered := registry_by_tail.get(tail)) in matched}
 
 
 @dataclass(frozen=True)
 class LookupTables:
     """Immutable lookup state shared by all resolve_flight calls.
 
-    `engine_by_tail` holds the (engine_uid, flag) of each airframe tail whose
+    `canonical_types` holds each type designator's canonical type, "" if none;
+    `engine_by_tail` the (engine_uid, flag) of each airframe tail whose
     registry engine matched; `popular_engine` the fallback UID per type.
     """
 
     airframes_by_tail: dict[str, AirframeRecord]
+    canonical_types: dict[str, str]
     databank_by_uid: dict[str, EngineLtoFactors]
     ccd_by_type: dict[str, CcdProfile]
     family_fallback: dict[str, FamilyFallback]
@@ -271,10 +272,9 @@ class LookupTables:
               jaccard_threshold: float = DEFAULT_JACCARD_THRESHOLD,
               popular_engine_override: dict[str, str] | None = None,
               ) -> "LookupTables":
-        airframes_by_tail = {
-            a.tail_number: dataclasses.replace(
-                a, canonical_type=rules.normalize(a.raw_type_designator) or "")
-            for a in airframes}
+        airframes_by_tail = {a.tail_number: a for a in airframes}
+        canonical_types = {raw: rules.normalize(raw) or "" for raw in
+                           dict.fromkeys(a.raw_type_designator for a in airframes)}
         databank_by_uid = {e.engine_uid: e for e in databank}
         engine_by_tail = _resolve_engines(
             airframes_by_tail,
@@ -282,15 +282,16 @@ class LookupTables:
             {c.faa_code: c.designation_text for c in engine_codes},
             databank_by_uid, jaccard_threshold)
         popular_engine = build_popular_engine_table(
-            (airframe.canonical_type, engine_by_tail[tail][0])
+            (canonical_type, engine_by_tail[tail][0])
             for tail, airframe in airframes_by_tail.items()
-            if airframe.canonical_type and tail in engine_by_tail)
+            if (canonical_type := canonical_types[airframe.raw_type_designator])
+            and tail in engine_by_tail)
         for ctype, uid in (popular_engine_override or {}).items():
             if uid not in databank_by_uid:
                 raise MatchingConfigError(
                     f"popular-engine override {ctype} -> {uid}: UID not in databank")
             popular_engine[ctype] = uid
-        return cls(airframes_by_tail, databank_by_uid,
+        return cls(airframes_by_tail, canonical_types, databank_by_uid,
                    {p.canonical_type: p for p in ccd_profiles}, family_fallback,
                    engine_by_tail, popular_engine)
 
@@ -320,7 +321,7 @@ def resolve_flight(flight: FlightRecord, tables: LookupTables) -> ResolvedFlight
     if airframe is not None:
         seat_count = airframe.seat_count
         engine_count = airframe.engine_count
-        canonical_type = airframe.canonical_type or None
+        canonical_type = tables.canonical_types[airframe.raw_type_designator] or None
         if canonical_type is None:
             cause = cause or NO_TYPE_MATCH
         else:

@@ -108,29 +108,29 @@ def open_inputs(cfg: RunConfig) -> Iterator[LoadedData]:
     header is checked before any reference table is read."""
     cfg.validate_paths()
     with ingest.stream_table(ingest.ONTIME_TABLE, cfg.ontime) as (flights, ontime_report):
-        airframes, b43_report = ingest.parse_b43(cfg.b43)
-        registry, registry_report = ingest.parse_tail_registry(cfg.tail_registry)
-        codes, codes_report = ingest.parse_engine_codes(cfg.engine_codes)
-        databank, icao_report = ingest.parse_icao_databank(cfg.icao_engines)
-        profiles, bada_report = ingest.parse_bada_ccd(cfg.bada_ccd)
+        tables, reports = _reference_data(cfg)
+        yield LoadedData(flights, tables, {r.table: r for r in (ontime_report, *reports)})
 
-        if cfg.interpolation_key == "distance":
-            profiles = _rekey_profiles_by_distance(profiles)
 
-        rules = matching.NormalizationRuleSet.from_csv(cfg.normalization_rules)
-        fallback = matching.load_family_fallback(cfg.family_fallback)
-        override = None
-        if cfg.popular_engine_override is not None:
-            override = matching.load_popular_engine_override(cfg.popular_engine_override)
-
-        tables = matching.LookupTables.build(
-            airframes, registry, codes, databank, profiles, rules, fallback,
-            jaccard_threshold=cfg.jaccard_threshold,
-            popular_engine_override=override,
-        )
-        reports = {r.table: r for r in (ontime_report, b43_report, registry_report,
-                                        codes_report, icao_report, bada_report)}
-        yield LoadedData(flights, tables, reports)
+def _reference_data(cfg: RunConfig) -> tuple[matching.LookupTables, list[IngestReport]]:
+    """The lookup tables and the five reference tables' reports. The parsed
+    lists are locals here, so they are freed before any flight is read."""
+    airframes, b43_report = ingest.parse_b43(cfg.b43)
+    registry, registry_report = ingest.parse_tail_registry(cfg.tail_registry)
+    codes, codes_report = ingest.parse_engine_codes(cfg.engine_codes)
+    databank, icao_report = ingest.parse_icao_databank(cfg.icao_engines)
+    profiles, bada_report = ingest.parse_bada_ccd(cfg.bada_ccd)
+    if cfg.interpolation_key == "distance":
+        profiles = _rekey_profiles_by_distance(profiles)
+    rules = matching.NormalizationRuleSet.from_csv(cfg.normalization_rules)
+    fallback = matching.load_family_fallback(cfg.family_fallback)
+    override = None
+    if cfg.popular_engine_override is not None:
+        override = matching.load_popular_engine_override(cfg.popular_engine_override)
+    tables = matching.LookupTables.build(
+        airframes, registry, codes, databank, profiles, rules, fallback,
+        jaccard_threshold=cfg.jaccard_threshold, popular_engine_override=override)
+    return tables, [b43_report, registry_report, codes_report, icao_report, bada_report]
 
 
 def load_data(cfg: RunConfig) -> LoadedData:

@@ -405,6 +405,22 @@ class TestOverflowingArithmetic:
         assert coverage["incomputable_causes"] == {"NONFINITE_EMISSIONS": 1}
         assert read_rows(tmp_path / "out" / "flight_emissions.csv") == []
 
+    def test_seat_count_beyond_a_double_rejected(self, tmp_path, capsys):
+        """A seat count a float cannot hold would overflow seats * distance."""
+        paths = write_golden_inputs(tmp_path)
+        with open(paths["b43"], "a", encoding="utf-8") as fh:
+            fh.write("N1,B739ER,1" + "0" * 400 + ",2\n")
+        with open(paths["ontime"], "a", encoding="utf-8") as fh:
+            fh.write("2021-09-02,DL,2442,N1,ATL,PHL,124,7.43,15.42,666\n")
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        assert cli.main(["validate", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert "b43: 1 accepted, 1 rejected\n  line 3: seat_count is too large" in out
+        assert cli.main(["run", "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert "computed 1 of 2 flights" in captured.out
+        assert "Traceback" not in captured.err
+
     def test_airline_total_beyond_a_double_exit_2(self, tmp_path, capsys):
         """Each flight's CO2e is finite; the sum of 20 is not."""
         paths = write_golden_inputs(tmp_path)

@@ -459,7 +459,8 @@ ALL_COLUMNS = {f"{schema.table}.{column.name}": column
 
 
 @pytest.mark.parametrize("column", list(ALL_COLUMNS.values()), ids=list(ALL_COLUMNS))
-@pytest.mark.parametrize("value", ["", "x", "nan"], ids=["empty", "x", "nan"])
+@pytest.mark.parametrize("value", ["", "x", "nan", "2021-02-30"],
+                         ids=["empty", "x", "nan", "impossible-date"])
 def test_refused_value_names_its_column(column, value):
     """A rejection's reason says which column holds the refused cell."""
     try:

@@ -323,9 +323,23 @@ class TestResolveFlight:
         airframes = [AirframeRecord("N815DN", "RAW", 180, 2)]
         first = self.default_tables(airframes=airframes, rules_rows=[("RAW", "TA")])
         second = self.default_tables(airframes=airframes, rules_rows=[("RAW", "TB")])
-        assert first.airframes_by_tail["N815DN"].canonical_type == "TA"
-        assert second.airframes_by_tail["N815DN"].canonical_type == "TB"
+        assert first.canonical_types["RAW"] == "TA"
+        assert second.canonical_types["RAW"] == "TB"
         assert airframes == [AirframeRecord("N815DN", "RAW", 180, 2)]
+        assert first.airframes_by_tail["N815DN"] is airframes[0]
+        assert second.airframes_by_tail["N815DN"] is airframes[0]
+
+    def test_build_normalizes_each_designator_once(self, monkeypatch):
+        normalized = []
+        normalize = matching.NormalizationRuleSet.normalize
+        monkeypatch.setattr(matching.NormalizationRuleSet, "normalize",
+                            lambda rules, raw: normalized.append(raw) or normalize(rules, raw))
+        raw_types = ["B739ER", "737-8X", "ZZZ"]
+        tables = self.default_tables(
+            airframes=[AirframeRecord(f"N{i}", raw_types[i % 3], 180, 2) for i in range(30)],
+            rules_rows=[("B739ER", "737-900ER"), ("737-8*", "737-8")])
+        assert sorted(normalized) == sorted(raw_types)
+        assert tables.canonical_types == {"B739ER": "737-900ER", "737-8X": "737-8", "ZZZ": ""}
 
 
 def reference_match(designation, databank, threshold):
@@ -448,3 +462,7 @@ class TestEngineResolutionEquivalence:
         assert len(scored) == 200
         assert set(tables.engine_by_tail.values()) == {("ENG001-X1", matching.ENGINE_JACCARD)}
         assert len(tables.engine_by_tail) == 50
+        # each registry spelling is resolved once, and its tails share one tuple
+        assert sorted(s for s in tokenized if s in spellings) == sorted(spellings)
+        assert len({(i % 3, id(tables.engine_by_tail[f"N{i}"])) for i in range(50)}) == 3
+        assert len({id(value) for value in tables.engine_by_tail.values()}) == 3

@@ -3,7 +3,9 @@
 import contextlib
 import dataclasses
 import datetime
+import gc
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -246,6 +248,35 @@ def test_interrupted_run_leaves_previous_outputs(tmp_path, monkeypatch, capsys,
     assert calls == (100 if stage == "compute" else 1)
     assert outputs(outdir) == before
     assert sorted(p.name for p in outdir.iterdir()) == sorted(pipeline.OUTPUT_FILES)
+
+
+class ParsedList(list):
+    """A list that a weakref can watch."""
+
+
+def test_parsed_reference_lists_freed_before_flights_stream(tmp_path, monkeypatch):
+    """Inside `open_inputs`, no list returned by the five `ingest.parse_*`
+    functions is alive: the lookup tables keep only the records they need."""
+    watched = []
+
+    def watching(parse):
+        def parse_and_watch(path):
+            records, report = parse(path)
+            records = ParsedList(records)
+            watched.append(weakref.ref(records))
+            return records, report
+        return parse_and_watch
+
+    for name in ("parse_b43", "parse_tail_registry", "parse_engine_codes",
+                 "parse_icao_databank", "parse_bada_ccd"):
+        monkeypatch.setattr(ingest, name, watching(getattr(ingest, name)))
+    paths = build_corpus(tmp_path, n_flights=50)
+    cfg = load_config(str(write_config(tmp_path, paths, tmp_path / "out")))
+    with pipeline.open_inputs(cfg) as data:
+        gc.collect()
+        assert len(watched) == 5
+        assert [ref() for ref in watched] == [None] * 5
+        assert data.tables.airframes_by_tail and sum(1 for _ in data.flights) == 50
 
 
 def test_peak_memory_does_not_grow_with_flights(tmp_path, capsys):

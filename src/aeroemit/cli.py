@@ -1,21 +1,25 @@
 """Command-line front end: validate, run, and report subcommands.
 
-Exit codes: 0 success, 2 input/config error, 3 missing or malformed run
-artifacts.
+`report` reads the roll-up files through the schemas `run` writes them with
+(`pipeline.ROLLUP_TABLES`), strictly: the first refused row is an error.
+
+Exit codes: 0 success, 1 standard output closed early (`| head`), 2
+input/config error, 3 missing or malformed run artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import os
 import sys
 from pathlib import Path
 
 from . import pipeline
 from .config import ConfigError, load_config
-from .ingest import IngestError
+from .ingest import IngestError, read_strict
 
 EXIT_OK = 0
+EXIT_CLOSED_PIPE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_MISSING_ARTIFACT = 3
 
@@ -68,86 +72,60 @@ def cmd_run(config_path: str | None) -> int:
     return EXIT_OK
 
 
-# The run outputs `report` reads: the header each must hold and the columns
-# it parses as numbers.
-REPORT_INPUTS = {
-    "airline_summary.csv": (pipeline.AIRLINE_HEADER,
-                            {"emission_flights": int, "total_co2e_kg": float}),
-    "airport_lto.csv": (pipeline.AIRPORT_HEADER, {"lto_co2e_kg": float}),
-    "gas_breakdown.csv": (pipeline.GAS_BREAKDOWN_HEADER, {"co2e_kg": float}),
-}
-
-
-def _read_output(path: Path, header: list[str], numbers: dict[str, type]) -> list[dict]:
-    """Rows of a run output with the `numbers` columns parsed; ValueError if the
-    header lacks a column or a number cell does not parse."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in header if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
-        rows = []
-        for row in reader:
-            for column, convert in numbers.items():
-                try:
-                    row[column] = convert(row[column])
-                except (TypeError, ValueError):
-                    raise ValueError(f"{path} line {reader.line_num}: {column} is "
-                                     f"not a number: {row[column]!r}") from None
-            rows.append(row)
-    return rows
-
-
 def cmd_report(output_dir: str) -> int:
     outdir = Path(output_dir)
-    missing = [name for name in REPORT_INPUTS if not (outdir / name).is_file()]
+    paths = [outdir / f"{schema.table}.csv" for schema in pipeline.ROLLUP_TABLES]
+    missing = [path.name for path in paths if not path.is_file()]
     if missing:
         print(f"error: missing run outputs in {outdir}: {', '.join(missing)}",
               file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
     try:
-        airlines, airports, breakdown = (
-            _read_output(outdir / name, header, numbers)
-            for name, (header, numbers) in REPORT_INPUTS.items())
-    except (ValueError, csv.Error) as exc:
+        airlines, airports, breakdown = map(read_strict, pipeline.ROLLUP_TABLES, paths)
+    except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
 
-    computed = sum(row["emission_flights"] for row in airlines)
-    if computed == 0:
+    if not any(computed for _, _, computed, *_ in airlines):
         print("no computed flights")
         return EXIT_OK
 
     print("Top airlines by total CO2e (kg):")
-    ranked = sorted(airlines, key=lambda r: -r["total_co2e_kg"])
-    for row in ranked[:5]:
-        print(f"  {row['carrier']:>4}  {row['total_co2e_kg']:>16,.2f}  "
-              f"({row['emission_flights']}/{row['total_flights']} flights)")
+    ranked = sorted(airlines, key=lambda row: -row[5])  # by total_co2e_kg
+    for carrier, flights, computed, _, _, co2e, _, _ in ranked[:5]:
+        print(f"  {carrier:>4}  {co2e:>16,.2f}  ({computed}/{flights} flights)")
 
     print("Top airports by local LTO CO2e (kg):")
-    for row in airports[:5]:
-        print(f"  {row['airport']:>4}  {row['lto_co2e_kg']:>16,.2f}")
+    for airport, *_, co2e in airports[:5]:
+        print(f"  {airport:>4}  {co2e:>16,.2f}")
 
     for cycle in ("LTO", "CCD"):
-        rows = [r for r in breakdown if r["cycle"] == cycle]
-        total = sum(r["co2e_kg"] for r in rows)
+        rows = [(gas, co2e) for row_cycle, gas, _, co2e in breakdown if row_cycle == cycle]
+        total = sum(co2e for _, co2e in rows)
         print(f"{cycle} CO2e by gas:")
-        for row in rows:
-            share = row["co2e_kg"] / total if total else 0.0
-            print(f"  {row['gas']:>4}  {row['co2e_kg']:>16,.2f}  "
-                  f"({share:.1%})")
+        for gas, co2e in rows:
+            share = co2e / total if total else 0.0
+            print(f"  {gas:>4}  {co2e:>16,.2f}  ({share:.1%})")
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "report":
-        return cmd_report(args.output_dir)
     try:
-        return (cmd_validate if args.command == "validate" else cmd_run)(args.config)
+        if args.command == "report":
+            code = cmd_report(args.output_dir)
+        else:
+            code = (cmd_validate if args.command == "validate" else cmd_run)(args.config)
+        sys.stdout.flush()
     except (ConfigError, IngestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BrokenPipeError:
+        # The reader closed standard output. Python flushes it again at exit,
+        # so point it at devnull to keep that flush from raising too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -8,14 +8,13 @@ module; an absent key leaves that default in place.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .aggregate import UnepBaseline
 from .emissions import Co2eFactors
-from .ingest import INPUT_TABLES
+from .ingest import INPUT_TABLES, number
 from .matching import (CONFIG_TABLES, DEFAULT_FAMILY_FALLBACK, DEFAULT_JACCARD_THRESHOLD,
                        DEFAULT_NORMALIZATION_RULES)
 
@@ -101,17 +100,12 @@ def load_config(path: str | Path | None) -> RunConfig:
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
 
-    def number(key: str, hi: float = math.inf) -> float:
-        """The value of `key`, a finite number in [0, hi]; -0 gives +0.0."""
+    def nonnegative(key: str) -> float:
+        """The value of `key`, a finite number of at least 0."""
         try:
-            value = float(pairs[key])
-        except ValueError:
-            raise ConfigError(f"{key}: not a number: {pairs[key]}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {value}")
-        if not 0.0 <= value <= hi:
-            raise ConfigError(f"{key}: {value} out of range")
-        return abs(value)  # -0.0 passes the range check; outputs must not print it
+            return number(key, 0.0).convert(pairs[key])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     settings: dict[str, object] = {}
     for key in (*REQUIRED_TABLE_KEYS, *OPTIONAL_PATH_KEYS, "output_dir"):
@@ -120,18 +114,20 @@ def load_config(path: str | Path | None) -> RunConfig:
                 raise ConfigError(f"{key}: empty path")
             settings[key] = path.parent / pairs[key]  # an absolute value replaces the base
     if "jaccard_threshold" in pairs:
-        settings["jaccard_threshold"] = number("jaccard_threshold", hi=1.0)
+        threshold = settings["jaccard_threshold"] = nonnegative("jaccard_threshold")
+        if threshold > 1:
+            raise ConfigError(f"jaccard_threshold must be <= 1, got {threshold}")
     for key, options in CHOICES.items():
         if key in pairs:
             if pairs[key] not in options:
                 raise ConfigError(f"{key} must be one of {options}, got {pairs[key]!r}")
             settings[key] = pairs[key]
     settings["co2e_factors"] = Co2eFactors(
-        **{key.removeprefix("co2e_"): number(key) for key in CO2E_KEYS if key in pairs})
+        **{key.removeprefix("co2e_"): nonnegative(key) for key in CO2E_KEYS if key in pairs})
     given = [key for key in UNEP_KEYS if key in pairs]
     if given:
         if len(given) != len(UNEP_KEYS):
             raise ConfigError("unep_short, unep_long and unep_cutoff_mi must be "
                               "given together")
-        settings["unep"] = UnepBaseline(*map(number, UNEP_KEYS))
+        settings["unep"] = UnepBaseline(*map(nonnegative, UNEP_KEYS))
     return RunConfig(**settings)

@@ -1,17 +1,19 @@
-"""Input tables: one declarative `TableSchema` per table, one reader, one writer.
+"""Tables: one declarative `TableSchema` per table, one reader, one writer.
 
 Every table is comma-delimited UTF-8 (a leading byte-order mark is skipped)
-with a fixed header row. A schema lists the table's columns, each with a
-converter that raises ValueError, and may add a row constraint, a primary
-key, an optional trailing column and a grouping step for long-form tables.
+with a fixed header row; the package's CSV and number text rules live here.
+A schema lists the table's columns, each with a converter that raises
+ValueError, and may add a row constraint, a primary key, an optional
+trailing column and a grouping step for long-form tables.
 `read_table` rejects a malformed row (wrong arity, bytes that are not UTF-8,
 an oversized field, a refused value) with the file line it starts on and the
 reason; only a missing file, a header mismatch, or a repeated primary key of
 a table whose keys must be unique aborts a parse.
-Numbers must be finite (inf and nan reject the row). Missing numeric fields
-are represented as None, never 0. `stream_table` is the reader itself, one
-record at a time, so a flight table of any length is read in constant memory.
-`write_table` is the reader's inverse.
+Numbers must be finite (inf and nan reject the row); -0 is stored as 0.0.
+Missing numeric fields are represented as None, never 0. `stream_table` is
+the reader itself, one record at a time, so a flight table of any length is
+read in constant memory; `read_strict` makes the first rejected row fatal.
+`write_table` is the reader's inverse, through the line encoder `csv_line`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 GASES = ("HC", "CO2", "CO", "NOX")
 MODES = ("TAKEOFF", "CLIMBOUT", "APPROACH", "IDLE")
@@ -149,7 +151,8 @@ def text(name: str, upper: bool = False) -> Column:
 
 def number(name: str, minimum: float | None = None, strict: bool = False,
            optional: bool = False) -> Column:
-    """A finite float, at least (or, strict, above) `minimum`; "" is None if optional."""
+    """A finite float, at least (or, strict, above) `minimum`; "" is None if
+    optional. -0 gives +0.0, so no output prints a negative zero."""
     bound = f"{'>' if strict else '>='} {minimum}"
 
     def convert(value: str) -> float | None:
@@ -163,7 +166,7 @@ def number(name: str, minimum: float | None = None, strict: bool = False,
             raise ValueError(f"{name} must be finite, got {result}")
         if minimum is not None and not (result > minimum if strict else result >= minimum):
             raise ValueError(f"{name} must be {bound}, got {result}")
-        return result
+        return result or 0.0  # -0.0 is falsy, so it becomes +0.0
     return Column(name, convert)
 
 
@@ -336,6 +339,16 @@ def read_table(schema: TableSchema, path: str | Path) -> tuple[list, IngestRepor
     return records, report
 
 
+def read_strict(schema: TableSchema, path: str | Path) -> list:
+    """`read_table`'s records; the first rejected row raises IngestError
+    "<path> line N: <reason>"."""
+    records, report = read_table(schema, path)
+    if report.rejections:
+        first = report.rejections[0]
+        raise IngestError(f"{path} line {first.line}: {first.reason}")
+    return records
+
+
 def _grouped(schema: TableSchema, accepted: Iterator[tuple[int, list]],
              report: IngestReport) -> list:
     """One record per first-column value, in sorted order; a ValueError from
@@ -355,22 +368,39 @@ def _grouped(schema: TableSchema, accepted: Iterator[tuple[int, list]],
     return records
 
 
+def csv_cell(cell: str) -> str:
+    """A cell holding a comma, a quote or a line break quoted, its quotes
+    doubled, as `csv.reader` reads it; any other cell as it is."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def csv_line(row: list[str], numbers: str = "") -> str:
+    """One CSV line: the cells of `row`, then `numbers`, formatted cells that
+    need no quoting, each led by a comma. A row whose cells need no quoting
+    is a plain join."""
+    line = ",".join(row)
+    if line.count(",") >= len(row) or '"' in line or "\r" in line or "\n" in line:
+        line = ",".join(map(csv_cell, row))
+    return line + numbers + "\n"
+
+
 def _format(value: Any) -> str:
     if value is None:
         return ""
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_table(schema: TableSchema, records: list, path: str | Path) -> None:
+def write_table(schema: TableSchema, records: Iterable, path: str | Path) -> None:
     """Write records so that `read_table` parses them back to equal records."""
     rows = [row for record in records for row in schema.rows(record)]
     columns = list(schema.columns)
     if schema.optional is not None and any(row[len(columns)] is not None for row in rows):
         columns.append(schema.optional)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([c.name for c in columns])
-        writer.writerows([_format(v) for v in row[:len(columns)]] for row in rows)
+        fh.write(csv_line([c.name for c in columns]))
+        fh.writelines(csv_line([_format(v) for v in row[:len(columns)]]) for row in rows)
 
 
 # --- the six input tables ---

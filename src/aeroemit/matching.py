@@ -24,7 +24,7 @@ from .ingest import (
     TableSchema,
     TailEngineRecord,
     number,
-    read_table,
+    read_strict,
     text,
 )
 
@@ -134,13 +134,9 @@ CONFIG_TABLES = (RULES_TABLE, FALLBACK_TABLE, OVERRIDE_TABLE)
 def _read_config_table(schema: TableSchema, path: str | Path) -> list:
     """Records of a matching config table; its first rejected row is fatal."""
     try:
-        records, report = read_table(schema, path)
+        return read_strict(schema, path)
     except IngestError as exc:
         raise MatchingConfigError(str(exc)) from exc
-    if report.rejections:
-        first = report.rejections[0]
-        raise MatchingConfigError(f"{path} line {first.line}: {first.reason}")
-    return records
 
 
 def load_family_fallback(path: str | Path) -> dict[str, FamilyFallback]:

@@ -7,7 +7,9 @@ pool cannot speed up the per-flight work, which is pure Python. Resolution
 runs once per tail (`TailPlans`); per flight only the air time and distance
 checks and the `emissions.emissions_row` kernel remain, and its flat tuple
 goes straight to the writers. The outputs are replaced together after the last
-flight (`OutputWriter`). Output bytes depend on the inputs alone. `load_data`,
+flight (`OutputWriter`). Output bytes depend on the inputs alone; every CSV
+line is `ingest.csv_line`'s, and the roll-ups are written through the schemas
+`aeroemit report` reads them with (`ROLLUP_TABLES`). `load_data`,
 `resolve_all` and `compute_outcomes` are the same steps over lists, through
 the reference `resolve_flight` and `flight_emissions`.
 """
@@ -28,7 +30,8 @@ from typing import Iterable, Iterator, NamedTuple
 from . import aggregate as agg
 from . import emissions, ingest, matching
 from .config import ConfigError, RunConfig
-from .ingest import CcdKnot, CcdProfile, IngestReport
+from .ingest import (CcdKnot, CcdProfile, IngestReport, TableSchema, choice, csv_cell, csv_line,
+                     integer, number, text)
 
 FLIGHT_EMISSIONS_HEADER = [
     "flight_date", "carrier", "flight_number", "tail_number", "origin", "dest",
@@ -39,11 +42,6 @@ FLIGHT_EMISSIONS_HEADER = [
     "lto_co2e_kg", "ccd_co2e_kg", "total_co2e_kg",
     "per_seat_co2e_kg", "per_seat_mile_co2_kg",
 ]
-AIRLINE_HEADER = ["carrier", "total_flights", "emission_flights", "total_seats",
-                  "total_co2_kg", "total_co2e_kg", "co2_per_seat_mile",
-                  "co2e_per_seat_mile"]
-AIRPORT_HEADER = ["airport", "hc_kg", "co2_kg", "co_kg", "nox_kg", "lto_co2e_kg"]
-GAS_BREAKDOWN_HEADER = ["cycle", "gas", "raw_kg", "co2e_kg"]
 SCATTER_CO2E_HEADER = ["distance_mi", "co2e_kg", "canonical_type", "engine_uid",
                        "carrier"]
 SCATTER_SEAT_MILE_HEADER = ["distance_mi", "co2_per_seat_mile", "canonical_type",
@@ -54,6 +52,26 @@ logger = logging.getLogger(__name__)
 OUTPUT_FILES = ("flight_emissions.csv", "airline_summary.csv", "airport_lto.csv",
                 "gas_breakdown.csv", "scatter_co2e.csv", "scatter_seat_mile.csv",
                 "coverage.json")
+
+# The roll-up outputs, `<table>.csv`. A record is one row's values; `commit`
+# passes each cell already formatted, as text. The masses have no lower bound:
+# a flight below its profile's first CCD knot extrapolates to negative masses.
+_ROW = dict(build=lambda *values: values, rows=lambda values: [values])
+AIRLINE_SUMMARY_TABLE = TableSchema(
+    "airline_summary",
+    (text("carrier"), integer("total_flights", 0), integer("emission_flights", 0),
+     integer("total_seats", 0), number("total_co2_kg"), number("total_co2e_kg"),
+     number("co2_per_seat_mile", optional=True), number("co2e_per_seat_mile", optional=True)),
+    **_ROW)
+AIRPORT_LTO_TABLE = TableSchema(
+    "airport_lto",
+    (text("airport"), *(number(f"{gas.lower()}_kg") for gas in agg.GASES),
+     number("lto_co2e_kg")), **_ROW)
+GAS_BREAKDOWN_TABLE = TableSchema(
+    "gas_breakdown",
+    (choice("cycle", ("LTO", "CCD")), choice("gas", agg.GASES), number("raw_kg"),
+     number("co2e_kg")), **_ROW)
+ROLLUP_TABLES = (AIRLINE_SUMMARY_TABLE, AIRPORT_LTO_TABLE, GAS_BREAKDOWN_TABLE)
 
 
 @dataclass
@@ -210,10 +228,11 @@ class TailPlan(NamedTuple):
     def of(cls, rf: matching.ResolvedFlight, cause: str | None,
            terms: tuple[float, ...] | None, ccd: tuple | None) -> TailPlan:
         flags = tuple(sorted(rf.provenance))
-        canonical_type, engine_uid = _quoted(rf.canonical_type or ""), _quoted(rf.engine_uid or "")
+        canonical_type = csv_cell(rf.canonical_type or "")
+        engine_uid = csv_cell(rf.engine_uid or "")
         return cls(cause, flags, rf.seat_count or 0,
-                   sys.intern(f",{canonical_type},{_quoted(rf.emissions_type or '')},"
-                              f"{engine_uid},{_quoted('|'.join(flags))}"),
+                   sys.intern(f",{canonical_type},{csv_cell(rf.emissions_type or '')},"
+                              f"{engine_uid},{csv_cell('|'.join(flags))}"),
                    sys.intern(f",{canonical_type},{engine_uid}"), terms, ccd)
 
 
@@ -307,29 +326,8 @@ def _ratio(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def _quoted(cell: str) -> str:
-    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
 # The numeric cells of a flight_emissions.csv row, from emissions_row's [8:21].
 _FLIGHT_NUMBERS = ",%.2f" * 12 + ",%.6f"
-
-
-def _csv_line(row: list[str], numbers: str = "") -> str:
-    """One CSV row: the cells of `row`, then `numbers`, formatted cells that
-    need no quoting, each led by a comma. A cell of `row` holding a comma, a
-    quote or a line break is quoted with its quotes doubled; a row with none is
-    a plain join."""
-    line = ",".join(row)
-    if line.count(",") >= len(row) or '"' in line or "\r" in line or "\n" in line:
-        line = ",".join(map(_quoted, row))
-    return line + numbers + "\n"
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    return "".join(map(_csv_line, [header, *rows]))
 
 
 class OutputWriter:
@@ -370,9 +368,9 @@ class OutputWriter:
                 self._files.enter_context(open(self._staged(name), "w", encoding="utf-8"))
                 for name in ("flight_emissions.csv", "scatter_co2e.csv",
                              "scatter_seat_mile.csv"))
-            self._flights.write(_csv_line(FLIGHT_EMISSIONS_HEADER))
-            self._co2e.write(_csv_line(SCATTER_CO2E_HEADER))
-            self._seat_mile.write(_csv_line(seat_mile_header))
+            self._flights.write(csv_line(FLIGHT_EMISSIONS_HEADER))
+            self._co2e.write(csv_line(SCATTER_CO2E_HEADER))
+            self._seat_mile.write(csv_line(seat_mile_header))
         except BaseException:
             self.__exit__()
             raise
@@ -386,11 +384,11 @@ class OutputWriter:
             return
         distance = repr(flight.distance_mi)
         carrier = flight.carrier_code
-        self._flights.write(_csv_line(
+        self._flights.write(csv_line(
             [flight.flight_date.isoformat(), carrier, flight.flight_number,
              flight.tail_number or "", flight.origin, flight.destination],
             f",{distance},{flight.air_time_min!r}{plan.cells}" + _FLIGHT_NUMBERS % row[8:21]))
-        scatter = f"{plan.scatter_cells},{_quoted(carrier)}"
+        scatter = f"{plan.scatter_cells},{csv_cell(carrier)}"
         self._co2e.write("%s,%.2f%s\n" % (distance, row[18], scatter))
         unep = self._unep_cells  # the cell of agg.unep_baseline
         if unep is not None:
@@ -415,15 +413,13 @@ class OutputWriter:
         bd_rows = ([cycle, gas, _mass(totals.kg(gas)), _mass(totals.co2e_kg(gas, factors))]
                    for cycle, totals in (("LTO", rollup.lto), ("CCD", rollup.ccd))
                    for gas in agg.GASES)
-        for name, header, rows in (("airline_summary.csv", AIRLINE_HEADER, airline_rows),
-                                   ("airport_lto.csv", AIRPORT_HEADER, airport_rows),
-                                   ("gas_breakdown.csv", GAS_BREAKDOWN_HEADER, bd_rows)):
+        for schema, rows in zip(ROLLUP_TABLES, (airline_rows, airport_rows, bd_rows)):
+            name = f"{schema.table}.csv"
             try:  # the rows are generated here; a total beyond a double overflows
-                text = _csv_text(header, rows)
+                ingest.write_table(schema, rows, self._staged(name))
             except OverflowError:
                 raise ConfigError(f"{self.outdir / name}: a total is too large for a "
                                   f"float; check the input values") from None
-            self._staged(name).write_text(text, encoding="utf-8")
         self._staged("coverage.json").write_text(
             json.dumps(coverage.to_dict(), indent=2) + "\n", encoding="utf-8")
         self._files.close()

@@ -2,8 +2,11 @@ import codecs
 import csv
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -145,6 +148,23 @@ class TestRun:
             text = (tmp_path / "out" / name).read_text(encoding="utf-8")
             assert not re.search(r"(^|[,\s])-0\.0*($|[,\s])", text, re.MULTILINE), name
 
+    def test_negative_zero_input_cells_print_no_negative_zero(self, tmp_path):
+        """-0 in an input table is stored as +0.0, as a config number is."""
+        paths = write_golden_inputs(tmp_path)
+        duration = B739ER_CCD_KNOTS[5][0]
+        write_csv(paths["ontime"], ingest.ONTIME_TABLE.header, [
+            ["2021-09-01", "DL", "2441", "N815DN", "PHL", "ATL", "-0", "7.43", "15.42", "666"],
+            ["2021-09-01", "DL", "2442", "N815DN", "PHL", "ATL", duration, "7.43", "15.42",
+             "666"]])
+        write_csv(paths["bada_ccd"], ingest.BADA_CCD_TABLE.header,
+                  [["737-900ER", d, "-0" if d == duration else hc, co2, co, nox]
+                   for d, hc, co2, co, nox in B739ER_CCD_KNOTS])
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        no_air_time, on_knot = read_rows(tmp_path / "out" / "flight_emissions.csv")
+        assert no_air_time["air_time_min"] == "0.0"
+        assert on_knot["ccd_hc_kg"] == "0.00"
+
     def test_no_unep_config_omits_column(self, golden_config, tmp_path):
         cli.main(["run", "--config", str(golden_config)])
         rows = read_rows(tmp_path / "out" / "scatter_seat_mile.csv")
@@ -225,6 +245,19 @@ class TestReport:
         assert cli.main(["report", str(tmp_path / "out")]) == 0
         assert "no computed flights" in capsys.readouterr().out
 
+    def test_negative_totals_read(self, tmp_path, capsys):
+        """A flight below the first CCD knot extrapolates to negative CCD
+        masses; `report` reads the totals `run` writes for it."""
+        paths = write_golden_inputs(tmp_path)
+        write_csv(paths["ontime"], ingest.ONTIME_TABLE.header,
+                  [["2021-09-01", "DL", "2441", "N815DN", "PHL", "ATL", "0", "7.43", "15.42",
+                    "666"]])
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        breakdown = read_rows(tmp_path / "out" / "gas_breakdown.csv")
+        assert any(row["raw_kg"].startswith("-") for row in breakdown)
+        assert cli.main(["report", str(tmp_path / "out")]) == 0
+
     def test_missing_outputs_exit_3(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "empty")]) == 3
         assert "missing run outputs" in capsys.readouterr().err
@@ -233,8 +266,19 @@ class TestReport:
         outdir = self.run_corpus(tmp_path, n=10)
         (outdir / "airline_summary.csv").write_text("carrier\nAA\n", encoding="utf-8")
         assert cli.main(["report", str(outdir)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "missing columns: total_flights" in err
+        assert capsys.readouterr().err == (
+            f"error: {outdir / 'airline_summary.csv'}: header mismatch, expected "
+            f"{pipeline.AIRLINE_SUMMARY_TABLE.header}, got ['carrier']\n")
+
+    def test_byte_order_mark_skipped(self, tmp_path, capsys):
+        outdir = self.run_corpus(tmp_path, n=10)
+        capsys.readouterr()
+        assert cli.main(["report", str(outdir)]) == 0
+        expected = capsys.readouterr().out
+        path = outdir / "airline_summary.csv"
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert cli.main(["report", str(outdir)]) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("name, column", [
         ("airline_summary.csv", "emission_flights"),
@@ -248,8 +292,20 @@ class TestReport:
         rows[0][column] = "abc"
         write_csv(outdir / name, list(rows[0]), [list(r.values()) for r in rows])
         assert cli.main(["report", str(outdir)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"line 2: {column} is not a number" in err
+        kind = "an integer" if column == "emission_flights" else "a number"
+        assert capsys.readouterr().err == (
+            f"error: {outdir / name} line 2: {column} must be {kind}, got 'abc'\n")
+
+    def test_nonfinite_cell_exit_3(self, tmp_path, capsys):
+        """A nan total would otherwise rank its airline first."""
+        outdir = self.run_corpus(tmp_path, n=10)
+        path = outdir / "airline_summary.csv"
+        rows = read_rows(path)
+        rows[0]["total_co2e_kg"] = "nan"
+        write_csv(path, list(rows[0]), [list(r.values()) for r in rows])
+        assert cli.main(["report", str(outdir)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path} line 2: total_co2e_kg must be finite, got nan\n")
 
 
 class TestInputErrorsExit2:
@@ -324,8 +380,21 @@ class TestInputErrorsExit2:
         extra[key] = value
         config = write_config(tmp_path, paths, tmp_path / "out", extra=extra)
         assert cli.main(["run", "--config", str(config)]) == 2
-        assert f"{key}: must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {key} must be finite, got {float(value)}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("jaccard_threshold", "1.5", "must be <= 1, got 1.5"),
+        ("co2e_hc", "-1", "must be >= 0.0, got -1.0"),
+        ("unep_short", "x", "must be a number, got 'x'"),
+    ])
+    def test_config_number_refused(self, tmp_path, capsys, key, value, reason):
+        paths = write_golden_inputs(tmp_path)
+        extra = {"unep_short": "0.2", "unep_long": "0.1", "unep_cutoff_mi": "700"}
+        extra[key] = value
+        config = write_config(tmp_path, paths, tmp_path / "out", extra=extra)
+        assert cli.main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {key} {reason}\n"
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("header, row, fragment", [
@@ -479,6 +548,27 @@ class TestByteOrderMark:
         offset = golden_config.read_bytes().index(b"\xe9")
         assert cli.main(["validate", "--config", str(golden_config)]) == 2
         assert f"(byte 0xe9 at offset {offset})" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    def test_no_traceback_exit_1(self, tmp_path):
+        """`aeroemit validate | head -1`: the reader closes the pipe while the
+        command still writes. Each refused cell is quoted in its reason, so
+        the output outgrows the pipe's buffer."""
+        paths = write_golden_inputs(tmp_path)
+        with open(paths["ontime"], "a", encoding="utf-8") as fh:
+            for _ in range(20):
+                fh.write(f"2021-09-02,DL,2442,N815DN,ATL,PHL,{'x' * 20000},7.0,15.0,666\n")
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        with subprocess.Popen([sys.executable, "-m", "aeroemit.cli", "validate", "--config",
+                               str(config)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline() == b"ontime: 1 accepted, 20 rejected\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err
 
 
 class TestOneComputePath:

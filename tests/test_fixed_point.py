@@ -364,7 +364,7 @@ def test_file_totals_of_union_are_sum_of_parts(corpus, tmp_path):
 
     airlines = {k: keyed(v["airline_summary.csv"], "carrier") for k, v in outputs.items()}
     assert set(airlines["union"]) == set(airlines["a"]) | set(airlines["b"])
-    zero = dict.fromkeys(pipeline.AIRLINE_HEADER, "0")
+    zero = dict.fromkeys(pipeline.AIRLINE_SUMMARY_TABLE.header, "0")
     for carrier, row in airlines["union"].items():
         ra, rb = airlines["a"].get(carrier, zero), airlines["b"].get(carrier, zero)
         for column in ("total_flights", "emission_flights", "total_seats"):
@@ -374,10 +374,10 @@ def test_file_totals_of_union_are_sum_of_parts(corpus, tmp_path):
 
     airports = {k: keyed(v["airport_lto.csv"], "airport") for k, v in outputs.items()}
     assert set(airports["union"]) == set(airports["a"]) | set(airports["b"])
-    zero = dict.fromkeys(pipeline.AIRPORT_HEADER, "0")
+    zero = dict.fromkeys(pipeline.AIRPORT_LTO_TABLE.header, "0")
     for airport, row in airports["union"].items():
         ra, rb = airports["a"].get(airport, zero), airports["b"].get(airport, zero)
-        for column in pipeline.AIRPORT_HEADER[1:]:
+        for column in pipeline.AIRPORT_LTO_TABLE.header[1:]:
             assert close(row[column], ra[column], rb[column]), (airport, column)
 
     breakdowns = {k: csv_rows(v["gas_breakdown.csv"]) for k, v in outputs.items()}

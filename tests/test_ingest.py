@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aeroemit import ingest, matching
+from aeroemit import ingest, matching, pipeline
 from conftest import B739ER_CCD_KNOTS, CFM56_7B27E_RATES, icao_rows, write_csv
 
 ONTIME_HEADER = ingest.ONTIME_TABLE.header
@@ -366,6 +366,8 @@ class TestParseBadaCcd:
 
 # --- every schema: fuzzed rows, round trips, and the README's schema table ---
 
+SCHEMAS = ingest.INPUT_TABLES + matching.CONFIG_TABLES + pipeline.ROLLUP_TABLES
+
 # NUL is left out: the csv module of Python 3.10 refuses it, that of 3.11 does not.
 FUZZ_CELLS = st.one_of(
     st.sampled_from(["", "inf", "-inf", "nan", "-0.0", "0", "1", "16", "1e308", "1e999",
@@ -389,9 +391,15 @@ FUZZ_BASES = {
     "normalization_rules": [["B738", "737-800"], ["a32?", "A320"], ["B739ER", "737-900ER"]],
     "family_fallback": [["737-8", "737-800", "0.85"], ["a320neo", "A320", "1"]],
     "popular_engine_override": [["737-800", "CFM56"], ["A320", "V2500"]],
+    "airline_summary": [["DL", "10", "9", "1620", "43265.46", "44125.69", "0.130000", ""],
+                        ["AA", "3", "0", "0", "0.00", "0.00", "", ""],
+                        ["D,L", "1", "1", "180", "1.5", "2.5", "0.000001", "0.000002"]],
+    "airport_lto": [["ATL", "0.12", "667.05", "2.35", "2.57", "1446.81"],
+                    ["PHL", "0.00", "0.00", "0.00", "0.00", "0.00"]],
+    "gas_breakdown": [["LTO", gas, "1.00", "84.00"] for gas in ingest.GASES]
+                     + [["CCD", "CO2", "18294.00", "18294.00"]],
 }
-FUZZ_CASES = [(schema, schema.header) for schema in
-              ingest.INPUT_TABLES + matching.CONFIG_TABLES]
+FUZZ_CASES = [(schema, schema.header) for schema in SCHEMAS]
 FUZZ_CASES.append((ingest.BADA_CCD_TABLE,
                    ingest.BADA_CCD_TABLE.header + [ingest.BADA_CCD_TABLE.optional.name]))
 
@@ -454,7 +462,7 @@ def test_fuzzed_rows_are_accepted_or_rejected_and_round_trip(schema, header, dat
 
 
 ALL_COLUMNS = {f"{schema.table}.{column.name}": column
-               for schema in ingest.INPUT_TABLES + matching.CONFIG_TABLES
+               for schema in SCHEMAS
                for column in schema.columns + ((schema.optional,) if schema.optional else ())}
 
 
@@ -476,9 +484,8 @@ def test_readme_schema_table_matches_schemas():
         match = re.fullmatch(r"\| (\w+)\.csv \| (.*) \|", line)
         if match:
             documented[match[1]] = re.findall(r"`([^`]*)`", match[2])
-    schemas = ingest.INPUT_TABLES + matching.CONFIG_TABLES
-    assert set(documented) == {schema.table for schema in schemas}
-    for schema in schemas:
+    assert set(documented) == {schema.table for schema in SCHEMAS}
+    for schema in SCHEMAS:
         spans = documented[schema.table]
         assert spans[0].split(",") == schema.header
         if schema.optional is not None:

@@ -7,9 +7,10 @@ regardless of order. `RollUpAccumulator.add` takes one flight's
 `emissions.emissions_row` tuple, converts each double it sums once, with
 `to_units` written inline as a `frexp` and a shift, and fills every
 grouping, so a run streams its flights through it and holds only the
-per-carrier, per-airport and per-cycle sums. Floats appear only in derived
-values, each produced by one correctly rounded ``int / int`` division (the
-same double ``float(Fraction)`` gives).
+per-carrier, per-airport and per-cycle sums; accumulators of parts of a
+table `merge` by `+`. Floats appear only in derived values, each produced
+by one correctly rounded ``int / int`` division (the same double
+``float(Fraction)`` gives).
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ class ExactGasTotals:
     def co2e_kg(self, gas: str, f: Co2eFactors) -> float:
         factor = {"HC": f.hc, "CO2": f.co2, "CO": f.co, "NOX": f.nox}[gas]
         return self.units(gas) * to_units(factor) / UNIT_SQUARED
+
+    def merge(self, other: ExactGasTotals) -> None:
+        self.hc_units += other.hc_units
+        self.co2_units += other.co2_units
+        self.co_units += other.co_units
+        self.nox_units += other.nox_units
 
     def co2e_units(self, f: Co2eFactors) -> int:
         """Exact CO2e in units of 2**-2148 kg (divide by UNIT_SQUARED)."""
@@ -199,6 +206,23 @@ class RollUpAccumulator:
             totals.co2_units += co2
             totals.co_units += co
             totals.nox_units += nox
+
+    def merge(self, other: RollUpAccumulator) -> None:
+        """Add every sum of `other`, an accumulator of other flights: the sums
+        are exact, so this is the accumulator of both."""
+        for carrier, more in other.by_carrier.items():
+            airline = self.by_carrier.setdefault(carrier, AirlineSummary(carrier))
+            airline.total_flights += more.total_flights
+            airline.emission_flights += more.emission_flights
+            airline.total_seats += more.total_seats
+            airline.gas_totals.merge(more.gas_totals)
+            airline.total_co2e += more.total_co2e
+            airline.seat_miles += more.seat_miles
+        for airport, more in other.by_airport.items():
+            self.by_airport.setdefault(airport, AirportLtoSummary(airport)).gas_totals.merge(
+                more.gas_totals)
+        self.lto.merge(other.lto)
+        self.ccd.merge(other.ccd)
 
     def _new_airport(self, airport: str) -> AirportLtoSummary:
         self.by_airport[airport] = summary = AirportLtoSummary(airport)

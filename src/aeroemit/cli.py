@@ -37,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="full pipeline: compute, aggregate and write outputs")
     run.add_argument("--config", help="run-config file (or AEROEMIT_CONFIG)")
     run.add_argument("--threads", type=int,
-                     help="ignored: compute runs in one thread; removed once "
-                          "perfbench/ stops passing it")
+                     help="ignored: a large flight table is split across the CPUs "
+                          "this process may use; removed once perfbench/ stops passing it")
 
     report = sub.add_parser("report", help="summarize a finished run's outputs")
     report.add_argument("output_dir", help="directory written by 'run'")

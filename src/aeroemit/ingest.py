@@ -12,7 +12,8 @@ a table whose keys must be unique aborts a parse.
 Numbers must be finite (inf and nan reject the row); -0 is stored as 0.0.
 Missing numeric fields are represented as None, never 0. `stream_table` is
 the reader itself, one record at a time, so a flight table of any length is
-read in constant memory; `read_strict` makes the first rejected row fatal.
+read in constant memory, whole or one `row_spans` span of it;
+`read_strict` makes the first rejected row fatal.
 `write_table` is the reader's inverse, through the line encoder `csv_line`.
 """
 
@@ -23,7 +24,10 @@ import csv
 import dataclasses
 import datetime
 import functools
+import io
+import itertools
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
@@ -131,6 +135,12 @@ class IngestReport:
         self.rejected += 1
         self.rejections.append(RowRejection(line, reason))
 
+    def merge(self, other: IngestReport) -> None:
+        """Add `other`, the report of the rows after this one's in the same table."""
+        self.accepted += other.accepted
+        self.rejected += other.rejected
+        self.rejections += other.rejections
+
 
 # --- columns: a header name and a converter that raises ValueError ---
 
@@ -215,6 +225,12 @@ def iso_date(name: str) -> Column:
     return Column(name, convert)
 
 
+def shared(column: Column) -> Column:
+    """`column` whose equal values are one object: a table of many rows and
+    few distinct values keeps one string of each."""
+    return Column(column.name, functools.lru_cache(maxsize=4096)(column.convert))
+
+
 # --- the schema, its reader and its writer ---
 
 def _fields(record: Any) -> list[tuple]:
@@ -262,10 +278,11 @@ class TableSchema:
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _records(reader: Any) -> Iterator[tuple[int, list[str] | csv.Error]]:
+def _records(reader: Any, lines_before: int = 0,
+             ) -> Iterator[tuple[int, list[str] | csv.Error]]:
     """(first file line, record) per record; one csv cannot split gives its error."""
     while True:
-        line = reader.line_num + 1
+        line = lines_before + reader.line_num + 1
         try:
             yield line, next(reader)
         except StopIteration:
@@ -274,8 +291,41 @@ def _records(reader: Any) -> Iterator[tuple[int, list[str] | csv.Error]]:
             yield line, exc
 
 
+# Bytes `row_spans` reads at a time.
+_SCAN_BYTES = 1 << 20
+
+
+def row_spans(path: str | Path, parts: int) -> list[tuple[int, int, int | None]] | None:
+    """The table cut into at most `parts` spans of whole rows and about equal
+    size, each (start byte, lines before it, its lines; None for the last,
+    which reads to the end), or None when the table holds a `"`.
+
+    Each span but the first starts just after an LF. A `"` may open a quoted
+    field, in which a line break does not end the row, so a table holding
+    one is not cut. Lines end as `csv` ends them: at a CR, an LF or a CRLF.
+    """
+    size = os.path.getsize(path)
+    spans, lines, piece = [], 0, b""
+    with open(path, "rb") as fh:
+        for target in [size * i // parts for i in range(1, parts)] + [size]:
+            start, first = fh.tell(), lines
+            while fh.tell() < target or piece[-1:] not in (b"\n", b""):  # then to an LF
+                after_cr = piece.endswith(b"\r")
+                piece = (fh.read(min(_SCAN_BYTES, target - fh.tell())) if fh.tell() < target
+                         else fh.readline(_SCAN_BYTES))
+                if b'"' in piece:
+                    return None
+                lines += (piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n")
+                          - (after_cr and piece.startswith(b"\n")))
+            if fh.tell() > start:
+                spans.append((start, first, lines - first))
+    start, first, _ = spans.pop() if spans else (0, 0, 0)
+    return [*spans, (start, first, None)]
+
+
 @contextlib.contextmanager
-def stream_table(schema: TableSchema, path: str | Path
+def stream_table(schema: TableSchema, path: str | Path,
+                 span: tuple[int, int, int | None] | None = None,
                  ) -> Iterator[tuple[Iterator, IngestReport]]:
     """A table's accepted records one at a time, in file order, and its report:
     ``with stream_table(schema, path) as (records, report)``.
@@ -284,15 +334,24 @@ def stream_table(schema: TableSchema, path: str | Path
     Each rejected row goes to the report as it is read, so the counts are
     final once the records are exhausted. A long-form table gives the
     (line, values) of each accepted row, for `read_table` to group.
+
+    `span`, one of `row_spans`, reads only its rows. A span past byte 0 has
+    no header and takes the schema's own columns; a byte-order mark there is
+    a character of its first row.
     """
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        rows = _records(csv.reader(fh))
-        columns = schema.columns_for(path, next(rows, (1, None))[1])
-        report = IngestReport(schema.table)
-        yield _accepted(schema, columns, rows, report), report
+    start, lines_before, lines = span or (0, 0, None)
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        with io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig",
+                              errors="surrogateescape", newline="") as fh:
+            rows = _records(csv.reader(itertools.islice(fh, lines)), lines_before)
+            columns = (schema.columns if start
+                       else schema.columns_for(path, next(rows, (1, None))[1]))
+            report = IngestReport(schema.table)
+            yield _accepted(schema, columns, rows, report), report
 
 
 def _accepted(schema: TableSchema, columns: tuple[Column, ...],
@@ -434,7 +493,7 @@ ONTIME_TABLE = TableSchema(
     build=FlightRecord, check=_distinct_airports)
 B43_TABLE = TableSchema(
     "b43",
-    (text("tail_number"), text("type_designator"), integer("seat_count", 1),
+    (text("tail_number"), shared(text("type_designator")), integer("seat_count", 1),
      integer("engine_count", 1, 4, default=2)),
     build=AirframeRecord, key=("tail_number",))
 TAIL_REGISTRY_TABLE = TableSchema(

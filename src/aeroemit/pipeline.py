@@ -1,9 +1,14 @@
 """Pipeline orchestration: ingest -> resolve -> compute -> aggregate -> write.
 
-`run_pipeline` is one pass over the flight table, in one thread: each
-flight is read, resolved, computed, written and added to the exact roll-up,
-then dropped, so memory does not grow with the number of flights. A thread
-pool cannot speed up the per-flight work, which is pure Python. Resolution
+`run_pipeline` is one pass over the flight table: each flight is read,
+resolved, computed, written and added to the exact roll-up, then dropped, so
+memory does not grow with the number of flights. The per-flight work is pure
+Python, so a large table is split into row spans (`ingest.row_spans`), one
+per CPU this process may use: once the lookup tables are built, a forked
+child streams each span but the first, which this process streams itself,
+and sends back its exact sums; its per-flight rows go to anonymous fragment
+files that are appended in span order. Integer sums merge with `+`, so the
+outputs do not depend on the number of processes. Resolution
 runs once per tail (`TailPlans`); per flight only the air time and distance
 checks and the `emissions.emissions_row` kernel remain, and its flat tuple
 goes straight to the writers. The outputs are replaced together after the last
@@ -22,10 +27,12 @@ import json
 import logging
 import operator
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from . import aggregate as agg
 from . import emissions, ingest, matching
@@ -99,6 +106,15 @@ class CoverageReport:
         for flag in flags:
             self.fallback_flags[flag] = self.fallback_flags.get(flag, 0) + 1
 
+    def merge(self, other: CoverageReport) -> None:
+        """Add the counts of `other`, a report of other flights."""
+        self.total_flights += other.total_flights
+        self.computed_flights += other.computed_flights
+        for counts, more in ((self.causes, other.causes),
+                             (self.fallback_flags, other.fallback_flags)):
+            for name, count in more.items():
+                counts[name] = counts.get(name, 0) + count
+
     def to_dict(self) -> dict:
         return {
             "total_flights": self.total_flights,
@@ -121,11 +137,13 @@ class LoadedData:
 
 
 @contextlib.contextmanager
-def open_inputs(cfg: RunConfig) -> Iterator[LoadedData]:
-    """The inputs, the flights read as they are iterated. The flight table's
-    header is checked before any reference table is read."""
+def open_inputs(cfg: RunConfig, span: tuple[int, int, int] | None = None,
+                ) -> Iterator[LoadedData]:
+    """The inputs, the flights read as they are iterated, those of `span` only
+    if it is given. The flight table's header is checked before any reference
+    table is read."""
     cfg.validate_paths()
-    with ingest.stream_table(ingest.ONTIME_TABLE, cfg.ontime) as (flights, ontime_report):
+    with ingest.stream_table(ingest.ONTIME_TABLE, cfg.ontime, span) as (flights, ontime_report):
         tables, reports = _reference_data(cfg)
         yield LoadedData(flights, tables, {r.table: r for r in (ontime_report, *reports)})
 
@@ -226,14 +244,18 @@ class TailPlan(NamedTuple):
 
     @classmethod
     def of(cls, rf: matching.ResolvedFlight, cause: str | None,
-           terms: tuple[float, ...] | None, ccd: tuple | None) -> TailPlan:
+           terms: tuple[float, ...] | None, ccd: tuple | None,
+           texts: dict[str, str]) -> TailPlan:
+        """The plan of `rf`; its CSV cells are those of `texts` that equal
+        them, and are added to it otherwise."""
         flags = tuple(sorted(rf.provenance))
         canonical_type = csv_cell(rf.canonical_type or "")
         engine_uid = csv_cell(rf.engine_uid or "")
-        return cls(cause, flags, rf.seat_count or 0,
-                   sys.intern(f",{canonical_type},{csv_cell(rf.emissions_type or '')},"
-                              f"{engine_uid},{csv_cell('|'.join(flags))}"),
-                   sys.intern(f",{canonical_type},{engine_uid}"), terms, ccd)
+        cells = (f",{canonical_type},{csv_cell(rf.emissions_type or '')},"
+                 f"{engine_uid},{csv_cell('|'.join(flags))}")
+        scatter_cells = f",{canonical_type},{engine_uid}"
+        return cls(cause, flags, rf.seat_count or 0, texts.setdefault(cells, cells),
+                   texts.setdefault(scatter_cells, scatter_cells), terms, ccd)
 
 
 class TailPlans:
@@ -241,7 +263,7 @@ class TailPlans:
 
     Only tails of the airframe inventory get an entry; a blank tail and an
     unknown tail each share one plan and add no entry, so dirty data does not
-    grow the dict. Equal plans are one object, and `TailPlan.of` interns the CSV cells.
+    grow the dict. Equal plans are one object, and so are equal CSV cells.
     Two plans with equal cells have one engine UID and one CCD profile, and
     their kernel terms are one object unless the multiplier or the efficiency
     factor differs, so plan equality never merges floats that are equal but
@@ -254,6 +276,7 @@ class TailPlans:
         self.by_tail: dict[str, TailPlan] = {}
         self._untracked: dict[bool, TailPlan] = {}
         self._shared: dict[TailPlan, TailPlan] = {}
+        self._texts: dict[str, str] = {}
         self._terms: dict[tuple[str, float, float], tuple[float, ...]] = {}
         self._ccd_key = operator.attrgetter(
             "air_time_min" if cfg.interpolation_key == "time" else "distance_mi")
@@ -312,7 +335,7 @@ class TailPlans:
                     _NAN_RATES if factors is None else factors.flat_rates, multiplier,
                     rf.efficiency_factor, self.cfg.co2e_factors)
             ccd = self.tables.ccd_by_type[rf.emissions_type].table
-        plan = TailPlan.of(rf, cause, terms, ccd)
+        plan = TailPlan.of(rf, cause, terms, ccd, self._texts)
         return self._shared.setdefault(plan, plan)
 
 
@@ -396,6 +419,25 @@ class OutputWriter:
             scatter += short if flight.distance_mi < cutoff else long
         self._seat_mile.write("%s,%.6f%s\n" % (distance, row[20], scatter))
 
+    def flush(self) -> None:
+        """Write out the buffered per-flight rows."""
+        for stream in (self._flights, self._co2e, self._seat_mile):
+            stream.flush()
+
+    def shard(self, files: list) -> None:
+        """In a forked child: write the per-flight rows to `files`, three text
+        files, with no header, and roll up from zero."""
+        self._flights, self._co2e, self._seat_mile = files
+        self.rollup = agg.RollUpAccumulator(self.cfg.co2e_factors)
+
+    def merge(self, files: list, rollup: agg.RollUpAccumulator) -> None:
+        """Append a later shard's `files` and add its `rollup`."""
+        for stream, fragment in zip((self._flights, self._co2e, self._seat_mile), files):
+            stream.flush()
+            fragment.seek(0)
+            shutil.copyfileobj(fragment.buffer, stream.buffer)
+        self.rollup.merge(rollup)
+
     def commit(self, coverage: CoverageReport) -> None:
         """Write the roll-up files and coverage.json, then replace all seven
         outputs with their staged files."""
@@ -446,27 +488,146 @@ def _check_output_dir(outdir: Path) -> None:
             return
 
 
+# The least flight-table bytes worth a process of their own: a smaller
+# shard costs about as much to fork and merge as it saves.
+SHARD_BYTES = 128 * 1024
+
+
+def _shard_spans(path: Path) -> list:
+    """The flight table's row spans, one per process; [None], the whole table
+    here, without `os.fork` or CPU affinity, on one CPU, and for a table
+    under two SHARD_BYTES or holding a `"`."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return [None]
+    try:
+        parts = min(len(os.sched_getaffinity(0)), os.path.getsize(path) // SHARD_BYTES)
+    except OSError:  # open_inputs reports the missing table
+        return [None]
+    return (parts > 1 and ingest.row_spans(path, parts)) or [None]
+
+
+@contextlib.contextmanager
+def _forked(cfg: RunConfig, spans: list, work: Callable[[Iterator, list], Any],
+            fragments: int = 0) -> Iterator[Iterator[tuple[list, Any, IngestReport]]]:
+    """Stream each span of the flight table through ``work(flights, files)``
+    in a forked child, `files` its `fragments` anonymous text files in the
+    output directory. Yields an iterator of each child's files, result and
+    ingest report, in span order; a child's exception is raised again here.
+    On exit every child is killed and reaped and every file closed. Fork,
+    not spawn: a child inherits the lookup tables instead of building them
+    again, and the package starts no thread that a fork could break."""
+    running: list[int] = []
+    with contextlib.ExitStack() as stack:
+        children = []
+        try:
+            if spans:
+                import pickle, signal  # only a run that splits pays for the imports
+                sys.stdout.flush()
+                sys.stderr.flush()
+            for span in spans:
+                files = [stack.enter_context(tempfile.TemporaryFile(
+                    "w+", encoding="utf-8", dir=cfg.output_dir)) for _ in range(fragments)]
+                receive, send = os.pipe()
+                pipe = stack.enter_context(open(receive, "rb"))
+                with open(send, "wb") as sender:  # closed here once the child has it
+                    # An interrupt waits until the child is in `_child` and its pid is kept.
+                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                    try:
+                        pid = os.fork()
+                        if pid == 0:
+                            _child(cfg, span, work, files, sender, mask)
+                        running.append(pid)
+                    finally:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                children.append((pid, pipe, files))
+
+            def results() -> Iterator[tuple[list, Any, IngestReport]]:
+                for pid, pipe, files in children:
+                    message = pipe.read()
+                    os.waitpid(pid, 0)
+                    running.remove(pid)
+                    if not message:
+                        raise RuntimeError(f"flight-table shard process {pid} ended "
+                                           f"without a result")
+                    result, report, error = pickle.loads(message)
+                    if error is not None:
+                        raise error
+                    yield files, result, report
+            yield results()
+        finally:
+            for pid in running:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(cfg: RunConfig, span: tuple, work: Callable[[Iterator, list], Any], files: list,
+           sender: Any, mask: set) -> NoReturn:
+    """A forked child's whole life: send ``work(flights, files)`` over its
+    span and the span's ingest report, or the exception raised, then leave
+    by `os._exit`, so that none of the parent's cleanup runs here. `mask` is
+    the signal mask to restore."""
+    try:
+        import pickle, signal
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        try:
+            with ingest.stream_table(ingest.ONTIME_TABLE, cfg.ontime, span) as (flights, report):
+                message = pickle.dumps((work(flights, files), report, None))
+        except BaseException as exc:
+            message = pickle.dumps((None, None, exc))
+        sender.write(message)
+        sender.flush()
+    finally:
+        os._exit(0)
+
+
 def run_pipeline(cfg: RunConfig) -> CoverageReport:
-    """Every stage in one pass over the flight table; the outputs are
-    committed after the last flight."""
+    """Every stage in one pass over the flight table, split across processes
+    when it is large; the outputs are committed after the last flight."""
     _check_output_dir(Path(cfg.output_dir))
-    coverage = CoverageReport()
-    with open_inputs(cfg) as data, OutputWriter(cfg) as out:
-        compute = TailPlans(data.tables, cfg).compute
-        for flight in data.flights:
-            plan, cause, row = compute(flight)
-            coverage.add(cause, plan.flags)
-            out.add(flight, plan, row)
+    spans = _shard_spans(cfg.ontime)
+    with open_inputs(cfg, spans[0]) as data, OutputWriter(cfg) as out:
+        def run_shard(flights: Iterable[ingest.FlightRecord], files: list | None = None,
+                      ) -> tuple[agg.RollUpAccumulator, CoverageReport]:
+            if files is not None:  # in a forked child
+                out.shard(files)
+            coverage = CoverageReport()
+            compute = TailPlans(data.tables, cfg).compute
+            for flight in flights:
+                plan, cause, row = compute(flight)
+                coverage.add(cause, plan.flags)
+                out.add(flight, plan, row)
+            out.flush()
+            return out.rollup, coverage
+
+        out.flush()
+        with _forked(cfg, spans[1:], run_shard, 3) as shards:
+            _, coverage = run_shard(data.flights)
+            for files, (rollup, more), report in shards:
+                out.merge(files, rollup)
+                coverage.merge(more)
+                data.reports[report.table].merge(report)
         out.commit(coverage)
     return coverage
 
 
 def validate_inputs(cfg: RunConfig) -> tuple[dict[str, IngestReport], CoverageReport]:
-    """Every table's report and the coverage of resolution, in one pass."""
-    coverage = CoverageReport()
-    with open_inputs(cfg) as data:
-        resolve = TailPlans(data.tables, cfg).resolve
-        for flight in data.flights:
-            plan, cause = resolve(flight)
-            coverage.add(cause, plan.flags)
+    """Every table's report and the coverage of resolution, in one pass split
+    as `run_pipeline` splits it."""
+    spans = _shard_spans(cfg.ontime)
+    with open_inputs(cfg, spans[0]) as data:
+        def validate_shard(flights: Iterable[ingest.FlightRecord], _: object = None,
+                           ) -> CoverageReport:
+            coverage = CoverageReport()
+            resolve = TailPlans(data.tables, cfg).resolve
+            for flight in flights:
+                plan, cause = resolve(flight)
+                coverage.add(cause, plan.flags)
+            return coverage
+
+        with _forked(cfg, spans[1:], validate_shard) as shards:
+            coverage = validate_shard(data.flights)
+            for _, more, report in shards:
+                coverage.merge(more)
+                data.reports[report.table].merge(report)
     return data.reports, coverage

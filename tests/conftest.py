@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 import random
 from pathlib import Path
 
@@ -41,6 +42,33 @@ B739ER_CCD_KNOTS = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def at_most_three_processes(monkeypatch):
+    """A run in a test splits across at most three processes, however many
+    CPUs the machine has."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = set(sorted(os.sched_getaffinity(0))[:3])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+
+
+def in_shards(monkeypatch, shards):
+    """Split every later run into `shards` processes: a table of a few hundred
+    bytes or more is worth a process, and there are `shards` CPUs. Returns
+    the list of pids forked."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+    monkeypatch.setattr(pipeline, "SHARD_BYTES", 256)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shards)))
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
 # The list forms of the streaming pieces `run` feeds one flight at a time.
 
 def row_of(result):
@@ -76,7 +104,7 @@ def write_outputs(outcomes, cfg, coverage: pipeline.CoverageReport) -> None:
     with pipeline.OutputWriter(cfg) as out:
         for outcome in outcomes:
             rf = outcome.resolved
-            out.add(rf.flight, pipeline.TailPlan.of(rf, rf.incomputable_cause, None, None),
+            out.add(rf.flight, pipeline.TailPlan.of(rf, rf.incomputable_cause, None, None, {}),
                     row_of(outcome.result))
         out.commit(coverage)
 

@@ -19,8 +19,8 @@ from aeroemit.config import REQUIRED_TABLE_KEYS, load_config
 from aeroemit.emissions import EmissionsResult, GasVector
 from aeroemit.ingest import FlightRecord
 from aeroemit.matching import ResolvedFlight
-from conftest import (build_corpus, coverage_report, roll_up, table_paths, write_config,
-                      write_outputs)
+from conftest import (build_corpus, coverage_report, in_shards, roll_up, row_of,
+                      table_paths, write_config, write_outputs)
 
 SMALLEST_SUBNORMAL = 5e-324
 EDGE_VALUES = [0.0, -0.0, SMALLEST_SUBNORMAL, -SMALLEST_SUBNORMAL,
@@ -487,3 +487,42 @@ def test_outputs_per_setting_match_golden_digests(corpus, tmp_path, setting, gol
     outputs = run_outputs(tmp_path / "run", paths, {**matching_tables_of(cfg), **setting})
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == golden
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+@pytest.mark.parametrize("setting, golden", [
+    ({}, GOLDEN_DIGESTS), (UNEP_CONSTANTS, GOLDEN_DIGESTS_UNEP),
+    ({"engine_multiplier_mode": "per-engine"}, GOLDEN_DIGESTS_PER_ENGINE),
+    ({"interpolation_key": "distance"}, GOLDEN_DIGESTS_DISTANCE),
+], ids=["default", "unep", "per-engine", "distance"])
+def test_outputs_in_shards_match_golden_digests(corpus, tmp_path, monkeypatch, setting,
+                                                golden, shards):
+    """The seven outputs do not depend on the number of processes a run is
+    split across: their forked shards' sums and rows merge exactly."""
+    cfg, _, _ = corpus
+    paths = table_paths(cfg)
+    if "interpolation_key" in setting:
+        paths["bada_ccd"] = knot_distances(cfg, tmp_path / "bada_ccd.csv")
+    forked = in_shards(monkeypatch, shards)
+    outputs = run_outputs(tmp_path / "run", paths, {**matching_tables_of(cfg), **setting})
+    assert len(forked) == shards - 1
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == golden
+
+
+@given(st.lists(st.tuples(st.sampled_from(["AA", "DL", "UA"]), st.sampled_from(["X", "Y", "Z"]),
+                          st.sampled_from(["W", "V"]), st.integers(0, 300),
+                          st.lists(doubles, min_size=14, max_size=14)), max_size=12),
+       st.integers(0, 12))
+def test_merged_accumulators_equal_one_over_all(flights, cut):
+    """Accumulators over the two parts of a list of flights, merged, hold the
+    sums of one accumulator over the whole list."""
+    outcomes = [synthetic_outcome(*f) for f in flights]
+    whole = agg.RollUpAccumulator()
+    first, second = agg.RollUpAccumulator(), agg.RollUpAccumulator()
+    for i, outcome in enumerate(outcomes):
+        rf = outcome.resolved
+        for accumulator in (whole, first if i < cut else second):
+            accumulator.add(rf.flight, rf.seat_count or 0, row_of(outcome.result))
+    first.merge(second)
+    assert first.finish() == whole.finish()

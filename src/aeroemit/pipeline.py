@@ -3,12 +3,13 @@
 `run_pipeline` is one pass over the flight table: each flight is read,
 resolved, computed, written and added to the exact roll-up, then dropped, so
 memory does not grow with the number of flights. The per-flight work is pure
-Python, so a large table is split into row spans (`ingest.row_spans`), one
-per CPU this process may use: once the lookup tables are built, a forked
-child streams each span but the first, which this process streams itself,
-and sends back its exact sums; its per-flight rows go to anonymous fragment
-files that are appended in span order. Integer sums merge with `+`, so the
-outputs do not depend on the number of processes. Resolution
+Python, so one driver, `_split`, splits a large table into row spans
+(`ingest.row_spans`) for `run` and `validate` alike, one per CPU this process
+may use: once the lookup tables are built, a forked child streams each span
+but the first, which this process streams itself, and pickles its exact sums
+and counts to an anonymous result file; its per-flight rows go to anonymous
+fragment files that are appended in span order. Integer sums merge with `+`,
+so the outputs do not depend on the number of processes. Resolution
 runs once per tail (`TailPlans`); per flight only the air time and distance
 checks and the `emissions.emissions_row` kernel remain, and its flat tuple
 goes straight to the writers. The outputs are replaced together after the last
@@ -30,9 +31,10 @@ import os
 import shutil
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import aggregate as agg
 from . import emissions, ingest, matching
@@ -85,8 +87,8 @@ ROLLUP_TABLES = (AIRLINE_SUMMARY_TABLE, AIRPORT_LTO_TABLE, GAS_BREAKDOWN_TABLE)
 class CoverageReport:
     total_flights: int = 0
     computed_flights: int = 0
-    causes: dict[str, int] = field(default_factory=dict)
-    fallback_flags: dict[str, int] = field(default_factory=dict)
+    causes: Counter[str] = field(default_factory=Counter)
+    fallback_flags: Counter[str] = field(default_factory=Counter)
 
     @property
     def coverage(self) -> float:
@@ -102,18 +104,16 @@ class CoverageReport:
         if cause is None:
             self.computed_flights += 1
         else:
-            self.causes[cause] = self.causes.get(cause, 0) + 1
+            self.causes[cause] += 1
         for flag in flags:
-            self.fallback_flags[flag] = self.fallback_flags.get(flag, 0) + 1
+            self.fallback_flags[flag] += 1
 
     def merge(self, other: CoverageReport) -> None:
         """Add the counts of `other`, a report of other flights."""
         self.total_flights += other.total_flights
         self.computed_flights += other.computed_flights
-        for counts, more in ((self.causes, other.causes),
-                             (self.fallback_flags, other.fallback_flags)):
-            for name, count in more.items():
-                counts[name] = counts.get(name, 0) + count
+        self.causes.update(other.causes)
+        self.fallback_flags.update(other.fallback_flags)
 
     def to_dict(self) -> dict:
         return {
@@ -374,7 +374,6 @@ class OutputWriter:
         return self.outdir / (name + ".tmp")
 
     def __enter__(self) -> OutputWriter:
-        self.outdir.mkdir(parents=True, exist_ok=True)
         seat_mile_header = list(SCATTER_SEAT_MILE_HEADER)
         self._unep_cells = None
         if self.cfg.unep is not None:
@@ -387,16 +386,20 @@ class OutputWriter:
             logger.warning("no UNEP baseline constants configured; "
                            "scatter_seat_mile.csv omits the baseline column")
         try:
-            self._flights, self._co2e, self._seat_mile = (
-                self._files.enter_context(open(self._staged(name), "w", encoding="utf-8"))
-                for name in ("flight_emissions.csv", "scatter_co2e.csv",
-                             "scatter_seat_mile.csv"))
-            self._flights.write(csv_line(FLIGHT_EMISSIONS_HEADER))
-            self._co2e.write(csv_line(SCATTER_CO2E_HEADER))
-            self._seat_mile.write(csv_line(seat_mile_header))
-        except BaseException:
-            self.__exit__()
-            raise
+            self.outdir.mkdir(parents=True, exist_ok=True)
+            try:
+                self.streams = tuple(
+                    self._files.enter_context(open(self._staged(name), "w", encoding="utf-8"))
+                    for name in ("flight_emissions.csv", "scatter_co2e.csv",
+                                 "scatter_seat_mile.csv"))
+                for stream, header in zip(self.streams, (
+                        FLIGHT_EMISSIONS_HEADER, SCATTER_CO2E_HEADER, seat_mile_header)):
+                    stream.write(csv_line(header))
+            except BaseException:
+                self.__exit__()
+                raise
+        except OSError as exc:
+            raise ConfigError(f"output_dir: {self.outdir}: {exc.strerror or exc}") from None
         return self
 
     def add(self, flight: ingest.FlightRecord, plan: TailPlan, row: tuple | None) -> None:
@@ -407,36 +410,18 @@ class OutputWriter:
             return
         distance = repr(flight.distance_mi)
         carrier = flight.carrier_code
-        self._flights.write(csv_line(
+        flights, co2e, seat_mile = self.streams
+        flights.write(csv_line(
             [flight.flight_date.isoformat(), carrier, flight.flight_number,
              flight.tail_number or "", flight.origin, flight.destination],
             f",{distance},{flight.air_time_min!r}{plan.cells}" + _FLIGHT_NUMBERS % row[8:21]))
         scatter = f"{plan.scatter_cells},{csv_cell(carrier)}"
-        self._co2e.write("%s,%.2f%s\n" % (distance, row[18], scatter))
+        co2e.write("%s,%.2f%s\n" % (distance, row[18], scatter))
         unep = self._unep_cells  # the cell of agg.unep_baseline
         if unep is not None:
             short, long, cutoff = unep
             scatter += short if flight.distance_mi < cutoff else long
-        self._seat_mile.write("%s,%.6f%s\n" % (distance, row[20], scatter))
-
-    def flush(self) -> None:
-        """Write out the buffered per-flight rows."""
-        for stream in (self._flights, self._co2e, self._seat_mile):
-            stream.flush()
-
-    def shard(self, files: list) -> None:
-        """In a forked child: write the per-flight rows to `files`, three text
-        files, with no header, and roll up from zero."""
-        self._flights, self._co2e, self._seat_mile = files
-        self.rollup = agg.RollUpAccumulator(self.cfg.co2e_factors)
-
-    def merge(self, files: list, rollup: agg.RollUpAccumulator) -> None:
-        """Append a later shard's `files` and add its `rollup`."""
-        for stream, fragment in zip((self._flights, self._co2e, self._seat_mile), files):
-            stream.flush()
-            fragment.seek(0)
-            shutil.copyfileobj(fragment.buffer, stream.buffer)
-        self.rollup.merge(rollup)
+        seat_mile.write("%s,%.6f%s\n" % (distance, row[20], scatter))
 
     def commit(self, coverage: CoverageReport) -> None:
         """Write the roll-up files and coverage.json, then replace all seven
@@ -506,79 +491,82 @@ def _shard_spans(path: Path) -> list:
     return (parts > 1 and ingest.row_spans(path, parts)) or [None]
 
 
-@contextlib.contextmanager
-def _forked(cfg: RunConfig, spans: list, work: Callable[[Iterator, list], Any],
-            fragments: int = 0) -> Iterator[Iterator[tuple[list, Any, IngestReport]]]:
-    """Stream each span of the flight table through ``work(flights, files)``
-    in a forked child, `files` its `fragments` anonymous text files in the
-    output directory. Yields an iterator of each child's files, result and
-    ingest report, in span order; a child's exception is raised again here.
-    On exit every child is killed and reaped and every file closed. Fork,
-    not spawn: a child inherits the lookup tables instead of building them
-    again, and the package starts no thread that a fork could break."""
+def _split(cfg: RunConfig, data: LoadedData, spans: list,
+           shard: Callable[[Iterable[ingest.FlightRecord], Sequence], tuple],
+           streams: Sequence = ()) -> tuple:
+    """Stream the flight table, span by span, through ``shard(flights, files)``
+    and return the first span's results with each later span's merged into
+    them in span order: the objects `shard` returns, each with a `merge`, and
+    the span's ingest report. This process streams the first span,
+    `data.flights`, with `files` = `streams`; a forked child streams each other
+    span with `files` its own anonymous text files in the output directory,
+    one per stream, which are then appended to `streams`. The child pickles
+    its results, or the exception it raised, to an anonymous result file and
+    leaves by `os._exit`, so none of this process's cleanup runs there; here
+    the exception is raised again. On exit every child is killed and reaped
+    and every file closed. Fork, not spawn: a child inherits the lookup tables
+    instead of building them again, and the package starts no thread that a
+    fork could break."""
     running: list[int] = []
     with contextlib.ExitStack() as stack:
-        children = []
         try:
-            if spans:
+            children = []
+            if len(spans) > 1:
                 import pickle, signal  # only a run that splits pays for the imports
-                sys.stdout.flush()
-                sys.stderr.flush()
-            for span in spans:
+                # Else a child's copy of a buffer is written out again.
+                for stream in (sys.stdout, sys.stderr, *streams):
+                    stream.flush()
+            for span in spans[1:]:
                 files = [stack.enter_context(tempfile.TemporaryFile(
-                    "w+", encoding="utf-8", dir=cfg.output_dir)) for _ in range(fragments)]
-                receive, send = os.pipe()
-                pipe = stack.enter_context(open(receive, "rb"))
-                with open(send, "wb") as sender:  # closed here once the child has it
-                    # An interrupt waits until the child is in `_child` and its pid is kept.
-                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-                    try:
-                        pid = os.fork()
-                        if pid == 0:
-                            _child(cfg, span, work, files, sender, mask)
-                        running.append(pid)
-                    finally:
-                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                children.append((pid, pipe, files))
-
-            def results() -> Iterator[tuple[list, Any, IngestReport]]:
-                for pid, pipe, files in children:
-                    message = pipe.read()
-                    os.waitpid(pid, 0)
-                    running.remove(pid)
-                    if not message:
-                        raise RuntimeError(f"flight-table shard process {pid} ended "
-                                           f"without a result")
-                    result, report, error = pickle.loads(message)
-                    if error is not None:
-                        raise error
-                    yield files, result, report
-            yield results()
+                    "w+", encoding="utf-8", dir=cfg.output_dir)) for _ in streams]
+                # Not in the output directory, which `validate` does not create.
+                result = stack.enter_context(tempfile.TemporaryFile())
+                # An interrupt waits until the child is in its `try` and its pid is kept.
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        try:
+                            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                            try:
+                                with ingest.stream_table(ingest.ONTIME_TABLE, cfg.ontime,
+                                                         span) as (flights, report):
+                                    message = (*shard(flights, files), report)
+                                for file in files:
+                                    file.flush()
+                            except BaseException as exc:
+                                message = exc
+                            result.write(pickle.dumps(message))
+                            result.flush()
+                        finally:
+                            os._exit(0)
+                    running.append(pid)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                children.append((pid, files, result))
+            merged = (*shard(data.flights, streams), data.reports[ingest.ONTIME_TABLE.table])
+            for pid, files, result in children:
+                os.waitpid(pid, 0)
+                running.remove(pid)
+                result.seek(0)
+                message = result.read()
+                if not message:
+                    raise RuntimeError(f"flight-table shard process {pid} ended without a result")
+                message = pickle.loads(message)
+                if isinstance(message, BaseException):
+                    raise message
+                for stream, fragment in zip(streams, files):
+                    stream.flush()
+                    fragment.seek(0)
+                    shutil.copyfileobj(fragment.buffer, stream.buffer)
+                for mine, theirs in zip(merged, message):
+                    mine.merge(theirs)
+            return merged
         finally:
             for pid in running:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-
-
-def _child(cfg: RunConfig, span: tuple, work: Callable[[Iterator, list], Any], files: list,
-           sender: Any, mask: set) -> NoReturn:
-    """A forked child's whole life: send ``work(flights, files)`` over its
-    span and the span's ingest report, or the exception raised, then leave
-    by `os._exit`, so that none of the parent's cleanup runs here. `mask` is
-    the signal mask to restore."""
-    try:
-        import pickle, signal
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        try:
-            with ingest.stream_table(ingest.ONTIME_TABLE, cfg.ontime, span) as (flights, report):
-                message = pickle.dumps((work(flights, files), report, None))
-        except BaseException as exc:
-            message = pickle.dumps((None, None, exc))
-        sender.write(message)
-        sender.flush()
-    finally:
-        os._exit(0)
 
 
 def run_pipeline(cfg: RunConfig) -> CoverageReport:
@@ -587,26 +575,17 @@ def run_pipeline(cfg: RunConfig) -> CoverageReport:
     _check_output_dir(Path(cfg.output_dir))
     spans = _shard_spans(cfg.ontime)
     with open_inputs(cfg, spans[0]) as data, OutputWriter(cfg) as out:
-        def run_shard(flights: Iterable[ingest.FlightRecord], files: list | None = None,
-                      ) -> tuple[agg.RollUpAccumulator, CoverageReport]:
-            if files is not None:  # in a forked child
-                out.shard(files)
+        def run_shard(flights: Iterable[ingest.FlightRecord], streams: Sequence) -> tuple:
+            out.streams = streams  # in a forked child, its fragment files
             coverage = CoverageReport()
             compute = TailPlans(data.tables, cfg).compute
             for flight in flights:
                 plan, cause, row = compute(flight)
                 coverage.add(cause, plan.flags)
                 out.add(flight, plan, row)
-            out.flush()
-            return out.rollup, coverage
+            return coverage, out.rollup
 
-        out.flush()
-        with _forked(cfg, spans[1:], run_shard, 3) as shards:
-            _, coverage = run_shard(data.flights)
-            for files, (rollup, more), report in shards:
-                out.merge(files, rollup)
-                coverage.merge(more)
-                data.reports[report.table].merge(report)
+        coverage, _, _ = _split(cfg, data, spans, run_shard, out.streams)
         out.commit(coverage)
     return coverage
 
@@ -616,18 +595,13 @@ def validate_inputs(cfg: RunConfig) -> tuple[dict[str, IngestReport], CoverageRe
     as `run_pipeline` splits it."""
     spans = _shard_spans(cfg.ontime)
     with open_inputs(cfg, spans[0]) as data:
-        def validate_shard(flights: Iterable[ingest.FlightRecord], _: object = None,
-                           ) -> CoverageReport:
+        def validate_shard(flights: Iterable[ingest.FlightRecord], _: Sequence) -> tuple:
             coverage = CoverageReport()
             resolve = TailPlans(data.tables, cfg).resolve
             for flight in flights:
                 plan, cause = resolve(flight)
                 coverage.add(cause, plan.flags)
-            return coverage
+            return coverage,
 
-        with _forked(cfg, spans[1:], validate_shard) as shards:
-            coverage = validate_shard(data.flights)
-            for _, more, report in shards:
-                coverage.merge(more)
-                data.reports[report.table].merge(report)
+        coverage, _ = _split(cfg, data, spans, validate_shard)
     return data.reports, coverage

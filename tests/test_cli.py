@@ -336,6 +336,20 @@ class TestInputErrorsExit2:
         err = capsys.readouterr().err
         assert f"output_dir: {tmp_path / culprit} is not a directory" in err
 
+    def test_output_dir_not_creatable(self, tmp_path, capsys, monkeypatch):
+        """`mkdir` is patched to refuse: a permission bit does not stop root."""
+        paths = write_golden_inputs(tmp_path)
+        outdir = tmp_path / "out"
+        config = write_config(tmp_path, paths, outdir)
+
+        def refused(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "mkdir", refused)
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: output_dir: {outdir}: Permission denied\n"
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("key, command", [
         ("output_dir", "run"), ("ontime", "validate"), ("ontime", "run")])
     def test_empty_path_exit_2(self, tmp_path, capsys, key, command):

@@ -198,14 +198,14 @@ class TestFailingShard:
                                      "unep_cutoff_mi": "700"})
         return outdir, str(config), rows[30].split(",")[2], rows[-1].split(",")[2]
 
-    def failing_at(self, monkeypatch, flight_number, error):
-        real = pipeline.TailPlans.compute
+    def failing_at(self, monkeypatch, flight_number, error, method="compute"):
+        real = getattr(pipeline.TailPlans, method)
 
-        def compute(self, flight):
+        def failing(self, flight):
             if flight.flight_number == flight_number:
                 raise error(f"stopped at flight {flight_number}")
             return real(self, flight)
-        monkeypatch.setattr(pipeline.TailPlans, "compute", compute)
+        monkeypatch.setattr(pipeline.TailPlans, method, failing)
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_error_in_last_shard_as_in_one_process(self, second_run, monkeypatch, capsys,
@@ -220,6 +220,19 @@ class TestFailingShard:
         assert capsys.readouterr().err.endswith(f"error: stopped at flight {last}\n")
         assert outputs(outdir) == before
         assert sorted(p.name for p in outdir.iterdir()) == sorted(pipeline.OUTPUT_FILES)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_validate_error_in_last_shard_as_in_one_process(self, second_run, monkeypatch,
+                                                            capsys, shards):
+        """`resolve`, which `validate` calls per flight, fails on the last row."""
+        _, config, _, last = second_run
+        capsys.readouterr()
+        self.failing_at(monkeypatch, last, ConfigError, "resolve")
+        forked = in_shards(monkeypatch, shards)
+        assert cli.main(["validate", "--config", config]) == 2
+        assert len(forked) == shards - 1
+        assert capsys.readouterr() == ("", f"error: stopped at flight {last}\n")
         assert_no_child_left()
 
     @pytest.mark.parametrize("where", ["last-shard", "this-process"])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import frexp
+from typing import NamedTuple
 
 from .emissions import Co2eFactors, EmissionsResult
 from .ingest import GASES, FlightRecord  # noqa: F401  (GASES is re-exported for the writers)
@@ -71,8 +72,7 @@ class ExactGasTotals:
                 + to_units(f.hc) * self.hc_units + to_units(f.nox) * self.nox_units)
 
 
-@dataclass(frozen=True)
-class FlightOutcome:
+class FlightOutcome(NamedTuple):
     """A resolved flight paired with its computed emissions, if any."""
 
     resolved: ResolvedFlight
@@ -126,8 +126,7 @@ class AirportLtoSummary:
         return self.lto_co2e / UNIT_SQUARED
 
 
-@dataclass
-class RollUp:
+class RollUp(NamedTuple):
     """Every grouping of one set of outcomes.
 
     `airlines` are ordered by total flight count descending, `airports` by
@@ -140,8 +139,7 @@ class RollUp:
     ccd: ExactGasTotals
 
 
-@dataclass(frozen=True)
-class UnepBaseline:
+class UnepBaseline(NamedTuple):
     short_haul_co2_per_seat_mile: float
     long_haul_co2_per_seat_mile: float
     cutoff_mi: float

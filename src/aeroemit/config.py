@@ -9,7 +9,7 @@ module; an absent key leaves that default in place.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregate import UnepBaseline
@@ -25,7 +25,7 @@ REQUIRED_TABLE_KEYS = tuple(schema.table for schema in INPUT_TABLES)
 OPTIONAL_PATH_KEYS = tuple(schema.table for schema in CONFIG_TABLES)
 CHOICES = {"engine_multiplier_mode": ("paper-compatible", "per-engine"),
            "interpolation_key": ("time", "distance")}
-CO2E_KEYS = tuple(f"co2e_{gas.name}" for gas in fields(Co2eFactors))
+CO2E_KEYS = tuple(f"co2e_{gas}" for gas in Co2eFactors._fields)
 UNEP_KEYS = ("unep_short", "unep_long", "unep_cutoff_mi")
 SCALAR_KEYS = ("output_dir", "jaccard_threshold", *CHOICES, *CO2E_KEYS, *UNEP_KEYS)
 
@@ -49,7 +49,7 @@ class RunConfig:
     jaccard_threshold: float = DEFAULT_JACCARD_THRESHOLD
     engine_multiplier_mode: str = "paper-compatible"
     interpolation_key: str = "time"
-    co2e_factors: Co2eFactors = field(default_factory=Co2eFactors)
+    co2e_factors: Co2eFactors = Co2eFactors()
     unep: UnepBaseline | None = None
 
     def validate_paths(self) -> None:

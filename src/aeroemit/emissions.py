@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ingest import CcdProfile, EngineLtoFactors
 from .matching import ResolvedFlight
@@ -29,8 +29,7 @@ APPROACH_S = 240.0
 DEFAULT_IDLE_S = 1560.0
 
 
-@dataclass(frozen=True)
-class GasVector:
+class GasVector(NamedTuple):
     hc: float = 0.0
     co2: float = 0.0
     co: float = 0.0
@@ -44,8 +43,7 @@ class GasVector:
         return GasVector(self.hc * k, self.co2 * k, self.co * k, self.nox * k)
 
 
-@dataclass(frozen=True)
-class LtoTimes:
+class LtoTimes(NamedTuple):
     takeoff_s: float = TAKEOFF_S
     climbout_s: float = CLIMBOUT_S
     approach_s: float = APPROACH_S
@@ -60,8 +58,7 @@ class LtoTimes:
         return cls(idle_s=(taxi_in_min + taxi_out_min) * 60.0, idle_from_taxi=True)
 
 
-@dataclass(frozen=True)
-class Co2eFactors:
+class Co2eFactors(NamedTuple):
     co2: float = 1.0
     co: float = 1.57
     hc: float = 84.0
@@ -144,8 +141,7 @@ def co2e(v: GasVector, f: Co2eFactors = Co2eFactors()) -> float:
     return v.co2 * f.co2 + f.co * v.co + f.hc * v.hc + f.nox * v.nox
 
 
-@dataclass(frozen=True)
-class EmissionsResult:
+class EmissionsResult(NamedTuple):
     lto: GasVector
     ccd: GasVector
     lto_origin_share: GasVector

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import fnmatch
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 from .ingest import (
     AirframeRecord,
@@ -55,8 +54,7 @@ class MatchingConfigError(IngestError):
     """Invalid normalization / fallback / override configuration."""
 
 
-@dataclass(frozen=True)
-class ResolvedFlight:
+class ResolvedFlight(NamedTuple):
     flight: FlightRecord
     canonical_type: str | None
     seat_count: int | None
@@ -72,8 +70,7 @@ class ResolvedFlight:
         return self.incomputable_cause is None
 
 
-@dataclass(frozen=True)
-class NormalizationRule:
+class NormalizationRule(NamedTuple):
     pattern: str
     canonical_type: str
 
@@ -108,8 +105,7 @@ class NormalizationRuleSet:
         return None
 
 
-@dataclass(frozen=True)
-class FamilyFallback:
+class FamilyFallback(NamedTuple):
     surrogate_type: str
     efficiency_factor: float
 
@@ -239,8 +235,7 @@ def _resolve_engines(tails: Collection[str], registry_by_tail: dict[str, str],
             if (registered := registry_by_tail.get(tail)) in matched}
 
 
-@dataclass(frozen=True)
-class LookupTables:
+class LookupTables(NamedTuple):
     """Immutable lookup state shared by all resolve_flight calls.
 
     `canonical_types` holds each type designator's canonical type, "" if none;

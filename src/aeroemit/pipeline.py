@@ -23,7 +23,6 @@ the reference `resolve_flight` and `flight_emissions`.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import logging
 import operator
@@ -125,8 +124,7 @@ class CoverageReport:
         }
 
 
-@dataclass
-class LoadedData:
+class LoadedData(NamedTuple):
     """The flights, the lookup tables and every table's ingest report. The
     flights are a one-pass iterator inside `open_inputs`, a list from
     `load_data`."""
@@ -172,7 +170,7 @@ def _reference_data(cfg: RunConfig) -> tuple[matching.LookupTables, list[IngestR
 def load_data(cfg: RunConfig) -> LoadedData:
     """`open_inputs` with every flight read into a list."""
     with open_inputs(cfg) as data:
-        return dataclasses.replace(data, flights=list(data.flights))
+        return data._replace(flights=list(data.flights))
 
 
 def _rekey_profiles_by_distance(profiles: list[CcdProfile]) -> list[CcdProfile]:
@@ -209,7 +207,7 @@ def _outcome(rf: matching.ResolvedFlight, tables: matching.LookupTables,
         engine_multiplier=float(rf.engine_count or 1) if per_engine else 1.0,
         interpolation_key=cfg.interpolation_key)
     if result is None and rf.incomputable_cause is None:
-        rf = dataclasses.replace(rf, incomputable_cause=matching.NONFINITE_EMISSIONS)
+        rf = rf._replace(incomputable_cause=matching.NONFINITE_EMISSIONS)
     return agg.FlightOutcome(rf, result)
 
 

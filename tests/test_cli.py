@@ -650,8 +650,8 @@ class TestDefaultsHaveOneSource:
         co2e_keys = re.escape("/".join(f"`{key}`" for key in config.CO2E_KEYS))
         factors = stated(co2e_keys + r" \(defaults ([^;)]*)").split(", ")
         assert [float(value) for value in factors] == [
-            getattr(defaults.co2e_factors, f.name)
-            for f in dataclasses.fields(defaults.co2e_factors)]
+            getattr(defaults.co2e_factors, name)
+            for name in defaults.co2e_factors._fields]
 
 
 class TestReadmeMatchesCode:

@@ -1,0 +1,26 @@
+"""The package's value records are immutable: plans, flight records and lookup
+tables are shared across flights and across forked processes, so no holder
+may change one under another."""
+
+import pytest
+
+from aeroemit import aggregate, emissions, ingest, matching, pipeline
+
+RECORDS = (
+    ingest.FlightRecord, ingest.RowRejection, ingest.CcdKnot, ingest.Column,
+    ingest.TableSchema, emissions.GasVector, emissions.LtoTimes, emissions.Co2eFactors,
+    emissions.EmissionsResult, matching.ResolvedFlight, matching.NormalizationRule,
+    matching.FamilyFallback, matching.LookupTables, aggregate.FlightOutcome,
+    aggregate.RollUp, aggregate.UnepBaseline, pipeline.LoadedData, pipeline.TailPlan,
+)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_fields_cannot_be_assigned(record):
+    value = record._make([None] * len(record._fields))
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    with pytest.raises(AttributeError):
+        value.added = 0
+    assert tuple(value) == (None,) * len(record._fields)

@@ -115,8 +115,8 @@ def first_flight_incomplete():
     complete one, which must not inherit either cause."""
     base = FlightRecord(datetime.date(2021, 9, 1), "DL", "1", "N1", "PHL", "ATL",
                         124.0, 7.43, 15.42, 666.0)
-    return [dataclasses.replace(base, air_time_min=None),
-            dataclasses.replace(base, distance_mi=None), base]
+    return [base._replace(air_time_min=None),
+            base._replace(distance_mi=None), base]
 
 
 def bits(value):
@@ -159,7 +159,7 @@ class TestPlanPathEqualsReference:
         causes, flags = set(), set()
         for tail in ("N1", "N2", "N3", "N4", "N5", "N6", "N7", "N0", None):
             base = first_flight_incomplete()[-1]
-            rf = matching.resolve_flight(dataclasses.replace(base, tail_number=tail),
+            rf = matching.resolve_flight(base._replace(tail_number=tail),
                                          PLAN_TEST_TABLES)
             causes.add(rf.incomputable_cause)
             flags |= rf.provenance
@@ -173,7 +173,7 @@ class TestPlanPathEqualsReference:
         """Tables not made by LookupTables.build can name an engine the databank
         lacks: like flight_emissions, the plan path computes nothing for it, and
         `run` gives it NONFINITE_EMISSIONS."""
-        tables = dataclasses.replace(PLAN_TEST_TABLES, databank_by_uid={})
+        tables = PLAN_TEST_TABLES._replace(databank_by_uid={})
         cfg = RunConfig(*(Path("unused.csv"),) * 6)
         flight = first_flight_incomplete()[-1]
         rf = matching.resolve_flight(flight, tables)
@@ -186,11 +186,11 @@ class TestPlanPathEqualsReference:
         cfg = RunConfig(*(Path("unused.csv"),) * 6)
         plans = pipeline.TailPlans(PLAN_TEST_TABLES, cfg)
         base = first_flight_incomplete()[-1]
-        seen = {plans.compute(dataclasses.replace(base, tail_number=tail))[0]
+        seen = {plans.compute(base._replace(tail_number=tail))[0]
                 for tail in [f"X{i}" for i in range(100)] + [None] * 3}
         assert plans.by_tail == {} and len(seen) == 2
         plans.compute(base)
-        plans.compute(dataclasses.replace(base, tail_number="N7"))
+        plans.compute(base._replace(tail_number="N7"))
         assert list(plans.by_tail) == ["N1", "N7"]
 
 

@@ -1,26 +1,31 @@
-"""Roll-ups of per-flight results to airlines, airports and gases.
+"""Roll-ups of per-flight results to airlines, airports and gases, and the
+three tables they are written as.
 
 Every finite double is an integer multiple of 2**-1074, so aggregation totals
 are kept as Python ints counting units of 2**-1074 kg: fixed point with no
 rounding, in which every grouping of the same flights sums to the same mass
-regardless of order. `RollUpAccumulator.add` takes one flight's
+regardless of order. One record, `Sums`, holds the sums of a carrier, an
+airport or a cycle. `RollUpAccumulator.add` takes one flight's
 `emissions.emissions_row` tuple, converts each double it sums once, with
 `to_units` written inline as a `frexp` and a shift, and fills every
-grouping, so a run streams its flights through it and holds only the
-per-carrier, per-airport and per-cycle sums; accumulators of parts of a
-table `merge` by `+`. Floats appear only in derived values, each produced
-by one correctly rounded ``int / int`` division (the same double
+grouping, so a run streams its flights through it and holds only the sums;
+accumulators of parts of a table `merge` by `+`. `RollUpAccumulator.rows`
+makes the cells of the tables of `ROLLUP_TABLES`, which `run` writes and
+`report` reads. Floats appear only in those cells, each produced by one
+correctly rounded ``int / int`` division (the same double
 ``float(Fraction)`` gives).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from math import frexp
-from typing import NamedTuple
+from operator import attrgetter, mul
+from typing import Iterator, NamedTuple
 
 from .emissions import Co2eFactors, EmissionsResult
-from .ingest import GASES, FlightRecord  # noqa: F401  (GASES is re-exported for the writers)
+from .ingest import GASES, FlightRecord, TableSchema, choice, integer, number, text
 from .matching import ResolvedFlight
 
 UNIT_BITS = 1074
@@ -40,103 +45,11 @@ def to_units(x: float) -> int:
     return n << (UNIT_BITS + 1 - d.bit_length())
 
 
-@dataclass
-class ExactGasTotals:
-    """Per-gas mass totals kept exact, as ints counting units of 2**-1074 kg."""
-
-    hc_units: int = 0
-    co2_units: int = 0
-    co_units: int = 0
-    nox_units: int = 0
-
-    def units(self, gas: str) -> int:
-        return {"HC": self.hc_units, "CO2": self.co2_units, "CO": self.co_units,
-                "NOX": self.nox_units}[gas]
-
-    def kg(self, gas: str) -> float:
-        return self.units(gas) / UNIT
-
-    def co2e_kg(self, gas: str, f: Co2eFactors) -> float:
-        factor = {"HC": f.hc, "CO2": f.co2, "CO": f.co, "NOX": f.nox}[gas]
-        return self.units(gas) * to_units(factor) / UNIT_SQUARED
-
-    def merge(self, other: ExactGasTotals) -> None:
-        self.hc_units += other.hc_units
-        self.co2_units += other.co2_units
-        self.co_units += other.co_units
-        self.nox_units += other.nox_units
-
-    def co2e_units(self, f: Co2eFactors) -> int:
-        """Exact CO2e in units of 2**-2148 kg (divide by UNIT_SQUARED)."""
-        return (self.co2_units * to_units(f.co2) + to_units(f.co) * self.co_units
-                + to_units(f.hc) * self.hc_units + to_units(f.nox) * self.nox_units)
-
-
 class FlightOutcome(NamedTuple):
     """A resolved flight paired with its computed emissions, if any."""
 
     resolved: ResolvedFlight
     result: EmissionsResult | None
-
-
-@dataclass
-class AirlineSummary:
-    """Per-carrier totals; `total_co2e` and `seat_miles` count units of
-    2**-1074."""
-
-    carrier_code: str
-    total_flights: int = 0
-    emission_flights: int = 0
-    total_seats: int = 0
-    gas_totals: ExactGasTotals = field(default_factory=ExactGasTotals)
-    total_co2e: int = 0
-    seat_miles: int = 0
-
-    @property
-    def total_co2_kg(self) -> float:
-        return self.gas_totals.kg("CO2")
-
-    @property
-    def total_co2e_kg(self) -> float:
-        return self.total_co2e / UNIT
-
-    @property
-    def co2_per_seat_mile(self) -> float | None:
-        if self.seat_miles == 0:
-            return None
-        return self.gas_totals.co2_units / self.seat_miles
-
-    @property
-    def co2e_per_seat_mile(self) -> float | None:
-        if self.seat_miles == 0:
-            return None
-        return self.total_co2e / self.seat_miles
-
-
-@dataclass
-class AirportLtoSummary:
-    """Local LTO mass of one airport; `lto_co2e` counts units of 2**-2148."""
-
-    airport: str
-    gas_totals: ExactGasTotals = field(default_factory=ExactGasTotals)
-    lto_co2e: int = 0
-
-    @property
-    def lto_co2e_kg(self) -> float:
-        return self.lto_co2e / UNIT_SQUARED
-
-
-class RollUp(NamedTuple):
-    """Every grouping of one set of outcomes.
-
-    `airlines` are ordered by total flight count descending, `airports` by
-    LTO CO2e descending; `lto` and `ccd` are the per-gas totals of each cycle.
-    """
-
-    airlines: list[AirlineSummary]
-    airports: list[AirportLtoSummary]
-    lto: ExactGasTotals
-    ccd: ExactGasTotals
 
 
 class UnepBaseline(NamedTuple):
@@ -152,33 +65,55 @@ def unep_baseline(distance_mi: float, config: UnepBaseline) -> float:
     return config.long_haul_co2_per_seat_mile
 
 
-class RollUpAccumulator:
-    """Per-airline, per-airport and per-cycle roll-ups, one outcome at a time.
+@dataclass(slots=True)
+class Sums:
+    """The exact sums of one grouping: a carrier, an airport or a cycle.
 
-    LTO mass is split between origin and destination airports; airline totals
-    cover both LTO shares and CCD. The totals are exact integers, so the
-    order of `add` calls does not change what `finish` returns.
+    `hc`, `co2`, `co`, `nox` and `co2e` count units of 2**-1074 kg and
+    `seat_miles` units of 2**-1074 seat-miles; `flights` counts every flight,
+    `computed` those with emissions and `seats` their seats. A grouping fills
+    only what it has: an airport or a cycle counts no flights.
     """
 
-    def __init__(self, co2e_factors: Co2eFactors = Co2eFactors()) -> None:
-        self.co2e_factors = co2e_factors
-        self.by_carrier: dict[str, AirlineSummary] = {}
-        self.by_airport: dict[str, AirportLtoSummary] = {}
-        self.lto = ExactGasTotals()
-        self.ccd = ExactGasTotals()
+    hc: int = 0
+    co2: int = 0
+    co: int = 0
+    nox: int = 0
+    flights: int = 0
+    computed: int = 0
+    seats: int = 0
+    co2e: int = 0
+    seat_miles: int = 0
+
+    def merge(self, other: Sums) -> None:
+        """Add every sum of `other`, the same grouping over other flights."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+class RollUpAccumulator:
+    """Per-carrier, per-airport and per-cycle sums, one flight at a time.
+
+    LTO mass is split between origin and destination airports; carrier totals
+    cover both LTO shares and CCD. The sums are exact integers, so the order
+    of `add` calls does not change what `rows` returns.
+    """
+
+    def __init__(self) -> None:
+        self.carriers: defaultdict[str, Sums] = defaultdict(Sums)
+        self.airports: defaultdict[str, Sums] = defaultdict(Sums)
+        self.lto = Sums()
+        self.ccd = Sums()
 
     def add(self, flight: FlightRecord, seats: int, row: tuple | None) -> None:
         """Count one flight of `seats` seats; add its emissions, the tuple of
         `emissions.emissions_row`, unless it has none (`row` is None)."""
-        carrier = flight.carrier_code
-        airline = self.by_carrier.get(carrier)
-        if airline is None:
-            airline = self.by_carrier[carrier] = AirlineSummary(carrier)
-        airline.total_flights += 1
+        carrier = self.carriers[flight.carrier_code]
+        carrier.flights += 1
         if row is None:
             return
-        airline.emission_flights += 1
-        airline.total_seats += seats
+        carrier.computed += 1
+        carrier.seats += seats
         # The shares, the CCD masses, the total CO2e and the distance in units.
         values = (*row[0:8], *row[12:16], row[18], flight.distance_mi)
         try:  # to_units, inline: a normal double is m * 2**e, m * 2**53 an integer
@@ -187,53 +122,80 @@ class RollUpAccumulator:
             units = list(map(to_units, values))
         (o_hc, o_co2, o_co, o_nox, d_hc, d_co2, d_co, d_nox,
          c_hc, c_co2, c_co, c_nox, total_co2e, distance) = units
-        airline.total_co2e += total_co2e
-        airline.seat_miles += seats * distance
+        carrier.co2e += total_co2e
+        carrier.seat_miles += seats * distance
         l_hc, l_co2, l_co, l_nox = o_hc + d_hc, o_co2 + d_co2, o_co + d_co, o_nox + d_nox
-        by_airport = self.by_airport
-        origin = by_airport.get(flight.origin) or self._new_airport(flight.origin)
-        destination = (by_airport.get(flight.destination)
-                       or self._new_airport(flight.destination))
-        for totals, hc, co2, co, nox in (
-                (airline.gas_totals, l_hc + c_hc, l_co2 + c_co2, l_co + c_co, l_nox + c_nox),
+        for sums, hc, co2, co, nox in (
+                (carrier, l_hc + c_hc, l_co2 + c_co2, l_co + c_co, l_nox + c_nox),
                 (self.lto, l_hc, l_co2, l_co, l_nox),
                 (self.ccd, c_hc, c_co2, c_co, c_nox),
-                (origin.gas_totals, o_hc, o_co2, o_co, o_nox),
-                (destination.gas_totals, d_hc, d_co2, d_co, d_nox)):
-            totals.hc_units += hc
-            totals.co2_units += co2
-            totals.co_units += co
-            totals.nox_units += nox
+                (self.airports[flight.origin], o_hc, o_co2, o_co, o_nox),
+                (self.airports[flight.destination], d_hc, d_co2, d_co, d_nox)):
+            sums.hc += hc
+            sums.co2 += co2
+            sums.co += co
+            sums.nox += nox
 
     def merge(self, other: RollUpAccumulator) -> None:
         """Add every sum of `other`, an accumulator of other flights: the sums
         are exact, so this is the accumulator of both."""
-        for carrier, more in other.by_carrier.items():
-            airline = self.by_carrier.setdefault(carrier, AirlineSummary(carrier))
-            airline.total_flights += more.total_flights
-            airline.emission_flights += more.emission_flights
-            airline.total_seats += more.total_seats
-            airline.gas_totals.merge(more.gas_totals)
-            airline.total_co2e += more.total_co2e
-            airline.seat_miles += more.seat_miles
-        for airport, more in other.by_airport.items():
-            self.by_airport.setdefault(airport, AirportLtoSummary(airport)).gas_totals.merge(
-                more.gas_totals)
+        for mine, theirs in ((self.carriers, other.carriers), (self.airports, other.airports)):
+            for key, sums in theirs.items():
+                mine[key].merge(sums)
         self.lto.merge(other.lto)
         self.ccd.merge(other.ccd)
 
-    def _new_airport(self, airport: str) -> AirportLtoSummary:
-        self.by_airport[airport] = summary = AirportLtoSummary(airport)
-        return summary
+    def rows(self, co2e_factors: Co2eFactors) -> tuple[Iterator[list[str]], ...]:
+        """The cells of each table of ROLLUP_TABLES, as text: carriers by
+        flight count descending, airports by LTO CO2e descending, then each
+        cycle gas by gas. Each figure is one correctly rounded ``int / int``
+        division. A table's rows are made as it is iterated, so a figure
+        beyond a double raises OverflowError there."""
+        factors = tuple(map(to_units, _by_gas(co2e_factors)))
+        carriers = sorted(self.carriers.items(), key=lambda item: (-item[1].flights, item[0]))
+        # LTO CO2e in units of 2**-2148 kg, a product of two unit counts.
+        airports = sorted(((sum(map(mul, _by_gas(s), factors)), airport, s)
+                           for airport, s in self.airports.items()),
+                          key=lambda item: (-item[0], item[1]))
+        return (([carrier, str(s.flights), str(s.computed), str(s.seats), _mass(s.co2, UNIT),
+                  _mass(s.co2e, UNIT), _ratio(s.co2, s.seat_miles), _ratio(s.co2e, s.seat_miles)]
+                 for carrier, s in carriers),
+                ([airport, *(_mass(m, UNIT) for m in _by_gas(s)), _mass(co2e, UNIT_SQUARED)]
+                 for co2e, airport, s in airports),
+                ([cycle, gas, _mass(m, UNIT), _mass(m * k, UNIT_SQUARED)]
+                 for cycle, s in (("LTO", self.lto), ("CCD", self.ccd))
+                 for gas, m, k in zip(GASES, _by_gas(s), factors)))
 
-    def finish(self) -> RollUp:
-        """The roll-up of every outcome added so far, with its rows sorted."""
-        for summary in self.by_airport.values():
-            summary.lto_co2e = summary.gas_totals.co2e_units(self.co2e_factors)
-        return RollUp(
-            airlines=sorted(self.by_carrier.values(),
-                            key=lambda s: (-s.total_flights, s.carrier_code)),
-            airports=sorted(self.by_airport.values(),
-                            key=lambda s: (-s.lto_co2e, s.airport)),
-            lto=self.lto, ccd=self.ccd)
 
+# The HC, CO2, CO and NOX fields of a `Sums` or a `Co2eFactors`.
+_by_gas = attrgetter(*(gas.lower() for gas in GASES))
+
+
+def _mass(units: int, unit: int) -> str:
+    return f"{units / unit:.2f}"
+
+
+def _ratio(units: int, per: int) -> str:
+    return "" if per == 0 else f"{units / per:.6f}"
+
+
+# The roll-up outputs, `<table>.csv`, as `RollUpAccumulator.rows` makes them:
+# each record is one row's cells, already formatted. A mass has no lower
+# bound: above the last knot, CCD extrapolates along the last segment, which
+# may fall.
+_ROW = dict(build=lambda *values: values, rows=lambda values: [values])
+AIRLINE_SUMMARY_TABLE = TableSchema(
+    "airline_summary",
+    (text("carrier"), integer("total_flights", 0), integer("emission_flights", 0),
+     integer("total_seats", 0), number("total_co2_kg"), number("total_co2e_kg"),
+     number("co2_per_seat_mile", optional=True), number("co2e_per_seat_mile", optional=True)),
+    **_ROW)
+AIRPORT_LTO_TABLE = TableSchema(
+    "airport_lto",
+    (text("airport"), *(number(f"{gas.lower()}_kg") for gas in GASES),
+     number("lto_co2e_kg")), **_ROW)
+GAS_BREAKDOWN_TABLE = TableSchema(
+    "gas_breakdown",
+    (choice("cycle", ("LTO", "CCD")), choice("gas", GASES), number("raw_kg"),
+     number("co2e_kg")), **_ROW)
+ROLLUP_TABLES = (AIRLINE_SUMMARY_TABLE, AIRPORT_LTO_TABLE, GAS_BREAKDOWN_TABLE)

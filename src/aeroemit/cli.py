@@ -1,7 +1,7 @@
 """Command-line front end: validate, run, and report subcommands.
 
 `report` reads the roll-up files through the schemas `run` writes them with
-(`pipeline.ROLLUP_TABLES`), strictly: the first refused row is an error.
+(`aggregate.ROLLUP_TABLES`), strictly: the first refused row is an error.
 
 Exit codes: 0 success, 1 standard output closed early (`| head`), 2
 input/config error, 3 missing or malformed run artifacts.
@@ -14,6 +14,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import aggregate as agg
 from . import pipeline
 from .config import ConfigError, load_config
 from .ingest import IngestError, read_strict
@@ -74,14 +75,14 @@ def cmd_run(config_path: str | None) -> int:
 
 def cmd_report(output_dir: str) -> int:
     outdir = Path(output_dir)
-    paths = [outdir / f"{schema.table}.csv" for schema in pipeline.ROLLUP_TABLES]
+    paths = [outdir / f"{schema.table}.csv" for schema in agg.ROLLUP_TABLES]
     missing = [path.name for path in paths if not path.is_file()]
     if missing:
         print(f"error: missing run outputs in {outdir}: {', '.join(missing)}",
               file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
     try:
-        airlines, airports, breakdown = map(read_strict, pipeline.ROLLUP_TABLES, paths)
+        airlines, airports, breakdown = map(read_strict, agg.ROLLUP_TABLES, paths)
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT

@@ -21,6 +21,10 @@ from .matching import ResolvedFlight
 
 EXTRAPOLATED_LOW = "EXTRAPOLATED_LOW"
 EXTRAPOLATED_HIGH = "EXTRAPOLATED_HIGH"
+# A key within this fraction of a segment of the segment's upper knot takes
+# that knot's masses: so near it, rounding could carry a mass an ulp past
+# the knot's, and the masses would not be monotone in the key.
+_AT_KNOT = 2.0 ** -48
 
 # ICAO standard LTO mode times, seconds.
 TAKEOFF_S = 42.0
@@ -104,9 +108,13 @@ def split_lto(factors: EngineLtoFactors, times: LtoTimes,
 def interpolate_ccd(profile: CcdProfile, duration_min: float) -> tuple[GasVector, str | None]:
     """Two-point linear interpolation over a profile's knots.
 
-    An exact knot duration returns the tabulated masses exactly. Durations
-    outside the knot range extrapolate linearly from the nearest segment and
-    are flagged, never clamped. A NaN duration raises ValueError.
+    An exact knot duration returns the tabulated masses exactly. Below the
+    first knot the masses interpolate from an implied knot of 0 kg at 0, so
+    they are never negative; above the last knot they extrapolate linearly
+    from the last segment. Both are flagged. When the knots' masses do not
+    fall, neither do these as the duration grows (barring a step of 2**-1074
+    kg where two knots differ by a subnormal mass). A NaN duration raises
+    ValueError.
     """
     if math.isnan(duration_min):
         raise ValueError("CCD interpolation: the duration is NaN")
@@ -119,19 +127,22 @@ def _interpolate(durations: tuple[float, ...], masses: tuple[tuple[float, ...], 
     """The HC, CO2, CO and NOX masses of `interpolate_ccd` over a profile's
     `table`, then its flag."""
     flag = None
-    if x < durations[0]:
-        lo, flag = 0, EXTRAPOLATED_LOW
-    elif x > durations[-1]:
+    if x < durations[0]:  # the formula below, from an implied (0, 0 kg) knot
+        d0 = durations[0]
+        return (*(m * x / d0 for m in masses[0]), EXTRAPOLATED_LOW)
+    if x > durations[-1]:
         lo, flag = len(durations) - 2, EXTRAPOLATED_HIGH
     else:
         lo = bisect.bisect_left(durations, x)
         if durations[lo] == x:
             return (*masses[lo], None)
         lo -= 1
-    lo_hc, lo_co2, lo_co, lo_nox = masses[lo]
-    hi_hc, hi_co2, hi_co, hi_nox = masses[lo + 1]
     span = durations[lo + 1] - durations[lo]
     offset = x - durations[lo]
+    if abs(span - offset) <= span * _AT_KNOT:
+        return (*masses[lo + 1], flag)
+    lo_hc, lo_co2, lo_co, lo_nox = masses[lo]
+    hi_hc, hi_co2, hi_co, hi_nox = masses[lo + 1]
     return (lo_hc + (hi_hc - lo_hc) * offset / span, lo_co2 + (hi_co2 - lo_co2) * offset / span,
             lo_co + (hi_co - lo_co) * offset / span, lo_nox + (hi_nox - lo_nox) * offset / span,
             flag)

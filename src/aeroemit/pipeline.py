@@ -14,8 +14,8 @@ runs once per tail (`TailPlans`); per flight only the air time and distance
 checks and the `emissions.emissions_row` kernel remain, and its flat tuple
 goes straight to the writers. The outputs are replaced together after the last
 flight (`OutputWriter`). Output bytes depend on the inputs alone; every CSV
-line is `ingest.csv_line`'s, and the roll-ups are written through the schemas
-`aeroemit report` reads them with (`ROLLUP_TABLES`). `load_data`,
+line is `ingest.csv_line`'s, and the roll-up tables are `aggregate`'s
+(`RollUpAccumulator.rows` through `ROLLUP_TABLES`). `load_data`,
 `resolve_all` and `compute_outcomes` are the same steps over lists, through
 the reference `resolve_flight` and `flight_emissions`.
 """
@@ -38,8 +38,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import aggregate as agg
 from . import emissions, ingest, matching
 from .config import ConfigError, RunConfig
-from .ingest import (CcdKnot, CcdProfile, IngestReport, TableSchema, choice, csv_cell, csv_line,
-                     integer, number, text)
+from .ingest import CcdKnot, CcdProfile, IngestReport, csv_cell, csv_line
 
 FLIGHT_EMISSIONS_HEADER = [
     "flight_date", "carrier", "flight_number", "tail_number", "origin", "dest",
@@ -60,27 +59,6 @@ logger = logging.getLogger(__name__)
 OUTPUT_FILES = ("flight_emissions.csv", "airline_summary.csv", "airport_lto.csv",
                 "gas_breakdown.csv", "scatter_co2e.csv", "scatter_seat_mile.csv",
                 "coverage.json")
-
-# The roll-up outputs, `<table>.csv`. A record is one row's values; `commit`
-# passes each cell already formatted, as text. The masses have no lower bound:
-# a flight below its profile's first CCD knot extrapolates to negative masses.
-_ROW = dict(build=lambda *values: values, rows=lambda values: [values])
-AIRLINE_SUMMARY_TABLE = TableSchema(
-    "airline_summary",
-    (text("carrier"), integer("total_flights", 0), integer("emission_flights", 0),
-     integer("total_seats", 0), number("total_co2_kg"), number("total_co2e_kg"),
-     number("co2_per_seat_mile", optional=True), number("co2e_per_seat_mile", optional=True)),
-    **_ROW)
-AIRPORT_LTO_TABLE = TableSchema(
-    "airport_lto",
-    (text("airport"), *(number(f"{gas.lower()}_kg") for gas in agg.GASES),
-     number("lto_co2e_kg")), **_ROW)
-GAS_BREAKDOWN_TABLE = TableSchema(
-    "gas_breakdown",
-    (choice("cycle", ("LTO", "CCD")), choice("gas", agg.GASES), number("raw_kg"),
-     number("co2e_kg")), **_ROW)
-ROLLUP_TABLES = (AIRLINE_SUMMARY_TABLE, AIRPORT_LTO_TABLE, GAS_BREAKDOWN_TABLE)
-
 
 @dataclass
 class CoverageReport:
@@ -339,14 +317,6 @@ class TailPlans:
 
 # --- serialization ---
 
-def _mass(value: float) -> str:
-    return f"{value:.2f}"
-
-
-def _ratio(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
 # The numeric cells of a flight_emissions.csv row, from emissions_row's [8:21].
 _FLIGHT_NUMBERS = ",%.2f" * 12 + ",%.6f"
 
@@ -364,7 +334,7 @@ class OutputWriter:
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
         self.outdir = Path(cfg.output_dir)
-        self.rollup = agg.RollUpAccumulator(cfg.co2e_factors)
+        self.rollup = agg.RollUpAccumulator()
         self._files = contextlib.ExitStack()
         self._committed = False
 
@@ -377,9 +347,8 @@ class OutputWriter:
         if self.cfg.unep is not None:
             seat_mile_header.append("unep_baseline")
             unep = self.cfg.unep
-            self._unep_cells = ("," + _ratio(unep.short_haul_co2_per_seat_mile),
-                                "," + _ratio(unep.long_haul_co2_per_seat_mile),
-                                unep.cutoff_mi)
+            self._unep_cells = (f",{unep.short_haul_co2_per_seat_mile:.6f}",
+                                f",{unep.long_haul_co2_per_seat_mile:.6f}", unep.cutoff_mi)
         else:
             logger.warning("no UNEP baseline constants configured; "
                            "scatter_seat_mile.csv omits the baseline column")
@@ -424,23 +393,9 @@ class OutputWriter:
     def commit(self, coverage: CoverageReport) -> None:
         """Write the roll-up files and coverage.json, then replace all seven
         outputs with their staged files."""
-        rollup = self.rollup.finish()
-        factors = self.cfg.co2e_factors
-        airline_rows = (
-            [s.carrier_code, str(s.total_flights), str(s.emission_flights),
-             str(s.total_seats), _mass(s.total_co2_kg), _mass(s.total_co2e_kg),
-             _ratio(s.co2_per_seat_mile), _ratio(s.co2e_per_seat_mile)]
-            for s in rollup.airlines)
-        airport_rows = (
-            [a.airport, *(_mass(a.gas_totals.kg(gas)) for gas in agg.GASES),
-             _mass(a.lto_co2e_kg)]
-            for a in rollup.airports)
-        bd_rows = ([cycle, gas, _mass(totals.kg(gas)), _mass(totals.co2e_kg(gas, factors))]
-                   for cycle, totals in (("LTO", rollup.lto), ("CCD", rollup.ccd))
-                   for gas in agg.GASES)
-        for schema, rows in zip(ROLLUP_TABLES, (airline_rows, airport_rows, bd_rows)):
+        for schema, rows in zip(agg.ROLLUP_TABLES, self.rollup.rows(self.cfg.co2e_factors)):
             name = f"{schema.table}.csv"
-            try:  # the rows are generated here; a total beyond a double overflows
+            try:  # the rows are made here; a total beyond a double overflows
                 ingest.write_table(schema, rows, self._staged(name))
             except OverflowError:
                 raise ConfigError(f"{self.outdir / name}: a total is too large for a "
@@ -544,12 +499,13 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
                 children.append((pid, files, result))
             merged = (*shard(data.flights, streams), data.reports[ingest.ONTIME_TABLE.table])
             for pid, files, result in children:
-                os.waitpid(pid, 0)
+                _, status = os.waitpid(pid, 0)
                 running.remove(pid)
                 result.seek(0)
                 message = result.read()
                 if not message:
-                    raise RuntimeError(f"flight-table shard process {pid} ended without a result")
+                    raise RuntimeError(f"flight-table shard process {pid} ended without a "
+                                       f"result (exit code {os.waitstatus_to_exitcode(status)})")
                 message = pickle.loads(message)
                 if isinstance(message, BaseException):
                     raise message

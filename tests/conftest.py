@@ -82,13 +82,19 @@ def row_of(result):
             result.per_seat_co2e_kg, result.per_seat_mile_co2_kg, result.ccd_flag)
 
 
-def roll_up(outcomes, co2e_factors: Co2eFactors = Co2eFactors()) -> agg.RollUp:
-    """Every grouping of `outcomes`, through `RollUpAccumulator`."""
-    accumulator = agg.RollUpAccumulator(co2e_factors)
+def roll_up(outcomes) -> agg.RollUpAccumulator:
+    """The sums of every grouping of `outcomes`, through `RollUpAccumulator`."""
+    accumulator = agg.RollUpAccumulator()
     for outcome in outcomes:
         rf = outcome.resolved
         accumulator.add(rf.flight, rf.seat_count or 0, row_of(outcome.result))
-    return accumulator.finish()
+    return accumulator
+
+
+def rollup_rows(rollup: agg.RollUpAccumulator, co2e_factors: Co2eFactors = Co2eFactors(),
+                ) -> tuple[list, list, list]:
+    """The rows of the airline, airport and gas-breakdown tables of `rollup`."""
+    return tuple(map(list, rollup.rows(co2e_factors)))
 
 
 def coverage_report(resolved) -> pipeline.CoverageReport:

@@ -11,7 +11,7 @@ from aeroemit.emissions import Co2eFactors, GasVector, LtoTimes, split_lto
 from aeroemit.emissions import EmissionsResult, flight_emissions
 from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors, FlightRecord
 from aeroemit.matching import ENGINE_EXACT, ResolvedFlight
-from conftest import CFM56_7B27E_RATES, coverage_report, roll_up, write_outputs
+from conftest import CFM56_7B27E_RATES, coverage_report, roll_up, rollup_rows, write_outputs
 
 
 def make_flight(carrier="DL", origin="PHL", dest="ATL", taxi_in=7.43,
@@ -102,11 +102,14 @@ class TestSplitLto:
 class TestAirlineAggregation:
     def test_single_airline_additivity(self):
         outcomes = [outcome(make_flight(number=str(i))) for i in range(2)]
-        (summary,) = roll_up(outcomes).airlines
+        rollup = roll_up(outcomes)
+        (summary,) = rollup.carriers.values()
         expected = sum(o.result.lto.co2 + o.result.ccd.co2 for o in outcomes)
-        assert summary.total_co2_kg == pytest.approx(expected)
-        assert summary.total_flights == 2
-        assert summary.emission_flights == 2
+        assert summary.co2 / agg.UNIT == pytest.approx(expected)
+        assert summary.flights == 2
+        assert summary.computed == 2
+        (row,), _, _ = rollup_rows(rollup)
+        assert row[1:5] == ["2", "2", "360", f"{float(Fraction(summary.co2, agg.UNIT)):.2f}"]
 
     def test_brute_force_recomputation(self):
         rng = random.Random(11)
@@ -118,17 +121,21 @@ class TestAirlineAggregation:
                 taxi_in=rng.uniform(1, 20), taxi_out=rng.uniform(1, 20),
                 distance=rng.uniform(100, 2500), number=str(i)),
                 seats=rng.choice([76, 160, 180])))
-        summaries = {s.carrier_code: s for s in roll_up(outcomes).airlines}
+        rollup = roll_up(outcomes)
+        rows = {row[0]: row for row in rollup_rows(rollup)[0]}
         # independent naive loop
         for carrier in carriers:
             mine = [o for o in outcomes if o.resolved.flight.carrier_code == carrier]
             naive_co2 = sum(o.result.lto.co2 + o.result.ccd.co2 for o in mine)
             naive_seat_miles = sum(
                 o.resolved.seat_count * o.resolved.flight.distance_mi for o in mine)
-            s = summaries[carrier]
-            assert s.total_flights == len(mine)
-            assert s.total_co2_kg == pytest.approx(naive_co2)
-            assert s.co2_per_seat_mile == pytest.approx(naive_co2 / naive_seat_miles)
+            s = rollup.carriers[carrier]
+            assert s.flights == len(mine)
+            assert s.co2 / agg.UNIT == pytest.approx(naive_co2)
+            assert s.co2 / s.seat_miles == pytest.approx(naive_co2 / naive_seat_miles)
+            # total_co2_kg and co2_per_seat_mile, each the exact ratio rounded once
+            assert rows[carrier][4] == f"{float(Fraction(s.co2, agg.UNIT)):.2f}"
+            assert rows[carrier][6] == f"{float(Fraction(s.co2, s.seat_miles)):.6f}"
 
     def test_zero_emission_flights_ratio_absent(self):
         rf = make_resolved(make_flight())
@@ -137,24 +144,26 @@ class TestAirlineAggregation:
             engine_count=None, engine_uid=None, emissions_type=None,
             efficiency_factor=1.0, provenance=frozenset(),
             incomputable_cause="MISSING_TAIL")
-        (summary,) = roll_up([agg.FlightOutcome(rf, None)]).airlines
-        assert summary.total_flights == 1
-        assert summary.emission_flights == 0
-        assert summary.co2_per_seat_mile is None
-        assert summary.co2e_per_seat_mile is None
+        rollup = roll_up([agg.FlightOutcome(rf, None)])
+        (summary,) = rollup.carriers.values()
+        assert summary.flights == 1
+        assert summary.computed == 0
+        (row,), _, _ = rollup_rows(rollup)
+        assert row[6:] == ["", ""]  # co2_per_seat_mile and co2e_per_seat_mile
 
     def test_ordering_by_flight_count(self):
         outcomes = ([outcome(make_flight(carrier="AA", number=str(i)))
                      for i in range(3)]
                     + [outcome(make_flight(carrier="DL", number=str(i)))
                        for i in range(5)])
-        summaries = roll_up(outcomes).airlines
-        assert [s.carrier_code for s in summaries] == ["DL", "AA"]
+        airlines, _, _ = rollup_rows(roll_up(outcomes))
+        assert [row[0] for row in airlines] == ["DL", "AA"]
 
     def test_co2e_ratio_dominates_co2_ratio(self):
         outcomes = [outcome(make_flight(number=str(i))) for i in range(5)]
-        for s in roll_up(outcomes).airlines:
-            assert s.co2e_per_seat_mile >= s.co2_per_seat_mile
+        airlines, _, _ = rollup_rows(roll_up(outcomes))
+        for row in airlines:  # co2e_per_seat_mile, co2_per_seat_mile
+            assert float(row[7]) >= float(row[6])
 
 
 class TestConservation:
@@ -179,9 +188,9 @@ class TestConservation:
 
     def test_airport_split_conserves_mass(self):
         outcomes = self.corpus()
-        airports = roll_up(outcomes).airports
+        airports = roll_up(outcomes).airports.values()
         for gas in agg.GASES:
-            total = sum(a.gas_totals.units(gas) for a in airports)
+            total = sum(getattr(a, gas.lower()) for a in airports)
             flight_lto = self.exact_kg(
                 outcomes, gas, ("lto_origin_share", "lto_destination_share"))
             assert Fraction(total, agg.UNIT) == flight_lto
@@ -193,34 +202,36 @@ class TestConservation:
         for gas in agg.GASES:
             system = self.exact_kg(
                 outcomes, gas, ("lto_origin_share", "lto_destination_share", "ccd"))
-            airline_total = sum(s.gas_totals.units(gas) for s in rollup.airlines)
-            airport_total = sum(a.gas_totals.units(gas) for a in rollup.airports)
+            field = gas.lower()
+            airline_total = sum(getattr(s, field) for s in rollup.carriers.values())
+            airport_total = sum(getattr(a, field) for a in rollup.airports.values())
             assert Fraction(airline_total, agg.UNIT) == system
-            assert Fraction(airport_total + ccd_bd.units(gas), agg.UNIT) == system
-            assert Fraction(lto_bd.units(gas) + ccd_bd.units(gas),
+            assert Fraction(airport_total + getattr(ccd_bd, field), agg.UNIT) == system
+            assert Fraction(getattr(lto_bd, field) + getattr(ccd_bd, field),
                             agg.UNIT) == system
 
     def test_permutation_invariance(self):
         outcomes = self.corpus(100)
         shuffled = list(outcomes)
         random.Random(9).shuffle(shuffled)
-        a = roll_up(outcomes).airlines
-        b = roll_up(shuffled).airlines
-        assert [(s.carrier_code, s.gas_totals, s.total_co2e) for s in a] \
-            == [(s.carrier_code, s.gas_totals, s.total_co2e) for s in b]
+        a, b = roll_up(outcomes), roll_up(shuffled)
+        assert a.carriers == b.carriers
+        assert rollup_rows(a)[0] == rollup_rows(b)[0]
 
 
 class TestGasBreakdown:
     def test_co2e_is_raw_times_factor(self):
         outcomes = [outcome(make_flight(number=str(i))) for i in range(3)]
         rollup = roll_up(outcomes)
-        lto_bd, ccd_bd = rollup.lto, rollup.ccd
         f = Co2eFactors()
-        for breakdown in (lto_bd, ccd_bd):
-            assert breakdown.co2e_kg("NOX", f) == pytest.approx(
-                breakdown.kg("NOX") * 298.0)
-            assert breakdown.co2e_kg("CO2", f) == pytest.approx(
-                breakdown.kg("CO2"))
+        _, _, breakdown = rollup_rows(rollup, f)
+        for cycle, gas, raw_kg, co2e_kg in breakdown:
+            field = gas.lower()
+            raw = Fraction(getattr(rollup.lto if cycle == "LTO" else rollup.ccd, field), agg.UNIT)
+            assert raw_kg == f"{float(raw):.2f}"
+            assert co2e_kg == f"{float(raw * Fraction(getattr(f, field))):.2f}"
+            if gas == "CO2":
+                assert co2e_kg == raw_kg
 
 
 def incomputable_outcome():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from aeroemit import aggregate as agg
 from aeroemit import cli, config, ingest, matching, pipeline
 from conftest import (B739ER_CCD_KNOTS, CFM56_7B27E_RATES, build_corpus, icao_rows,
                       write_config, write_csv, write_golden_inputs)
@@ -246,17 +247,24 @@ class TestReport:
         assert "no computed flights" in capsys.readouterr().out
 
     def test_negative_totals_read(self, tmp_path, capsys):
-        """A flight below the first CCD knot extrapolates to negative CCD
-        masses; `report` reads the totals `run` writes for it."""
+        """A flight below the first CCD knot has no negative mass, but a total
+        has no lower bound (above the last knot, CCD extrapolates along a
+        segment that may fall): `report` reads a negative total."""
         paths = write_golden_inputs(tmp_path)
         write_csv(paths["ontime"], ingest.ONTIME_TABLE.header,
                   [["2021-09-01", "DL", "2441", "N815DN", "PHL", "ATL", "0", "7.43", "15.42",
                     "666"]])
         config = write_config(tmp_path, paths, tmp_path / "out")
         assert cli.main(["run", "--config", str(config)]) == 0
-        breakdown = read_rows(tmp_path / "out" / "gas_breakdown.csv")
-        assert any(row["raw_kg"].startswith("-") for row in breakdown)
+        path = tmp_path / "out" / "gas_breakdown.csv"
+        breakdown = read_rows(path)
+        assert not any(row["raw_kg"].startswith("-") for row in breakdown)
+        assert (breakdown[5]["cycle"], breakdown[5]["gas"]) == ("CCD", "CO2")
+        breakdown[5].update(raw_kg="-212.40", co2e_kg="-212.40")
+        write_csv(path, list(breakdown[0]), [list(row.values()) for row in breakdown])
+        capsys.readouterr()
         assert cli.main(["report", str(tmp_path / "out")]) == 0
+        assert "-212.40" in capsys.readouterr().out
 
     def test_missing_outputs_exit_3(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "empty")]) == 3
@@ -268,7 +276,7 @@ class TestReport:
         assert cli.main(["report", str(outdir)]) == 3
         assert capsys.readouterr().err == (
             f"error: {outdir / 'airline_summary.csv'}: header mismatch, expected "
-            f"{pipeline.AIRLINE_SUMMARY_TABLE.header}, got ['carrier']\n")
+            f"{agg.AIRLINE_SUMMARY_TABLE.header}, got ['carrier']\n")
 
     def test_byte_order_mark_skipped(self, tmp_path, capsys):
         outdir = self.run_corpus(tmp_path, n=10)

@@ -131,6 +131,51 @@ class TestCcdInterpolate:
         assert emissions.emissions_row(terms, ccd, 180, 7.0, 15.0, 124.0, 666.0) is not None
         assert emissions.emissions_row(terms, ccd, 180, 7.0, 15.0, math.nan, 666.0) is None
 
+    def test_below_first_knot_from_implied_zero_knot(self, b739er_profile):
+        # the first knot is 22 min: half of it is half of its masses
+        v, flag = interpolate_ccd(b739er_profile, 11.0)
+        assert (v.hc, v.co2, v.co, v.nox) == (0.35 * 11.0 / 22, 3114 * 11.0 / 22,
+                                              2.93 * 11.0 / 22, 18.3 * 11.0 / 22)
+        assert flag == emissions.EXTRAPOLATED_LOW
+        v, flag = interpolate_ccd(b739er_profile, 0.0)
+        assert v == GasVector()
+        assert flag == emissions.EXTRAPOLATED_LOW
+
+    @given(st.lists(st.tuples(st.floats(min_value=1e-3, max_value=1e4),
+                              st.lists(st.one_of(st.just(0.0),
+                                                 st.floats(min_value=1e-300, max_value=1e6)),
+                                       min_size=4, max_size=4)),
+                    min_size=2, max_size=8, unique_by=lambda knot: knot[0]),
+           st.lists(st.floats(min_value=0.0, max_value=3e4), max_size=20))
+    @example([(1.9275185943018869, [0.0] * 4), (1574.0, [0.0, 0.0, 0.0, 6.0892652538509836e-239])],
+             [])  # without the snap to a knot, the double below 1574 has the greater NOX
+    def test_masses_nonnegative_and_nondecreasing(self, knots, durations):
+        """With knots that never decrease, every CCD mass is >= 0 and does not
+        fall as the duration grows, from 0 to past the last knot. The knots'
+        masses are running sums of the drawn increments; the durations probed
+        are the drawn ones, each knot and its neighbouring doubles.
+
+        An increment is 0 or at least 1e-300 kg: where two knots differ by a
+        subnormal mass, the rounding of the product can still carry a mass
+        one subnormal step (2**-1074 kg) past the upper knot's."""
+        totals = [0.0] * 4
+        profile_knots = []
+        for duration, increments in sorted(knots):
+            totals = [t + i for t, i in zip(totals, increments)]
+            profile_knots.append(CcdKnot(duration, dict(zip(("HC", "CO2", "CO", "NOX"), totals))))
+        profile = CcdProfile("T", tuple(profile_knots))
+        last = profile_knots[-1].duration_min
+        probes = {0.0, 5e-324, *durations, last * 2}
+        for knot in profile_knots:
+            d = knot.duration_min
+            probes |= {d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)}
+        previous = GasVector()
+        for x in sorted(probes):
+            v, _ = interpolate_ccd(profile, x)
+            assert min(v) >= 0.0, x
+            assert all(m >= p for m, p in zip(v, previous)), x
+            previous = v
+
     def test_extrapolation_is_linear_not_clamped(self, b739er_profile):
         v, _ = interpolate_ccd(b739er_profile, 450.0)
         # continues the last segment's slope past the final knot

@@ -5,6 +5,7 @@ import datetime
 import fractions
 import hashlib
 import json
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 from aeroemit import aggregate as agg
 from aeroemit import cli, pipeline
 from aeroemit.config import REQUIRED_TABLE_KEYS, load_config
-from aeroemit.emissions import EmissionsResult, GasVector
+from aeroemit.emissions import Co2eFactors, EmissionsResult, GasVector
 from aeroemit.ingest import FlightRecord
 from aeroemit.matching import ResolvedFlight
-from conftest import (build_corpus, coverage_report, in_shards, roll_up, row_of,
+from conftest import (build_corpus, coverage_report, in_shards, roll_up, rollup_rows, row_of,
                       table_paths, write_config, write_outputs)
 
 SMALLEST_SUBNORMAL = 5e-324
@@ -37,6 +38,11 @@ def _rounded(to_float):
         return to_float()
     except OverflowError:
         return "overflow"
+
+
+def gas_sums(sums):
+    """The HC, CO2, CO and NOX sums of a `Sums`, in units of 2**-1074 kg."""
+    return [sums.hc, sums.co2, sums.co, sums.nox]
 
 
 @given(st.lists(doubles, max_size=40))
@@ -92,13 +98,10 @@ def test_accumulator_totals_are_sums_of_to_units(flights):
             for i in range(4):
                 totals[i] += share[i]
 
-    def units(totals):
-        return [totals.units(gas) for gas in agg.GASES]
-
-    assert {s.carrier_code: [*units(s.gas_totals), s.total_co2e, s.seat_miles]
-            for s in rollup.airlines} == expected_airlines
-    assert {a.airport: units(a.gas_totals) for a in rollup.airports} == expected_airports
-    assert {"LTO": units(rollup.lto), "CCD": units(rollup.ccd)} == cycles
+    assert {carrier: [*gas_sums(s), s.co2e, s.seat_miles]
+            for carrier, s in rollup.carriers.items()} == expected_airlines
+    assert {airport: gas_sums(s) for airport, s in rollup.airports.items()} == expected_airports
+    assert {"LTO": gas_sums(rollup.lto), "CCD": gas_sums(rollup.ccd)} == cycles
 
 
 def fraction_roll_up(outcomes):
@@ -188,22 +191,21 @@ def test_outputs_match_fraction_reference(corpus, tmp_path):
     assert files["gas_breakdown.csv"].splitlines()[1:] == breakdown
 
 
-def exact_kg(totals):
-    """Per-gas totals of an ExactGasTotals as exact Fractions of a kg."""
-    return [Fraction(totals.units(gas), agg.UNIT) for gas in agg.GASES]
+def exact_kg(sums):
+    """Per-gas sums of a `Sums` as exact Fractions of a kg."""
+    return [Fraction(units, agg.UNIT) for units in gas_sums(sums)]
 
 
 def test_totals_equal_fraction_reference(corpus):
     _, outcomes, _ = corpus
     airlines, airports, cycles = fraction_roll_up(outcomes)
     rollup = roll_up(outcomes)
-    for s in rollup.airlines:
-        exact = (Fraction(s.gas_totals.co2_units, agg.UNIT),
-                 Fraction(s.total_co2e, agg.UNIT), Fraction(s.seat_miles, agg.UNIT))
-        assert [s.total_flights, s.emission_flights, s.total_seats,
-                *exact] == airlines[s.carrier_code]
-    for a in rollup.airports:
-        assert exact_kg(a.gas_totals) == airports[a.airport]
+    for carrier, s in rollup.carriers.items():
+        exact = (Fraction(s.co2, agg.UNIT), Fraction(s.co2e, agg.UNIT),
+                 Fraction(s.seat_miles, agg.UNIT))
+        assert [s.flights, s.computed, s.seats, *exact] == airlines[carrier]
+    for airport, s in rollup.airports.items():
+        assert exact_kg(s) == airports[airport]
     for cycle, totals in (("LTO", rollup.lto), ("CCD", rollup.ccd)):
         assert exact_kg(totals) == cycles[cycle]
 
@@ -228,7 +230,8 @@ def test_shuffled_outcomes_give_identical_outputs(corpus, tmp_path):
     shuffled = list(outcomes)
     random.Random(17).shuffle(shuffled)
     a, b = roll_up(outcomes), roll_up(shuffled)
-    assert (a.airlines, a.airports, a.lto, a.ccd) == (b.airlines, b.airports, b.lto, b.ccd)
+    assert (a.carriers, a.airports, a.lto, a.ccd) == (b.carriers, b.airports, b.lto, b.ccd)
+    assert rollup_rows(a) == rollup_rows(b)
     in_order = written(cfg, outcomes, coverage, tmp_path / "a")
     reordered = written(cfg, shuffled, coverage, tmp_path / "b")
     for name in ("airline_summary.csv", "airport_lto.csv", "gas_breakdown.csv",
@@ -275,8 +278,8 @@ def test_totals_of_union_are_sum_of_parts(corpus, seed):
         (part_a if rng.random() < 0.3 else part_b).append(o)
     union, a, b = roll_up(outcomes), roll_up(part_a), roll_up(part_b)
 
-    def units(totals):
-        return tuple(totals.units(gas) for gas in agg.GASES)
+    def units(sums):
+        return tuple(gas_sums(sums))
 
     def plus(x, y):
         return tuple(p + q for p, q in zip(x, y))
@@ -287,10 +290,10 @@ def test_totals_of_union_are_sum_of_parts(corpus, seed):
     assert units(union.lto) == plus(units(a.lto), units(b.lto))
     assert units(union.ccd) == plus(units(a.ccd), units(b.ccd))
     assert system(union) == plus(system(a), system(b))
-    parts = {s.carrier_code: units(s.gas_totals) for s in a.airlines}
-    for s in b.airlines:
-        parts[s.carrier_code] = plus(parts.get(s.carrier_code, (0,) * 4), units(s.gas_totals))
-    assert {s.carrier_code: units(s.gas_totals) for s in union.airlines} == parts
+    parts = {carrier: units(s) for carrier, s in a.carriers.items()}
+    for carrier, s in b.carriers.items():
+        parts[carrier] = plus(parts.get(carrier, (0,) * 4), units(s))
+    assert {carrier: units(s) for carrier, s in union.carriers.items()} == parts
 
 
 def test_computed_flights_are_the_computable_ones(tmp_path):
@@ -364,7 +367,7 @@ def test_file_totals_of_union_are_sum_of_parts(corpus, tmp_path):
 
     airlines = {k: keyed(v["airline_summary.csv"], "carrier") for k, v in outputs.items()}
     assert set(airlines["union"]) == set(airlines["a"]) | set(airlines["b"])
-    zero = dict.fromkeys(pipeline.AIRLINE_SUMMARY_TABLE.header, "0")
+    zero = dict.fromkeys(agg.AIRLINE_SUMMARY_TABLE.header, "0")
     for carrier, row in airlines["union"].items():
         ra, rb = airlines["a"].get(carrier, zero), airlines["b"].get(carrier, zero)
         for column in ("total_flights", "emission_flights", "total_seats"):
@@ -374,10 +377,10 @@ def test_file_totals_of_union_are_sum_of_parts(corpus, tmp_path):
 
     airports = {k: keyed(v["airport_lto.csv"], "airport") for k, v in outputs.items()}
     assert set(airports["union"]) == set(airports["a"]) | set(airports["b"])
-    zero = dict.fromkeys(pipeline.AIRPORT_LTO_TABLE.header, "0")
+    zero = dict.fromkeys(agg.AIRPORT_LTO_TABLE.header, "0")
     for airport, row in airports["union"].items():
         ra, rb = airports["a"].get(airport, zero), airports["b"].get(airport, zero)
-        for column in pipeline.AIRPORT_LTO_TABLE.header[1:]:
+        for column in agg.AIRPORT_LTO_TABLE.header[1:]:
             assert close(row[column], ra[column], rb[column]), (airport, column)
 
     breakdowns = {k: csv_rows(v["gas_breakdown.csv"]) for k, v in outputs.items()}
@@ -445,6 +448,9 @@ def knot_distances(cfg, path):
 
 # The same run with each engine's rates times its engine count, and with CCD
 # interpolated over distance; both computed before the per-flight fast path.
+# The distance digests were remade when a key below the first knot came to
+# interpolate from an implied (0, 0 kg) knot: only the rows of the 23 flights
+# below their first knot changed, in their CCD and total columns.
 GOLDEN_DIGESTS_PER_ENGINE = {
     **GOLDEN_DIGESTS,
     "flight_emissions.csv":
@@ -463,15 +469,15 @@ GOLDEN_DIGESTS_PER_ENGINE = {
 GOLDEN_DIGESTS_DISTANCE = {
     **GOLDEN_DIGESTS,
     "flight_emissions.csv":
-        "4a698c2fde37cdef9d09a881f8c3eb6cba9fa72f508b766d3c5da06f1151e46f",
+        "795318074c58fe3bd8d6403cf854d2a13b943180e61b111ae2c967fc644f88c3",
     "airline_summary.csv":
-        "05ff6cf20d01fcfdfcab8decb2b169daf6d50b063b90895e9fc35d573de9d323",
+        "786c74c30e0decf494715d31079ac7ae2e40cccd1ce04c6c83ca96b7a9659cbf",
     "gas_breakdown.csv":
-        "b24b4a52a4a1c36012472ad5f64cd035a13f311aab9c983aed9168d0cb36542a",
+        "6ba89f397f8b51d3dbd90c5d7bf59e5afeb6704d1fbc660e73cad8d725bae53c",
     "scatter_co2e.csv":
-        "20ff1c38771fb1694ab9d7c95add6b15ace30788604c3f592319d9f2f4711cbb",
+        "6651cdc55896032ababb8e832f6b27a7d180b3ea41578582fd8bb8845c95dc4c",
     "scatter_seat_mile.csv":
-        "336121aad77eb06fe5c15d12695e3efc4aaab87dbd403b03ab090547555686c8",
+        "778a0f40c0c43f0cb82ea0ca8d3b36b48c8fa96a2038a9f62bc67980e594fdd2",
 }
 
 
@@ -516,7 +522,8 @@ def test_outputs_in_shards_match_golden_digests(corpus, tmp_path, monkeypatch, s
        st.integers(0, 12))
 def test_merged_accumulators_equal_one_over_all(flights, cut):
     """Accumulators over the two parts of a list of flights, merged, hold the
-    sums of one accumulator over the whole list."""
+    sums of one accumulator over the whole list and make its rows. The second
+    part is pickled and read back first, as a forked shard's is."""
     outcomes = [synthetic_outcome(*f) for f in flights]
     whole = agg.RollUpAccumulator()
     first, second = agg.RollUpAccumulator(), agg.RollUpAccumulator()
@@ -524,5 +531,10 @@ def test_merged_accumulators_equal_one_over_all(flights, cut):
         rf = outcome.resolved
         for accumulator in (whole, first if i < cut else second):
             accumulator.add(rf.flight, rf.seat_count or 0, row_of(outcome.result))
-    first.merge(second)
-    assert first.finish() == whole.finish()
+    first.merge(pickle.loads(pickle.dumps(second)))
+    assert (first.carriers, first.airports, first.lto, first.ccd) \
+        == (whole.carriers, whole.airports, whole.lto, whole.ccd)
+
+    def tables(accumulator):  # a table with a figure beyond a double is "overflow"
+        return [_rounded(lambda: list(rows)) for rows in accumulator.rows(Co2eFactors())]
+    assert tables(first) == tables(whole)

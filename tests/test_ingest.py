@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aeroemit import ingest, matching, pipeline
+from aeroemit import aggregate as agg
+from aeroemit import ingest, matching
 from conftest import B739ER_CCD_KNOTS, CFM56_7B27E_RATES, icao_rows, write_csv
 
 ONTIME_HEADER = ingest.ONTIME_TABLE.header
@@ -366,7 +367,7 @@ class TestParseBadaCcd:
 
 # --- every schema: fuzzed rows, round trips, and the README's schema table ---
 
-SCHEMAS = ingest.INPUT_TABLES + matching.CONFIG_TABLES + pipeline.ROLLUP_TABLES
+SCHEMAS = ingest.INPUT_TABLES + matching.CONFIG_TABLES + agg.ROLLUP_TABLES
 
 # NUL is left out: the csv module of Python 3.10 refuses it, that of 3.11 does not.
 FUZZ_CELLS = st.one_of(

@@ -263,7 +263,7 @@ class TestFailingShard:
             return real(self, flight)
         monkeypatch.setattr(pipeline.TailPlans, "compute", compute)
         in_shards(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match="ended without a result"):
+        with pytest.raises(RuntimeError, match=r"ended without a result \(exit code 1\)"):
             cli.main(["run", "--config", config])
         assert outputs(outdir) == before
         assert_no_child_left()

@@ -4,14 +4,17 @@
 (`aggregate.ROLLUP_TABLES`), strictly: the first refused row is an error.
 
 Exit codes: 0 success, 1 standard output closed early (`| head`), 2
-input/config error, 3 missing or malformed run artifacts.
+input/config error, 3 missing or malformed run artifacts, 143 SIGTERM (which
+stops a command as an interrupt does: no staged file or shard process is left).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from . import aggregate as agg
@@ -50,7 +53,7 @@ def cmd_validate(config_path: str | None) -> int:
     reports, coverage = pipeline.validate_inputs(load_config(config_path))
     for name, rep in reports.items():
         print(f"{name}: {rep.accepted} accepted, {rep.rejected} rejected")
-        for rejection in rep.rejections[:20]:
+        for rejection in rep.rejections:
             print(f"  line {rejection.line}: {rejection.reason}")
     print(f"flights: {coverage.total_flights} total, "
           f"{coverage.computed_flights} resolvable "
@@ -110,8 +113,15 @@ def cmd_report(output_dir: str) -> int:
     return EXIT_OK
 
 
+def _terminate(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Only the main thread may set a handler; the caller's is restored on return.
+    in_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if in_main else None
     try:
         if args.command == "report":
             code = cmd_report(args.output_dir)
@@ -126,6 +136,9 @@ def main(argv: list[str] | None = None) -> int:
         # so point it at devnull to keep that flush from raising too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_PIPE
+    finally:
+        if in_main:
+            signal.signal(signal.SIGTERM, previous)
     return code
 
 

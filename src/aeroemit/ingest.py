@@ -3,8 +3,8 @@
 Every table is comma-delimited UTF-8 (a leading byte-order mark is skipped)
 with a fixed header row; the package's CSV and number text rules live here.
 A schema lists the table's columns, each with a converter that raises
-ValueError, and may add a row constraint, a primary key, an optional
-trailing column and a grouping step for long-form tables.
+ValueError, a record builder that may raise it too or a grouping step for
+long-form tables, and may add a primary key and an optional trailing column.
 `read_table` rejects a malformed row (wrong arity, bytes that are not UTF-8,
 an oversized field, a refused value) with the file line it starts on and the
 reason; only a missing file, a header mismatch, or a repeated primary key of
@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 GASES = ("HC", "CO2", "CO", "NOX")
 MODES = ("TAKEOFF", "CLIMBOUT", "APPROACH", "IDLE")
+REJECTIONS_KEPT = 20  # per IngestReport: all that `validate` prints
 
 
 class IngestError(Exception):
@@ -123,6 +124,8 @@ class RowRejection(NamedTuple):
 
 @dataclass
 class IngestReport:
+    """A table's exact row counts and its first REJECTIONS_KEPT rejections,
+    in the order found, so bad rows do not grow memory."""
     table: str
     accepted: int = 0
     rejected: int = 0
@@ -130,13 +133,14 @@ class IngestReport:
 
     def reject(self, line: int, reason: str) -> None:
         self.rejected += 1
-        self.rejections.append(RowRejection(line, reason))
+        if len(self.rejections) < REJECTIONS_KEPT:
+            self.rejections.append(RowRejection(line, reason))
 
     def merge(self, other: IngestReport) -> None:
         """Add `other`, the report of the rows after this one's in the same table."""
         self.accepted += other.accepted
         self.rejected += other.rejected
-        self.rejections += other.rejections
+        self.rejections += other.rejections[:REJECTIONS_KEPT - len(self.rejections)]
 
 
 # --- columns: a header name and a converter that raises ValueError ---
@@ -238,7 +242,8 @@ class TableSchema(NamedTuple):
     """How one table is read and written.
 
     A flat table makes one record per row with `build(*values)`, the values
-    in column order. A long-form table sets `group` instead: the rows sharing
+    in column order; a ValueError from `build` rejects the row, and such a
+    row adds no key. A long-form table sets `group` instead: the rows sharing
     their first column make one record, and a ValueError from `group` rejects
     every one of those rows. `rows` is the inverse of either: the value rows
     of one record; values beyond the columns written (an absent optional
@@ -249,7 +254,6 @@ class TableSchema(NamedTuple):
     build: Callable[..., Any] | None = None
     group: Callable[[str, list[list]], Any] | None = None
     rows: Callable[[Any], list[tuple]] = _fields
-    check: Callable[[list], None] | None = None  # row constraint, raises ValueError
     key: tuple[str, ...] = ()
     repeat_fatal: bool = True  # a repeated key aborts the parse, else rejects the row
     optional: Column | None = None  # trailing column a file may add
@@ -258,7 +262,8 @@ class TableSchema(NamedTuple):
     def header(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    def columns_for(self, path: Path, header: list[str] | None) -> tuple[Column, ...]:
+    def columns_for(self, path: Path, header: list[str] | str | None,
+                    ) -> tuple[Column, ...]:  # str: why csv could not split it
         if header == self.header:
             return self.columns
         if self.optional is not None and header == self.header + [self.optional.name]:
@@ -271,19 +276,6 @@ class TableSchema(NamedTuple):
 
 # surrogateescape decodes a byte that is not UTF-8 to one of these.
 _UNDECODED = re.compile("[\udc80-\udcff]")
-
-
-def _records(reader: Any, lines_before: int = 0,
-             ) -> Iterator[tuple[int, list[str] | csv.Error]]:
-    """(first file line, record) per record; one csv cannot split gives its error."""
-    while True:
-        line = lines_before + reader.line_num + 1
-        try:
-            yield line, next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            yield line, exc
 
 
 # Bytes `row_spans` reads at a time.
@@ -342,33 +334,37 @@ def stream_table(schema: TableSchema, path: str | Path,
         raw.seek(start)
         with io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig",
                               errors="surrogateescape", newline="") as fh:
-            rows = _records(csv.reader(itertools.islice(fh, lines)), lines_before)
-            columns = (schema.columns if start
-                       else schema.columns_for(path, next(rows, (1, None))[1]))
+            reader = csv.reader(itertools.islice(fh, lines))
+            try:
+                header = None if start else next(reader, None)
+            except csv.Error as exc:
+                header = str(exc)
+            columns = schema.columns if start else schema.columns_for(path, header)
             report = IngestReport(schema.table)
-            yield _accepted(schema, columns, rows, report), report
+            yield _accepted(schema, columns, reader, lines_before, report), report
 
 
-def _accepted(schema: TableSchema, columns: tuple[Column, ...],
-              rows: Iterator[tuple[int, Any]], report: IngestReport) -> Iterator:
+def _accepted(schema: TableSchema, columns: tuple[Column, ...], reader: Any,
+              lines_before: int, report: IngestReport) -> Iterator:
     converters = [c.convert for c in columns]
     arity = len(columns)
     key_at = [schema.header.index(name) for name in schema.key]
     key_of = itemgetter(*key_at) if key_at else None
     seen: set = set()
-    build, check = schema.build, schema.check
-    for line, row in rows:
+    build = schema.build
+    while True:
+        line = lines_before + reader.line_num + 1
         try:
-            if isinstance(row, csv.Error):
-                raise ValueError(str(row))
+            row = next(reader, None)
+            if row is None:
+                return
             if len(row) != arity:
                 raise ValueError(f"expected {arity} fields, got {len(row)}")
             joined = "".join(row)
             if not joined.isascii() and _UNDECODED.search(joined):
                 raise ValueError("field holds bytes that are not UTF-8")
             values = [convert(value) for convert, value in zip(converters, row)]
-            if check is not None:
-                check(values)
+            record = build(*values) if build is not None else (line, values)
             if key_of is not None:
                 key = key_of(values)
                 if key in seen:
@@ -378,11 +374,11 @@ def _accepted(schema: TableSchema, columns: tuple[Column, ...],
                         raise DuplicateKeyError(f"{schema.table} line {line}: {repeat}")
                     raise ValueError(repeat)
                 seen.add(key)
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             report.reject(line, str(exc))
             continue
         report.accepted += 1
-        yield build(*values) if build is not None else (line, values)
+        yield record
 
 
 def read_table(schema: TableSchema, path: str | Path) -> tuple[list, IngestReport]:
@@ -397,7 +393,7 @@ def read_strict(schema: TableSchema, path: str | Path) -> list:
     """`read_table`'s records; the first rejected row raises IngestError
     "<path> line N: <reason>"."""
     records, report = read_table(schema, path)
-    if report.rejections:
+    if report.rejected:
         first = report.rejections[0]
         raise IngestError(f"{path} line {first.line}: {first.reason}")
     return records
@@ -459,9 +455,10 @@ def write_table(schema: TableSchema, records: Iterable, path: str | Path) -> Non
 
 # --- the six input tables ---
 
-def _distinct_airports(values: list) -> None:
+def _flight(*values: Any) -> FlightRecord:
     if values[4] == values[5]:
         raise ValueError(f"origin equals destination ({values[4]})")
+    return FlightRecord(*values)
 
 
 def _engine_factors(uid: str, rows: list[list]) -> EngineLtoFactors:
@@ -485,7 +482,7 @@ ONTIME_TABLE = TableSchema(
      number("air_time_min", 0.0, optional=True), number("taxi_in_min", 0.0, optional=True),
      number("taxi_out_min", 0.0, optional=True),
      number("distance_mi", 0.0, strict=True, optional=True)),
-    build=FlightRecord, check=_distinct_airports)
+    build=_flight)
 B43_TABLE = TableSchema(
     "b43",
     (text("tail_number"), shared(text("type_designator")), integer("seat_count", 1),

@@ -454,18 +454,19 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
     `data.flights`, with `files` = `streams`; a forked child streams each other
     span with `files` its own anonymous text files in the output directory,
     one per stream, which are then appended to `streams`. The child pickles
-    its results, or the exception it raised, to an anonymous result file and
-    leaves by `os._exit`, so none of this process's cleanup runs there; here
-    the exception is raised again. On exit every child is killed and reaped
-    and every file closed. Fork, not spawn: a child inherits the lookup tables
-    instead of building them again, and the package starts no thread that a
-    fork could break."""
+    its results, or the exception it raised and its traceback's text, to an
+    anonymous result file and leaves by `os._exit`, so none of this process's
+    cleanup runs there; here the exception is raised again, from a
+    RuntimeError holding that text. SIGINT and SIGTERM wait out each fork. On
+    exit every child is killed and reaped and every file closed. Fork, not
+    spawn: a child inherits the lookup tables instead of building them again,
+    and the package starts no thread that a fork could break."""
     running: list[int] = []
     with contextlib.ExitStack() as stack:
         try:
             children = []
             if len(spans) > 1:
-                import pickle, signal  # only a run that splits pays for the imports
+                import pickle, signal, traceback  # only a run that splits imports them
                 # Else a child's copy of a buffer is written out again.
                 for stream in (sys.stdout, sys.stderr, *streams):
                     stream.flush()
@@ -475,7 +476,8 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
                 # Not in the output directory, which `validate` does not create.
                 result = stack.enter_context(tempfile.TemporaryFile())
                 # An interrupt waits until the child is in its `try` and its pid is kept.
-                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                              {signal.SIGINT, signal.SIGTERM})
                 try:
                     pid = os.fork()
                     if pid == 0:
@@ -488,7 +490,7 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
                                 for file in files:
                                     file.flush()
                             except BaseException as exc:
-                                message = exc
+                                message = exc, traceback.format_exc()
                             result.write(pickle.dumps(message))
                             result.flush()
                         finally:
@@ -507,8 +509,8 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
                     raise RuntimeError(f"flight-table shard process {pid} ended without a "
                                        f"result (exit code {os.waitstatus_to_exitcode(status)})")
                 message = pickle.loads(message)
-                if isinstance(message, BaseException):
-                    raise message
+                if isinstance(message[0], BaseException):  # and the child's traceback
+                    raise message[0] from RuntimeError(f"in shard process {pid}: {message[1]}")
                 for stream, fragment in zip(streams, files):
                     stream.flush()
                     fragment.seek(0)

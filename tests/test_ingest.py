@@ -147,6 +147,14 @@ class TestParseOntime:
         with pytest.raises(ingest.HeaderMismatchError):
             ingest.read_table(ingest.ONTIME_TABLE, path)
 
+    def test_header_csv_cannot_split_is_a_mismatch(self, tmp_path):
+        path = tmp_path / "ontime.csv"
+        path.write_text("9" * 200_000 + "\n" + ",".join(GOLDEN_ROW) + "\n", encoding="utf-8")
+        with pytest.raises(ingest.HeaderMismatchError) as info:
+            ingest.read_table(ingest.ONTIME_TABLE, path)
+        assert str(info.value) == (f"{path}: header mismatch, expected {ONTIME_HEADER}, "
+                                   f"got field larger than field limit (131072)")
+
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(ingest.IngestError, match="not found"):
             ingest.read_table(ingest.ONTIME_TABLE, tmp_path / "nope.csv")
@@ -363,6 +371,35 @@ class TestParseBadaCcd:
         out = tmp_path / "rt.csv"
         ingest.write_table(ingest.BADA_CCD_TABLE, profiles, out)
         assert ingest.parse_bada_ccd(out)[0] == profiles
+
+
+def test_row_its_build_refuses_adds_no_key(tmp_path):
+    """A ValueError from `build` rejects the row with its line and reason, and
+    the row adds no key, so a later row with that key is accepted."""
+    def build(name, count):
+        if count == 0:
+            raise ValueError(f"{name} counts nothing")
+        return name, count
+    schema = ingest.TableSchema("counts", (ingest.text("name"), ingest.integer("count", 0)),
+                                build=build, key=("name",), repeat_fatal=False)
+    path = tmp_path / "counts.csv"
+    write_csv(path, schema.header, [["a", "1"], ["b", "0"], ["b", "2"], ["a", "3"]])
+    records, report = ingest.read_table(schema, path)
+    assert records == [("a", 1), ("b", 2)]
+    assert report.rejections == [(3, "b counts nothing"), (5, "duplicate name a")]
+
+
+def test_report_keeps_the_first_rejections_and_counts_all():
+    """Two reports of 15 rejections each merge to a count of 30 and the first
+    20 rejections, in order."""
+    first, second = ingest.IngestReport("t"), ingest.IngestReport("t")
+    for line in range(2, 17):
+        first.reject(line, "first")
+        second.reject(line + 15, "second")
+    first.merge(second)
+    assert (first.accepted, first.rejected) == (0, 30)
+    assert first.rejections == [(line, "first" if line < 17 else "second")
+                                for line in range(2, 22)]
 
 
 # --- every schema: fuzzed rows, round trips, and the README's schema table ---

@@ -2,6 +2,8 @@
 the same bytes and messages as one process, and no process or file left."""
 
 import os
+import signal
+import time
 from unittest import mock
 
 import pytest
@@ -67,12 +69,12 @@ class TestRowSpans:
         assert ingest.row_spans(path, 2) is None
 
 
-def dirty_corpus(tmp_path, ending=b"\n"):
-    """A 300-flight corpus whose flight table rejects every 23rd row, 13 in
-    all, with `ending` ending each line."""
+def dirty_corpus(tmp_path, ending=b"\n", every=23):
+    """A 300-flight corpus whose flight table rejects every `every`th row from
+    the sixth, 13 in all by default, with `ending` ending each line."""
     paths = build_corpus(tmp_path, n_flights=300, missing_tails=4, unknown_tails=3)
     header, *rows = paths["ontime"].read_bytes().splitlines()
-    for i in range(5, len(rows), 23):
+    for i in range(5, len(rows), every):
         rows[i] += b",1"
     paths["ontime"].write_bytes(b"".join(line + ending for line in [header, *rows]))
     return paths
@@ -113,6 +115,25 @@ class TestValidateInShards:
             assert printed[1].count("field holds bytes that are not UTF-8") == 1
         else:
             assert "ontime: 287 accepted, 13 rejected" in printed[1]
+
+    def test_more_rejections_than_a_report_keeps(self, tmp_path, monkeypatch, capsys):
+        """43 rejected rows, on lines 7, 14, ..., 301, some in every span of two
+        and of three: the counts are exact, and the 20 printed are the first."""
+        paths = dirty_corpus(tmp_path, every=7)
+        for shards in (2, 3):
+            for _, lines_before, lines in ingest.row_spans(paths["ontime"], shards)[:-1]:
+                assert 7 < lines_before + lines < 301
+        config = str(write_config(tmp_path, paths, tmp_path / "out"))
+        printed = {}
+        for shards in (1, 2, 3):
+            forked = in_shards(monkeypatch, shards)
+            assert cli.main(["validate", "--config", config]) == 0
+            assert len(forked) == shards - 1
+            printed[shards] = capsys.readouterr().out
+        assert printed[1] == printed[2] == printed[3]
+        assert ("ontime: 257 accepted, 43 rejected\n"
+                + "".join(f"  line {7 * k}: expected 10 fields, got 11\n" for k in range(1, 21))
+                + "b43: ") in printed[1]
 
     def test_line_ends_give_one_output(self, tmp_path, monkeypatch, capsys):
         printed = set()
@@ -249,6 +270,49 @@ class TestFailingShard:
         assert len(forked) == shards - 1
         assert outputs(outdir) == before
         assert sorted(p.name for p in outdir.iterdir()) == sorted(pipeline.OUTPUT_FILES)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["last-shard", "this-process"])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_sigterm_stops_a_run_as_an_interrupt(self, second_run, monkeypatch, where, shards):
+        """SIGTERM exits 143 with the previous outputs kept and no process
+        left; the caller's own handler is back once `main` returns."""
+        outdir, config, first, last = second_run
+        before = outputs(outdir)
+
+        def terminated(message):
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(60)  # the handler raises here at the latest
+            return AssertionError(f"SIGTERM did not stop the run ({message})")
+
+        def callers(signum, frame):
+            raise AssertionError("SIGTERM reached the caller's handler")
+
+        self.failing_at(monkeypatch, last if where == "last-shard" else first, terminated)
+        forked = in_shards(monkeypatch, shards)
+        previous = signal.signal(signal.SIGTERM, callers)
+        try:
+            with pytest.raises(SystemExit) as stopped:
+                cli.main(["run", "--config", config])
+            assert signal.getsignal(signal.SIGTERM) is callers
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert stopped.value.code == 143
+        assert len(forked) == shards - 1
+        assert outputs(outdir) == before
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(pipeline.OUTPUT_FILES)
+        assert_no_child_left()
+
+    def test_child_traceback_kept(self, second_run, monkeypatch):
+        """An unexpected error in a shard process is raised here from one
+        holding the child's traceback, which names the failing function."""
+        _, config, _, last = second_run
+        self.failing_at(monkeypatch, last, ZeroDivisionError)
+        in_shards(monkeypatch, 3)
+        with pytest.raises(ZeroDivisionError, match=f"stopped at flight {last}") as raised:
+            cli.main(["run", "--config", config])
+        cause = str(raised.value.__cause__)
+        assert "Traceback (most recent call last)" in cause and ", in failing\n" in cause
         assert_no_child_left()
 
     def test_child_that_sends_nothing(self, second_run, monkeypatch):

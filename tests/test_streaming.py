@@ -279,6 +279,24 @@ def test_parsed_reference_lists_freed_before_flights_stream(tmp_path, monkeypatc
         assert data.tables.airframes_by_tail and sum(1 for _ in data.flights) == 50
 
 
+def test_peak_memory_does_not_grow_with_rejected_rows(tmp_path):
+    """tracemalloc's peak while streaming 5k and 50k flight rows, every one
+    rejected, differs by less than a fixed 1 MB."""
+    peaks = {}
+    for rows in (5000, 50000):
+        path = tmp_path / f"ontime_{rows}.csv"
+        write_csv(path, ONTIME_HEADER, [[*ROW[:5], "PHL", *ROW[6:]]] * rows)
+        tracemalloc.start()
+        try:
+            with ingest.stream_table(ingest.ONTIME_TABLE, path) as (records, report):
+                assert next(records, None) is None
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.accepted, report.rejected) == (0, rows)
+    assert abs(peaks[50000] - peaks[5000]) < 2**20, peaks
+
+
 def test_peak_memory_does_not_grow_with_flights(tmp_path, capsys):
     """tracemalloc's peak for `run` and `validate` over 2k and 20k flights,
     with the same reference tables, differs by less than a fixed 2 MB."""

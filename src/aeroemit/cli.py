@@ -4,7 +4,8 @@
 (`aggregate.ROLLUP_TABLES`), strictly: the first refused row is an error.
 
 Exit codes: 0 success, 1 standard output closed early (`| head`), 2
-input/config error, 3 missing or malformed run artifacts, 143 SIGTERM (which
+input/config error, an input or config that cannot be read or outputs that
+cannot be written, 3 missing or malformed run artifacts, 143 SIGTERM (which
 stops a command as an interrupt does: no staged file or shard process is left).
 """
 

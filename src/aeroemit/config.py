@@ -60,7 +60,10 @@ class RunConfig:
 
 
 def _parse_kv(path: Path) -> dict[str, str]:
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object lacks a leading byte-order mark

@@ -5,10 +5,11 @@ with a fixed header row; the package's CSV and number text rules live here.
 A schema lists the table's columns, each with a converter that raises
 ValueError, a record builder that may raise it too or a grouping step for
 long-form tables, and may add a primary key and an optional trailing column.
-`read_table` rejects a malformed row (wrong arity, bytes that are not UTF-8,
-an oversized field, a refused value) with the file line it starts on and the
-reason; only a missing file, a header mismatch, or a repeated primary key of
-a table whose keys must be unique aborts a parse.
+`read_table(schema, path)` reads every table and rejects a malformed row
+(wrong arity, bytes that are not UTF-8, an oversized field, a refused value)
+with the file line it starts on and the reason; only a missing or unreadable
+file, a header mismatch, or a repeated primary key of a table whose keys must
+be unique aborts a parse.
 Numbers must be finite (inf and nan reject the row); -0 is stored as 0.0.
 Missing numeric fields are represented as None, never 0. `stream_table` is
 the reader itself, one record at a time, so a flight table of any length is
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import datetime
 import functools
 import io
@@ -64,27 +64,24 @@ class FlightRecord(NamedTuple):
     distance_mi: float | None
 
 
-@dataclass(frozen=True)  # not a NamedTuple: the traced benchmark reads it with vars()
-class AirframeRecord:
+class AirframeRecord(NamedTuple):
     tail_number: str
     raw_type_designator: str
     seat_count: int
     engine_count: int
 
 
-@dataclass(frozen=True)  # not a NamedTuple: the traced benchmark reads it with vars()
-class TailEngineRecord:
+class TailEngineRecord(NamedTuple):
     tail_number: str
     faa_engine_designation: str
 
 
-@dataclass(frozen=True)  # not a NamedTuple: the traced benchmark reads it with vars()
-class EngineCodeRecord:
+class EngineCodeRecord(NamedTuple):
     faa_code: str
     designation_text: str
 
 
-@dataclass(frozen=True)  # not a NamedTuple: read with vars(); has a cached_property
+@dataclass(frozen=True)  # not a NamedTuple: a cached_property needs a __dict__
 class EngineLtoFactors:
     engine_uid: str
     rate_kg_per_s: dict[tuple[str, str], float]
@@ -104,7 +101,7 @@ class CcdKnot(NamedTuple):
     distance_mi: float | None = None
 
 
-@dataclass(frozen=True)  # not a NamedTuple: read with vars(); has a cached_property
+@dataclass(frozen=True)  # not a NamedTuple: a cached_property needs a __dict__
 class CcdProfile:
     canonical_type: str
     knots: tuple[CcdKnot, ...]
@@ -233,11 +230,6 @@ def shared(column: Column) -> Column:
 
 # --- the schema, its reader and its writer ---
 
-def _fields(record: Any) -> list[tuple]:
-    """The one row of a flat record, a NamedTuple or a dataclass."""
-    return [record if isinstance(record, tuple) else dataclasses.astuple(record)]
-
-
 class TableSchema(NamedTuple):
     """How one table is read and written.
 
@@ -253,7 +245,7 @@ class TableSchema(NamedTuple):
     columns: tuple[Column, ...]
     build: Callable[..., Any] | None = None
     group: Callable[[str, list[list]], Any] | None = None
-    rows: Callable[[Any], list[tuple]] = _fields
+    rows: Callable[[Any], list[tuple]] = lambda record: [record]
     key: tuple[str, ...] = ()
     repeat_fatal: bool = True  # a repeated key aborts the parse, else rejects the row
     optional: Column | None = None  # trailing column a file may add
@@ -330,21 +322,25 @@ def stream_table(schema: TableSchema, path: str | Path,
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
     start, lines_before, lines = span or (0, 0, None)
-    with open(path, "rb") as raw:
-        raw.seek(start)
-        with io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig",
-                              errors="surrogateescape", newline="") as fh:
+    with contextlib.ExitStack() as files:
+        try:
+            raw = files.enter_context(open(path, "rb"))
+            raw.seek(start)
+            fh = files.enter_context(io.TextIOWrapper(
+                raw, encoding="utf-8" if start else "utf-8-sig", errors="surrogateescape",
+                newline=""))
             reader = csv.reader(itertools.islice(fh, lines))
-            try:
-                header = None if start else next(reader, None)
-            except csv.Error as exc:
-                header = str(exc)
-            columns = schema.columns if start else schema.columns_for(path, header)
-            report = IngestReport(schema.table)
-            yield _accepted(schema, columns, reader, lines_before, report), report
+            header = None if start else next(reader, None)
+        except csv.Error as exc:
+            header = str(exc)
+        except OSError as exc:
+            raise IngestError(f"{path}: {exc.strerror or exc}") from None
+        columns = schema.columns if start else schema.columns_for(path, header)
+        report = IngestReport(schema.table)
+        yield _accepted(schema, path, columns, reader, lines_before, report), report
 
 
-def _accepted(schema: TableSchema, columns: tuple[Column, ...], reader: Any,
+def _accepted(schema: TableSchema, path: Path, columns: tuple[Column, ...], reader: Any,
               lines_before: int, report: IngestReport) -> Iterator:
     converters = [c.convert for c in columns]
     arity = len(columns)
@@ -377,6 +373,8 @@ def _accepted(schema: TableSchema, columns: tuple[Column, ...], reader: Any,
         except (ValueError, csv.Error) as exc:
             report.reject(line, str(exc))
             continue
+        except OSError as exc:
+            raise IngestError(f"{path}: {exc.strerror or exc}") from None
         report.accepted += 1
         yield record
 
@@ -514,26 +512,3 @@ BADA_CCD_TABLE = TableSchema(
     optional=number("distance_mi", 0.0, strict=True, optional=True))
 INPUT_TABLES = (ONTIME_TABLE, B43_TABLE, TAIL_REGISTRY_TABLE, ENGINE_CODES_TABLE,
                 ICAO_ENGINES_TABLE, BADA_CCD_TABLE)
-
-
-def parse_b43(path: str | Path) -> tuple[list[AirframeRecord], IngestReport]:
-    return read_table(B43_TABLE, path)
-
-
-def parse_tail_registry(path: str | Path) -> tuple[list[TailEngineRecord], IngestReport]:
-    return read_table(TAIL_REGISTRY_TABLE, path)
-
-
-def parse_engine_codes(path: str | Path) -> tuple[list[EngineCodeRecord], IngestReport]:
-    return read_table(ENGINE_CODES_TABLE, path)
-
-
-def parse_icao_databank(path: str | Path) -> tuple[list[EngineLtoFactors], IngestReport]:
-    """16 (gas, mode) rows per engine UID; an engine missing any is rejected whole."""
-    return read_table(ICAO_ENGINES_TABLE, path)
-
-
-def parse_bada_ccd(path: str | Path) -> tuple[list[CcdProfile], IngestReport]:
-    """Knots sorted by duration per type, whatever the row order. A repeated
-    duration rejects the later row; a type with fewer than 2 knots is rejected."""
-    return read_table(BADA_CCD_TABLE, path)

@@ -127,11 +127,11 @@ def open_inputs(cfg: RunConfig, span: tuple[int, int, int] | None = None,
 def _reference_data(cfg: RunConfig) -> tuple[matching.LookupTables, list[IngestReport]]:
     """The lookup tables and the five reference tables' reports. The parsed
     lists are locals here, so they are freed before any flight is read."""
-    airframes, b43_report = ingest.parse_b43(cfg.b43)
-    registry, registry_report = ingest.parse_tail_registry(cfg.tail_registry)
-    codes, codes_report = ingest.parse_engine_codes(cfg.engine_codes)
-    databank, icao_report = ingest.parse_icao_databank(cfg.icao_engines)
-    profiles, bada_report = ingest.parse_bada_ccd(cfg.bada_ccd)
+    airframes, b43_report = ingest.read_table(ingest.B43_TABLE, cfg.b43)
+    registry, registry_report = ingest.read_table(ingest.TAIL_REGISTRY_TABLE, cfg.tail_registry)
+    codes, codes_report = ingest.read_table(ingest.ENGINE_CODES_TABLE, cfg.engine_codes)
+    databank, icao_report = ingest.read_table(ingest.ICAO_ENGINES_TABLE, cfg.icao_engines)
+    profiles, bada_report = ingest.read_table(ingest.BADA_CCD_TABLE, cfg.bada_ccd)
     if cfg.interpolation_key == "distance":
         profiles = _rekey_profiles_by_distance(profiles)
     rules = matching.NormalizationRuleSet.from_csv(cfg.normalization_rules)
@@ -317,6 +317,16 @@ class TailPlans:
 
 # --- serialization ---
 
+@contextlib.contextmanager
+def _writing(outdir: Path) -> Iterator[None]:
+    """An OSError from writing a file in `outdir`, staged output or fragment,
+    raised as the ConfigError of an output directory that cannot be written."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"output_dir: {outdir}: {exc.strerror or exc}") from None
+
+
 # The numeric cells of a flight_emissions.csv row, from emissions_row's [8:21].
 _FLIGHT_NUMBERS = ",%.2f" * 12 + ",%.6f"
 
@@ -352,7 +362,7 @@ class OutputWriter:
         else:
             logger.warning("no UNEP baseline constants configured; "
                            "scatter_seat_mile.csv omits the baseline column")
-        try:
+        with _writing(self.outdir):
             self.outdir.mkdir(parents=True, exist_ok=True)
             try:
                 self.streams = tuple(
@@ -365,8 +375,6 @@ class OutputWriter:
             except BaseException:
                 self.__exit__()
                 raise
-        except OSError as exc:
-            raise ConfigError(f"output_dir: {self.outdir}: {exc.strerror or exc}") from None
         return self
 
     def add(self, flight: ingest.FlightRecord, plan: TailPlan, row: tuple | None) -> None:
@@ -393,23 +401,25 @@ class OutputWriter:
     def commit(self, coverage: CoverageReport) -> None:
         """Write the roll-up files and coverage.json, then replace all seven
         outputs with their staged files."""
-        for schema, rows in zip(agg.ROLLUP_TABLES, self.rollup.rows(self.cfg.co2e_factors)):
-            name = f"{schema.table}.csv"
-            try:  # the rows are made here; a total beyond a double overflows
-                ingest.write_table(schema, rows, self._staged(name))
-            except OverflowError:
-                raise ConfigError(f"{self.outdir / name}: a total is too large for a "
-                                  f"float; check the input values") from None
-        self._staged("coverage.json").write_text(
-            json.dumps(coverage.to_dict(), indent=2) + "\n", encoding="utf-8")
-        self._files.close()
-        for name in OUTPUT_FILES:
-            os.replace(self._staged(name), self.outdir / name)
+        with _writing(self.outdir):
+            for schema, rows in zip(agg.ROLLUP_TABLES, self.rollup.rows(self.cfg.co2e_factors)):
+                name = f"{schema.table}.csv"
+                try:  # the rows are made here; a total beyond a double overflows
+                    ingest.write_table(schema, rows, self._staged(name))
+                except OverflowError:
+                    raise ConfigError(f"{self.outdir / name}: a total is too large for a "
+                                      f"float; check the input values") from None
+            self._staged("coverage.json").write_text(
+                json.dumps(coverage.to_dict(), indent=2) + "\n", encoding="utf-8")
+            self._files.close()
+            for name in OUTPUT_FILES:
+                os.replace(self._staged(name), self.outdir / name)
         self._committed = True
 
     def __exit__(self, *exc_info) -> None:
         try:
-            self._files.close()
+            with contextlib.suppress(OSError):  # a staged file left unflushed is dropped
+                self._files.close()
         finally:
             if not self._committed:
                 for name in OUTPUT_FILES:
@@ -439,9 +449,9 @@ def _shard_spans(path: Path) -> list:
         return [None]
     try:
         parts = min(len(os.sched_getaffinity(0)), os.path.getsize(path) // SHARD_BYTES)
-    except OSError:  # open_inputs reports the missing table
+        return (parts > 1 and ingest.row_spans(path, parts)) or [None]
+    except OSError:  # open_inputs reports the missing or unreadable table
         return [None]
-    return (parts > 1 and ingest.row_spans(path, parts)) or [None]
 
 
 def _split(cfg: RunConfig, data: LoadedData, spans: list,
@@ -471,8 +481,9 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
                 for stream in (sys.stdout, sys.stderr, *streams):
                     stream.flush()
             for span in spans[1:]:
-                files = [stack.enter_context(tempfile.TemporaryFile(
-                    "w+", encoding="utf-8", dir=cfg.output_dir)) for _ in streams]
+                with _writing(cfg.output_dir):
+                    files = [stack.enter_context(tempfile.TemporaryFile(
+                        "w+", encoding="utf-8", dir=cfg.output_dir)) for _ in streams]
                 # Not in the output directory, which `validate` does not create.
                 result = stack.enter_context(tempfile.TemporaryFile())
                 # An interrupt waits until the child is in its `try` and its pid is kept.
@@ -487,8 +498,9 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
                                 with ingest.stream_table(ingest.ONTIME_TABLE, cfg.ontime,
                                                          span) as (flights, report):
                                     message = (*shard(flights, files), report)
-                                for file in files:
-                                    file.flush()
+                                with _writing(cfg.output_dir):
+                                    for file in files:
+                                        file.flush()
                             except BaseException as exc:
                                 message = exc, traceback.format_exc()
                             result.write(pickle.dumps(message))
@@ -511,10 +523,11 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
                 message = pickle.loads(message)
                 if isinstance(message[0], BaseException):  # and the child's traceback
                     raise message[0] from RuntimeError(f"in shard process {pid}: {message[1]}")
-                for stream, fragment in zip(streams, files):
-                    stream.flush()
-                    fragment.seek(0)
-                    shutil.copyfileobj(fragment.buffer, stream.buffer)
+                with _writing(cfg.output_dir):
+                    for stream, fragment in zip(streams, files):
+                        stream.flush()
+                        fragment.seek(0)
+                        shutil.copyfileobj(fragment.buffer, stream.buffer)
                 for mine, theirs in zip(merged, message):
                     mine.merge(theirs)
             return merged
@@ -535,10 +548,11 @@ def run_pipeline(cfg: RunConfig) -> CoverageReport:
             out.streams = streams  # in a forked child, its fragment files
             coverage = CoverageReport()
             compute = TailPlans(data.tables, cfg).compute
-            for flight in flights:
-                plan, cause, row = compute(flight)
-                coverage.add(cause, plan.flags)
-                out.add(flight, plan, row)
+            with _writing(out.outdir):
+                for flight in flights:
+                    plan, cause, row = compute(flight)
+                    coverage.add(cause, plan.flags)
+                    out.add(flight, plan, row)
             return coverage, out.rollup
 
         coverage, _, _ = _split(cfg, data, spans, run_shard, out.streams)

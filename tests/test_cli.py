@@ -1,6 +1,8 @@
+import builtins
 import codecs
 import csv
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -15,12 +17,25 @@ import pytest
 from aeroemit import aggregate as agg
 from aeroemit import cli, config, ingest, matching, pipeline
 from conftest import (B739ER_CCD_KNOTS, CFM56_7B27E_RATES, build_corpus, icao_rows,
-                      write_config, write_csv, write_golden_inputs)
+                      in_shards, write_config, write_csv, write_golden_inputs)
 
 
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def refuse_to_read(monkeypatch, unreadable):
+    """`open` and `Path.read_bytes` refuse `unreadable` as they refuse a file
+    without read permission, which does not stop root."""
+    def refusing(read):
+        def read_or_refuse(file, *args, **kwargs):
+            if str(file) == str(unreadable):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+            return read(file, *args, **kwargs)
+        return read_or_refuse
+    monkeypatch.setattr(builtins, "open", refusing(builtins.open))
+    monkeypatch.setattr(Path, "read_bytes", refusing(Path.read_bytes))
 
 
 class TestValidate:
@@ -304,6 +319,14 @@ class TestReport:
         assert capsys.readouterr().err == (
             f"error: {outdir / name} line 2: {column} must be {kind}, got 'abc'\n")
 
+    def test_unreadable_rollup_exit_3(self, tmp_path, capsys, monkeypatch):
+        outdir = self.run_corpus(tmp_path, n=10)
+        capsys.readouterr()
+        refuse_to_read(monkeypatch, outdir / "airport_lto.csv")
+        assert cli.main(["report", str(outdir)]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: {outdir / 'airport_lto.csv'}: Permission denied\n")
+
     def test_nonfinite_cell_exit_3(self, tmp_path, capsys):
         """A nan total would otherwise rank its airline first."""
         outdir = self.run_corpus(tmp_path, n=10)
@@ -357,6 +380,24 @@ class TestInputErrorsExit2:
         assert cli.main(["run", "--config", str(config)]) == 2
         assert capsys.readouterr().err == f"error: output_dir: {outdir}: Permission denied\n"
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("culprit", ["ontime", "b43", "family_fallback", "config"])
+    def test_unreadable_file(self, tmp_path, capsys, monkeypatch, command, culprit):
+        """A flight table too large for one process, a reference table, a
+        matching table or the config that cannot be read: exit 2, naming it."""
+        paths = build_corpus(tmp_path, n_flights=50)
+        paths["family_fallback"] = tmp_path / "fallback.csv"
+        write_csv(paths["family_fallback"],
+                  ["missing_type", "surrogate_type", "efficiency_factor"],
+                  [["737-8", "737-800", "0.85"]])
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        unreadable = config if culprit == "config" else paths[culprit]
+        refuse_to_read(monkeypatch, unreadable)
+        in_shards(monkeypatch, 3)
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"error: {unreadable}: Permission denied\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, command", [
         ("output_dir", "run"), ("ontime", "validate"), ("ontime", "run")])

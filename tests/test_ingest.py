@@ -1,6 +1,9 @@
+import builtins
 import csv
 import datetime
+import errno
 import io
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -174,7 +177,7 @@ class TestParseB43:
     def test_basic(self, tmp_path):
         path = tmp_path / "b43.csv"
         write_csv(path, ingest.B43_TABLE.header, [["N815DN", "B739ER", "180", "2"]])
-        records, report = ingest.parse_b43(path)
+        records, report = ingest.read_table(ingest.B43_TABLE, path)
         assert report.accepted == 1
         assert records[0].seat_count == 180
         assert records[0].engine_count == 2
@@ -182,7 +185,7 @@ class TestParseB43:
     def test_default_engine_count(self, tmp_path):
         path = tmp_path / "b43.csv"
         write_csv(path, ingest.B43_TABLE.header, [["N1", "A320", "150", ""]])
-        records, _ = ingest.parse_b43(path)
+        records, _ = ingest.read_table(ingest.B43_TABLE, path)
         assert records[0].engine_count == 2
 
     def test_bad_rows_rejected(self, tmp_path):
@@ -190,7 +193,7 @@ class TestParseB43:
         write_csv(path, ingest.B43_TABLE.header, [
             ["N1", "A320", "0", "2"], ["N2", "A320", "150", "5"],
             ["", "A320", "150", "2"], ["N3", "A320", "150", "2"]])
-        records, report = ingest.parse_b43(path)
+        records, report = ingest.read_table(ingest.B43_TABLE, path)
         assert len(records) == 1
         assert report.rejected == 3
 
@@ -199,7 +202,7 @@ class TestParseB43:
         write_csv(path, ingest.B43_TABLE.header,
                   [["N1", "A320", "150", "2"], ["N1", "A321", "190", "2"]])
         with pytest.raises(ingest.DuplicateKeyError):
-            ingest.parse_b43(path)
+            ingest.read_table(ingest.B43_TABLE, path)
 
     def test_order_insensitive(self, tmp_path):
         rows = [["N3", "A320", "150", "2"], ["N1", "B739ER", "180", "2"],
@@ -210,17 +213,17 @@ class TestParseB43:
         write_csv(b, ingest.B43_TABLE.header, rows[::-1])
 
         def by_tail(path):
-            return {r.tail_number: r for r in ingest.parse_b43(path)[0]}
+            return {r.tail_number: r for r in ingest.read_table(ingest.B43_TABLE, path)[0]}
         assert by_tail(a) == by_tail(b)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "b43.csv"
         write_csv(path, ingest.B43_TABLE.header,
                   [["N1", "A320", "150", "2"], ["N2", "B739ER", "180", "2"]])
-        records, _ = ingest.parse_b43(path)
+        records, _ = ingest.read_table(ingest.B43_TABLE, path)
         out = tmp_path / "rt.csv"
         ingest.write_table(ingest.B43_TABLE, records, out)
-        assert ingest.parse_b43(out)[0] == records
+        assert ingest.read_table(ingest.B43_TABLE, out)[0] == records
 
 
 class TestSmallTables:
@@ -228,42 +231,42 @@ class TestSmallTables:
         path = tmp_path / "t.csv"
         write_csv(path, ingest.TAIL_REGISTRY_TABLE.header,
                   [["N1", "CFM56-7B27E"], ["N2", ""]])
-        records, report = ingest.parse_tail_registry(path)
+        records, report = ingest.read_table(ingest.TAIL_REGISTRY_TABLE, path)
         assert len(records) == 1 and report.rejected == 1
 
     def test_tail_registry_duplicate_fatal(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ingest.TAIL_REGISTRY_TABLE.header, [["N1", "A"], ["N1", "B"]])
         with pytest.raises(ingest.DuplicateKeyError):
-            ingest.parse_tail_registry(path)
+            ingest.read_table(ingest.TAIL_REGISTRY_TABLE, path)
 
     def test_engine_codes_unique(self, tmp_path):
         path = tmp_path / "c.csv"
         write_csv(path, ingest.ENGINE_CODES_TABLE.header, [["C1", "CFM56"], ["C1", "PW"]])
         with pytest.raises(ingest.DuplicateKeyError):
-            ingest.parse_engine_codes(path)
+            ingest.read_table(ingest.ENGINE_CODES_TABLE, path)
 
     def test_round_trips(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ingest.TAIL_REGISTRY_TABLE.header, [["N1", "CFM56"], ["N2", "PW4060"]])
-        records, _ = ingest.parse_tail_registry(path)
+        records, _ = ingest.read_table(ingest.TAIL_REGISTRY_TABLE, path)
         out = tmp_path / "rt.csv"
         ingest.write_table(ingest.TAIL_REGISTRY_TABLE, records, out)
-        assert ingest.parse_tail_registry(out)[0] == records
+        assert ingest.read_table(ingest.TAIL_REGISTRY_TABLE, out)[0] == records
 
         path = tmp_path / "c.csv"
         write_csv(path, ingest.ENGINE_CODES_TABLE.header, [["C1", "CFM56"], ["C2", "PW"]])
-        codes, _ = ingest.parse_engine_codes(path)
+        codes, _ = ingest.read_table(ingest.ENGINE_CODES_TABLE, path)
         out2 = tmp_path / "rtc.csv"
         ingest.write_table(ingest.ENGINE_CODES_TABLE, codes, out2)
-        assert ingest.parse_engine_codes(out2)[0] == codes
+        assert ingest.read_table(ingest.ENGINE_CODES_TABLE, out2)[0] == codes
 
 
 class TestParseIcaoDatabank:
     def test_table_values(self, tmp_path):
         path = tmp_path / "icao.csv"
         write_csv(path, ingest.ICAO_ENGINES_TABLE.header, icao_rows("CFM56-7B27E", CFM56_7B27E_RATES))
-        records, report = ingest.parse_icao_databank(path)
+        records, report = ingest.read_table(ingest.ICAO_ENGINES_TABLE, path)
         assert report.accepted == 16
         (engine,) = records
         assert engine.rate("CO2", "TAKEOFF") == 4.07295
@@ -274,7 +277,7 @@ class TestParseIcaoDatabank:
         rows[0][3] = "-1.0"
         path = tmp_path / "icao.csv"
         write_csv(path, ingest.ICAO_ENGINES_TABLE.header, rows)
-        records, report = ingest.parse_icao_databank(path)
+        records, report = ingest.read_table(ingest.ICAO_ENGINES_TABLE, path)
         # engine is incomplete without the rejected cell, so it is dropped
         assert records == []
         assert report.accepted + report.rejected == 16
@@ -285,7 +288,7 @@ class TestParseIcaoDatabank:
         rows[3][3] = text
         path = tmp_path / "icao.csv"
         write_csv(path, ingest.ICAO_ENGINES_TABLE.header, rows)
-        records, report = ingest.parse_icao_databank(path)
+        records, report = ingest.read_table(ingest.ICAO_ENGINES_TABLE, path)
         assert records == []
         assert report.rejections[0].line == 5
         assert "rate_kg_per_s must be finite" in report.rejections[0].reason
@@ -297,15 +300,15 @@ class TestParseIcaoDatabank:
         path = tmp_path / "icao.csv"
         write_csv(path, ingest.ICAO_ENGINES_TABLE.header, rows)
         with pytest.raises(ingest.DuplicateKeyError):
-            ingest.parse_icao_databank(path)
+            ingest.read_table(ingest.ICAO_ENGINES_TABLE, path)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "icao.csv"
         write_csv(path, ingest.ICAO_ENGINES_TABLE.header, icao_rows("CFM56-7B27E", CFM56_7B27E_RATES))
-        records, _ = ingest.parse_icao_databank(path)
+        records, _ = ingest.read_table(ingest.ICAO_ENGINES_TABLE, path)
         out = tmp_path / "rt.csv"
         ingest.write_table(ingest.ICAO_ENGINES_TABLE, records, out)
-        assert ingest.parse_icao_databank(out)[0] == records
+        assert ingest.read_table(ingest.ICAO_ENGINES_TABLE, out)[0] == records
 
 
 class TestParseBadaCcd:
@@ -316,7 +319,7 @@ class TestParseBadaCcd:
     def test_table_profile(self, tmp_path):
         path = tmp_path / "bada.csv"
         write_csv(path, ingest.BADA_CCD_TABLE.header, self.bada_rows())
-        profiles, report = ingest.parse_bada_ccd(path)
+        profiles, report = ingest.read_table(ingest.BADA_CCD_TABLE, path)
         assert report.accepted == 10
         (profile,) = profiles
         assert len(profile.knots) == 10
@@ -329,7 +332,7 @@ class TestParseBadaCcd:
         path = tmp_path / "bada.csv"
         write_csv(path, ingest.BADA_CCD_TABLE.header,
                   self.bada_rows() + [["LONELY", "50", "1", "100", "1", "1"]])
-        profiles, report = ingest.parse_bada_ccd(path)
+        profiles, report = ingest.read_table(ingest.BADA_CCD_TABLE, path)
         assert [p.canonical_type for p in profiles] == ["737-900ER"]
         assert any("fewer than 2 knots" in r.reason for r in report.rejections)
 
@@ -339,7 +342,8 @@ class TestParseBadaCcd:
         rows = self.bada_rows()
         write_csv(a, ingest.BADA_CCD_TABLE.header, rows)
         write_csv(b, ingest.BADA_CCD_TABLE.header, rows[::-1])
-        assert ingest.parse_bada_ccd(a)[0] == ingest.parse_bada_ccd(b)[0]
+        assert (ingest.read_table(ingest.BADA_CCD_TABLE, a)[0]
+                == ingest.read_table(ingest.BADA_CCD_TABLE, b)[0])
 
     @pytest.mark.parametrize("column, text", [
         (1, "nan"), (1, "inf"), (2, "nan"), (3, "inf"), (5, "nan"),
@@ -349,7 +353,7 @@ class TestParseBadaCcd:
         rows[4][column] = text
         path = tmp_path / "bada.csv"
         write_csv(path, ingest.BADA_CCD_TABLE.header, rows)
-        profiles, report = ingest.parse_bada_ccd(path)
+        profiles, report = ingest.read_table(ingest.BADA_CCD_TABLE, path)
         assert len(profiles[0].knots) == 9
         (rejection,) = report.rejections
         assert rejection.line == 6
@@ -360,17 +364,17 @@ class TestParseBadaCcd:
         rows.append(["737-900ER", "105", "9", "9", "9", "9"])
         path = tmp_path / "bada.csv"
         write_csv(path, ingest.BADA_CCD_TABLE.header, rows)
-        profiles, report = ingest.parse_bada_ccd(path)
+        profiles, report = ingest.read_table(ingest.BADA_CCD_TABLE, path)
         assert len(profiles[0].knots) == 10
         assert any("duplicate duration" in r.reason for r in report.rejections)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "bada.csv"
         write_csv(path, ingest.BADA_CCD_TABLE.header, self.bada_rows())
-        profiles, _ = ingest.parse_bada_ccd(path)
+        profiles, _ = ingest.read_table(ingest.BADA_CCD_TABLE, path)
         out = tmp_path / "rt.csv"
         ingest.write_table(ingest.BADA_CCD_TABLE, profiles, out)
-        assert ingest.parse_bada_ccd(out)[0] == profiles
+        assert ingest.read_table(ingest.BADA_CCD_TABLE, out)[0] == profiles
 
 
 def test_row_its_build_refuses_adds_no_key(tmp_path):
@@ -400,6 +404,26 @@ def test_report_keeps_the_first_rejections_and_counts_all():
     assert (first.accepted, first.rejected) == (0, 30)
     assert first.rejections == [(line, "first" if line < 17 else "second")
                                 for line in range(2, 22)]
+
+
+@pytest.mark.parametrize("lines_read", [0, 2], ids=["header", "row"])
+def test_read_error_names_the_table(tmp_path, monkeypatch, lines_read):
+    """An OSError while the header or a row is read, as a failing disk gives
+    it, raises IngestError naming the table."""
+    path = ontime_file(tmp_path, [GOLDEN_ROW] * 3)
+    readable = len(b"".join(path.read_bytes().splitlines(keepends=True)[:lines_read]))
+
+    class Failing(io.FileIO):
+        def readinto(self, buffer):
+            if self.tell() >= readable:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return super().readinto(memoryview(buffer)[:readable - self.tell()])
+    real_open = open
+    monkeypatch.setattr(builtins, "open", lambda file, *args, **kwargs: (
+        io.BufferedReader(Failing(file)) if file == path else real_open(file, *args, **kwargs)))
+    with pytest.raises(ingest.IngestError) as raised:
+        ingest.read_table(ingest.ONTIME_TABLE, path)
+    assert str(raised.value) == f"{path}: {os.strerror(errno.EIO)}"
 
 
 # --- every schema: fuzzed rows, round trips, and the README's schema table ---

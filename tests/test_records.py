@@ -7,7 +7,8 @@ import pytest
 from aeroemit import aggregate, emissions, ingest, matching, pipeline
 
 RECORDS = (
-    ingest.FlightRecord, ingest.RowRejection, ingest.CcdKnot, ingest.Column,
+    ingest.FlightRecord, ingest.AirframeRecord, ingest.TailEngineRecord,
+    ingest.EngineCodeRecord, ingest.RowRejection, ingest.CcdKnot, ingest.Column,
     ingest.TableSchema, emissions.GasVector, emissions.LtoTimes, emissions.Co2eFactors,
     emissions.EmissionsResult, matching.ResolvedFlight, matching.NormalizationRule,
     matching.FamilyFallback, matching.LookupTables, aggregate.FlightOutcome,

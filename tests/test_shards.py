@@ -1,8 +1,12 @@
 """A large flight table split across forked processes: row spans, exact merge,
 the same bytes and messages as one process, and no process or file left."""
 
+import csv
+import errno
 import os
+import shutil
 import signal
+import tempfile
 import time
 from unittest import mock
 
@@ -164,6 +168,32 @@ class TestValidateInShards:
         assert "line 8: expected 10 fields, got 11" in capsys.readouterr().out
 
 
+class TestQuotedFlightTable:
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_same_bytes_as_unquoted(self, tmp_path, monkeypatch, capsys, shards):
+        """BTS quotes every field. The flight table with every field quoted
+        (`csv.QUOTE_ALL`, LF line ends) gives the seven outputs and the
+        `validate` output of the same table unquoted."""
+        paths = dirty_corpus(tmp_path)
+        quoted = tmp_path / "ontime_quoted.csv"
+        with open(paths["ontime"], newline="", encoding="utf-8") as plain, \
+                open(quoted, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+                csv.reader(plain))
+        printed, written, forks = [], [], []
+        for table in (paths["ontime"], quoted):
+            config = str(write_config(tmp_path, {**paths, "ontime": table}, tmp_path / "out"))
+            forks.append(in_shards(monkeypatch, shards))
+            assert cli.main(["validate", "--config", config]) == 0
+            assert cli.main(["run", "--config", config]) == 0
+            printed.append(capsys.readouterr().out)
+            written.append(outputs(tmp_path / "out"))
+        assert len(forks[0]) == 2 * (shards - 1)
+        assert "ontime: 287 accepted, 13 rejected" in printed[0]
+        assert printed[0] == printed[1]
+        assert written[0] == written[1]
+
+
 class TestProcessCount:
     def test_capped_by_cpus(self, tmp_path, monkeypatch):
         paths = dirty_corpus(tmp_path)
@@ -313,6 +343,51 @@ class TestFailingShard:
             cli.main(["run", "--config", config])
         cause = str(raised.value.__cause__)
         assert "Traceback (most recent call last)" in cause and ", in failing\n" in cause
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("where, shards", [
+        ("this-process", 1), ("this-process", 3), ("last-shard", 1), ("last-shard", 3),
+        ("commit", 1), ("commit", 3), ("new-fragment", 3), ("append", 3)])
+    def test_full_disk_exits_2_and_keeps_outputs(self, second_run, monkeypatch, capsys,
+                                                 where, shards):
+        """From a chosen flight on, the staged streams, here or in the last
+        shard, write to /dev/full, which refuses every write with ENOSPC; or
+        `commit` cannot write a roll-up table, a fragment file cannot be made
+        or a fragment cannot be appended. The run exits 2 with one error line,
+        the previous outputs kept and no file or process left."""
+        outdir, config, first, last = second_run
+        before = outputs(outdir)
+        capsys.readouterr()
+
+        def refused(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        if where == "commit":
+            monkeypatch.setattr(ingest, "write_table", refused)
+        elif where == "new-fragment":
+            real = tempfile.TemporaryFile
+            monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, dir=None, **kwargs:
+                                refused() if dir else real(*args, **kwargs))
+        elif where == "append":
+            monkeypatch.setattr(shutil, "copyfileobj", refused)
+        else:
+            at = first if where == "this-process" else last
+            add = pipeline.OutputWriter.add
+
+            def filling(self, flight, plan, row):
+                if flight.flight_number == at:
+                    full = os.open("/dev/full", os.O_WRONLY)
+                    for stream in self.streams:
+                        os.dup2(full, stream.fileno())
+                    os.close(full)
+                add(self, flight, plan, row)
+            monkeypatch.setattr(pipeline.OutputWriter, "add", filling)
+        forked = in_shards(monkeypatch, shards)
+        assert cli.main(["run", "--config", config]) == 2
+        assert len(forked) == (0 if where == "new-fragment" else shards - 1)
+        assert capsys.readouterr() == (
+            "", f"error: output_dir: {outdir}: {os.strerror(errno.ENOSPC)}\n")
+        assert outputs(outdir) == before
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(pipeline.OUTPUT_FILES)
         assert_no_child_left()
 
     def test_child_that_sends_nothing(self, second_run, monkeypatch):

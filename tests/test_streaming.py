@@ -255,21 +255,19 @@ class ParsedList(list):
 
 
 def test_parsed_reference_lists_freed_before_flights_stream(tmp_path, monkeypatch):
-    """Inside `open_inputs`, no list returned by the five `ingest.parse_*`
-    functions is alive: the lookup tables keep only the records they need."""
+    """Inside `open_inputs`, no list that `ingest.read_table` returned for an
+    input table is alive: the lookup tables keep only the records they need."""
     watched = []
+    read_table = ingest.read_table
 
-    def watching(parse):
-        def parse_and_watch(path):
-            records, report = parse(path)
+    def read_and_watch(schema, path):
+        records, report = read_table(schema, path)
+        if schema in ingest.INPUT_TABLES:
             records = ParsedList(records)
             watched.append(weakref.ref(records))
-            return records, report
-        return parse_and_watch
+        return records, report
 
-    for name in ("parse_b43", "parse_tail_registry", "parse_engine_codes",
-                 "parse_icao_databank", "parse_bada_ccd"):
-        monkeypatch.setattr(ingest, name, watching(getattr(ingest, name)))
+    monkeypatch.setattr(ingest, "read_table", read_and_watch)
     paths = build_corpus(tmp_path, n_flights=50)
     cfg = load_config(str(write_config(tmp_path, paths, tmp_path / "out")))
     with pipeline.open_inputs(cfg) as data:

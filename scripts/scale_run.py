@@ -7,7 +7,10 @@ the bulk-run shape of perfbench/synth.py scaled to --flights rows, runs
 ``python -m aeroemit.cli run`` on them --runs times, checks every run's output
 files with perfbench/checks.py, and prints one JSON object: the flight count,
 the median wall_s, flights_per_s and peak_rss_mb, the outputs' digest and
-any problems found. --src picks the package sources to run (default ./src),
+any problems found. After each run it also runs the corpus's ``setup.cfg``,
+the same reference tables with a one-row flight table, as perfbench does:
+setup_s, that run's median wall time, is what every invocation pays before
+its first flight. --src picks the package sources to run (default ./src),
 so two checkouts can be measured on the same generated inputs.
 
 Each run is started by a small launcher process. On Linux a child's max RSS,
@@ -52,31 +55,41 @@ def measure(src: Path, flights: int, seed: int, runs: int, work: Path) -> dict:
     workload = f"bulk-{flights}"
     synth.SHAPES[workload] = dataclasses.replace(synth.SHAPES["bulk-run"], flights=flights)
     corpus = synth.generate(workload, seed, work)
-    outdir = corpus.config.parent / "out"
     env = dict(os.environ, PYTHONPATH=str(src))
-    samples, digests, problems = [], set(), []
-    for _ in range(runs):
+    samples, setup_samples, digests, problems = [], [], set(), []
+
+    def launch(config: Path, outdir: Path, expected: synth.Expected) -> dict:
         shutil.rmtree(outdir, ignore_errors=True)
         launched = subprocess.run(
             [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "aeroemit.cli", "run",
-             "--config", str(corpus.config)],
+             "--config", str(config)],
             env=env, capture_output=True, text=True, check=True)
         sample = json.loads(launched.stdout)
-        samples.append(sample)
         if sample["exit_code"] != 0:
-            problems.append(f"exit code {sample['exit_code']}")
-            continue
-        problems.extend(checks.check_run(outdir, corpus.expected))
-        digests.add(checks.digest_files(outdir))
+            problems.append(f"{config.name}: exit code {sample['exit_code']}")
+        else:
+            problems.extend(f"{config.name}: {problem}"
+                            for problem in checks.check_run(outdir, expected))
+        return sample
+
+    outdir = corpus.config.parent / "out"
+    for _ in range(runs):
+        samples.append(launch(corpus.config, outdir, corpus.expected))
+        if samples[-1]["exit_code"] == 0:
+            digests.add(checks.digest_files(outdir))
+        setup_samples.append(launch(corpus.setup_config, corpus.config.parent / "out_setup",
+                                    corpus.setup_expected))
     walls = [s["wall_s"] for s in samples]
     return {
         "flights": flights,
         "seed": seed,
         "runs": runs,
         "wall_s": statistics.median(walls),
+        "setup_s": statistics.median(s["wall_s"] for s in setup_samples),
         "flights_per_s": statistics.median(flights / w for w in walls),
         "peak_rss_mb": statistics.median(s["max_rss_mb"] for s in samples),
         "samples": samples,
+        "setup_samples": setup_samples,
         "digest": digests.pop() if len(digests) == 1 else sorted(digests),
         "problems": problems,
     }

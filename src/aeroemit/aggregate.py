@@ -19,13 +19,13 @@ correctly rounded ``int / int`` division (the same double
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from math import frexp
 from operator import attrgetter, mul
 from typing import Iterator, NamedTuple
 
 from .emissions import Co2eFactors, EmissionsResult
-from .ingest import GASES, FlightRecord, TableSchema, choice, integer, number, text
+from .ingest import (GASES, FlightRecord, Record, TableSchema, choice, integer, number,
+                     text)
 from .matching import ResolvedFlight
 
 UNIT_BITS = 1074
@@ -65,8 +65,7 @@ def unep_baseline(distance_mi: float, config: UnepBaseline) -> float:
     return config.long_haul_co2_per_seat_mile
 
 
-@dataclass(slots=True)
-class Sums:
+class Sums(Record):
     """The exact sums of one grouping: a carrier, an airport or a cycle.
 
     `hc`, `co2`, `co`, `nox` and `co2e` count units of 2**-1074 kg and
@@ -75,19 +74,18 @@ class Sums:
     only what it has: an airport or a cycle counts no flights.
     """
 
-    hc: int = 0
-    co2: int = 0
-    co: int = 0
-    nox: int = 0
-    flights: int = 0
-    computed: int = 0
-    seats: int = 0
-    co2e: int = 0
-    seat_miles: int = 0
+    __slots__ = _fields = ("hc", "co2", "co", "nox", "flights", "computed", "seats", "co2e",
+                           "seat_miles")
+
+    def __init__(self, hc: int = 0, co2: int = 0, co: int = 0, nox: int = 0, flights: int = 0,
+                 computed: int = 0, seats: int = 0, co2e: int = 0, seat_miles: int = 0) -> None:
+        self.hc, self.co2, self.co, self.nox = hc, co2, co, nox
+        self.flights, self.computed, self.seats = flights, computed, seats
+        self.co2e, self.seat_miles = co2e, seat_miles
 
     def merge(self, other: Sums) -> None:
         """Add every sum of `other`, the same grouping over other flights."""
-        for name in self.__slots__:
+        for name in self._fields:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 

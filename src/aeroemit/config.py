@@ -9,8 +9,8 @@ module; an absent key leaves that default in place.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .aggregate import UnepBaseline
 from .emissions import Co2eFactors
@@ -34,8 +34,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     ontime: Path
     b43: Path
     tail_registry: Path
@@ -70,7 +69,10 @@ def _parse_kv(path: Path) -> dict[str, str]:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
                           f"at offset {exc.start + len(raw) - len(exc.object)})") from None
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    # Lines end at CR, LF or CRLF only; str.splitlines also ends one at a form
+    # feed, U+0085 or U+2028, which a value may hold.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

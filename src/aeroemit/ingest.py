@@ -29,7 +29,6 @@ import itertools
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -81,18 +80,50 @@ class EngineCodeRecord(NamedTuple):
     designation_text: str
 
 
-@dataclass(frozen=True)  # not a NamedTuple: a cached_property needs a __dict__
-class EngineLtoFactors:
-    engine_uid: str
-    rate_kg_per_s: dict[tuple[str, str], float]
+class Record:
+    """Base of a small record kept in `__slots__`, without the import cost of
+    `dataclasses`: its `_fields` are its constructor's parameters, and it
+    equals a record of its own class with equal fields. Pickling reads the
+    slots; a slot not in `_fields` holds a value computed once from them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable: equal records may differ later
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class EngineLtoFactors(Record):
+    _fields = ("engine_uid", "rate_kg_per_s")
+    __slots__ = (*_fields, "_flat_rates")
+
+    def __init__(self, engine_uid: str, rate_kg_per_s: dict[tuple[str, str], float]) -> None:
+        self.engine_uid = engine_uid
+        self.rate_kg_per_s = rate_kg_per_s
+        self._flat_rates: tuple[float, ...] | None = None
 
     def rate(self, gas: str, mode: str) -> float:
         return self.rate_kg_per_s[(gas, mode)]
 
-    @functools.cached_property
+    @property
     def flat_rates(self) -> tuple[float, ...]:
         """The 16 rates flat, the four MODES of each gas in GASES order."""
-        return tuple(self.rate_kg_per_s[(gas, mode)] for gas in GASES for mode in MODES)
+        if self._flat_rates is None:
+            self._flat_rates = tuple(self.rate_kg_per_s[(gas, mode)]
+                                     for gas in GASES for mode in MODES)
+        return self._flat_rates
 
 
 class CcdKnot(NamedTuple):
@@ -101,17 +132,24 @@ class CcdKnot(NamedTuple):
     distance_mi: float | None = None
 
 
-@dataclass(frozen=True)  # not a NamedTuple: a cached_property needs a __dict__
-class CcdProfile:
-    canonical_type: str
-    knots: tuple[CcdKnot, ...]
+class CcdProfile(Record):
+    _fields = ("canonical_type", "knots")
+    __slots__ = (*_fields, "_table")
 
-    @functools.cached_property
+    def __init__(self, canonical_type: str, knots: tuple[CcdKnot, ...]) -> None:
+        self.canonical_type = canonical_type
+        self.knots = knots
+        self._table: tuple[tuple[float, ...], tuple[tuple[float, ...], ...]] | None = None
+
+    @property
     def table(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
         """The knots' durations, ascending, and each knot's masses in GASES
         order: what the interpolation reads."""
-        return (tuple(k.duration_min for k in self.knots),
-                tuple(tuple(k.emissions_kg[gas] for gas in GASES) for k in self.knots))
+        if self._table is None:
+            self._table = (tuple(k.duration_min for k in self.knots),
+                           tuple(tuple(k.emissions_kg[gas] for gas in GASES)
+                                 for k in self.knots))
+        return self._table
 
 
 class RowRejection(NamedTuple):
@@ -119,14 +157,18 @@ class RowRejection(NamedTuple):
     reason: str
 
 
-@dataclass
-class IngestReport:
+class IngestReport(Record):
     """A table's exact row counts and its first REJECTIONS_KEPT rejections,
     in the order found, so bad rows do not grow memory."""
-    table: str
-    accepted: int = 0
-    rejected: int = 0
-    rejections: list[RowRejection] = field(default_factory=list)
+
+    __slots__ = _fields = ("table", "accepted", "rejected", "rejections")
+
+    def __init__(self, table: str, accepted: int = 0, rejected: int = 0,
+                 rejections: list[RowRejection] | None = None) -> None:
+        self.table = table
+        self.accepted = accepted
+        self.rejected = rejected
+        self.rejections = [] if rejections is None else rejections
 
     def reject(self, line: int, reason: str) -> None:
         self.rejected += 1
@@ -401,17 +443,21 @@ def _grouped(schema: TableSchema, accepted: Iterator[tuple[int, list]],
              report: IngestReport) -> list:
     """One record per first-column value, in sorted order; a ValueError from
     `schema.group` rejects every row of that record."""
-    groups: dict[str, list[tuple[int, list]]] = {}
+    groups: dict[str, tuple[list[list], list[int]]] = {}  # the rows and their lines
     for line, values in accepted:
-        groups.setdefault(values[0], []).append((line, values))
+        group = groups.get(values[0])
+        if group is None:
+            group = groups[values[0]] = ([], [])
+        group[0].append(values)
+        group[1].append(line)
     records = []
     for name in sorted(groups):
-        members = groups[name]
+        rows, lines = groups[name]
         try:
-            records.append(schema.group(name, [values for _, values in members]))
+            records.append(schema.group(name, rows))
         except ValueError as exc:
-            report.accepted -= len(members)
-            for line, _ in members:
+            report.accepted -= len(lines)
+            for line in lines:
                 report.reject(line, str(exc))
     return records
 
@@ -494,7 +540,7 @@ ENGINE_CODES_TABLE = TableSchema(
     build=EngineCodeRecord, key=("faa_code",))
 ICAO_ENGINES_TABLE = TableSchema(
     "icao_engines",
-    (text("engine_uid"), choice("gas", GASES), choice("mode", MODES),
+    (shared(text("engine_uid")), shared(choice("gas", GASES)), shared(choice("mode", MODES)),
      number("rate_kg_per_s", 0.0)),
     group=_engine_factors,
     rows=lambda e: [(e.engine_uid, gas, mode, e.rate_kg_per_s[(gas, mode)])

@@ -179,6 +179,31 @@ def _best_match(query: frozenset[str],
     return best_uid, best_score
 
 
+def _token_index(tokenized: tuple[tuple[str, frozenset[str]], ...]) -> dict[str, list[int]]:
+    """The positions in `tokenized` of the UIDs holding each token, ascending;
+    under "", which is never a token, those of the UIDs with no token."""
+    index: dict[str, list[int]] = {}
+    for position, (_, tokens) in enumerate(tokenized):
+        for token in tokens or ("",):
+            index.setdefault(token, []).append(position)
+    return index
+
+
+def _indexed_match(query: frozenset[str],
+                   tokenized: tuple[tuple[str, frozenset[str]], ...],
+                   index: dict[str, list[int]], threshold: float) -> tuple[str, float] | None:
+    """`_best_match` over all of `tokenized`, scoring only the UIDs that can
+    score above 0: those sharing a token with `query`, or with no token when
+    `query` has none. Every other UID scores 0, so when there is no such UID
+    the full scan gives the smallest UID at 0.0, a match only at threshold 0."""
+    positions = sorted({p for token in query or ("",) for p in index.get(token, ())})
+    if positions:
+        return _best_match(query, [tokenized[p] for p in positions], threshold)
+    if tokenized and threshold <= 0:
+        return tokenized[0][0], 0.0
+    return None
+
+
 def match_engine(faa_designation: str, databank: list[EngineLtoFactors],
                  threshold: float = DEFAULT_JACCARD_THRESHOLD,
                  ) -> tuple[str, float] | None:
@@ -213,9 +238,11 @@ def _resolve_engines(tails: Collection[str], registry_by_tail: dict[str, str],
     """(engine_uid, flag) per tail whose registry engine matches a databank UID,
     one tuple per distinct registry designation. A designation naming a UID
     exactly is ENGINE_EXACT; any other is scored by Jaccard similarity, once per
-    distinct token set, against UIDs tokenized once.
+    distinct token set, against the UIDs it shares a token with
+    (`_indexed_match`), each UID tokenized once.
     """
     tokenized = _tokenize_uids(uids)
+    index = _token_index(tokenized)
     fuzzy: dict[frozenset[str], tuple[str, float] | None] = {}
     matched: dict[str, tuple[str, str]] = {}  # per registry designation that matches
     for registered in dict.fromkeys(map(registry_by_tail.get, tails)):
@@ -228,7 +255,7 @@ def _resolve_engines(tails: Collection[str], registry_by_tail: dict[str, str],
             continue
         query = tokenize(designation)
         if query not in fuzzy:
-            fuzzy[query] = _best_match(query, tokenized, threshold)
+            fuzzy[query] = _indexed_match(query, tokenized, index, threshold)
         if fuzzy[query] is not None:
             matched[registered] = (fuzzy[query][0], ENGINE_JACCARD)
     return {tail: matched[registered] for tail in tails

@@ -23,22 +23,19 @@ the reference `resolve_flight` and `flight_emissions`.
 from __future__ import annotations
 
 import contextlib
-import json
-import logging
 import operator
 import os
 import shutil
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import aggregate as agg
 from . import emissions, ingest, matching
 from .config import ConfigError, RunConfig
-from .ingest import CcdKnot, CcdProfile, IngestReport, csv_cell, csv_line
+from .ingest import CcdKnot, CcdProfile, IngestReport, Record, csv_cell, csv_line
 
 FLIGHT_EMISSIONS_HEADER = [
     "flight_date", "carrier", "flight_number", "tail_number", "origin", "dest",
@@ -54,18 +51,21 @@ SCATTER_CO2E_HEADER = ["distance_mi", "co2e_kg", "canonical_type", "engine_uid",
 SCATTER_SEAT_MILE_HEADER = ["distance_mi", "co2_per_seat_mile", "canonical_type",
                             "engine_uid", "carrier"]
 
-logger = logging.getLogger(__name__)
-
 OUTPUT_FILES = ("flight_emissions.csv", "airline_summary.csv", "airport_lto.csv",
                 "gas_breakdown.csv", "scatter_co2e.csv", "scatter_seat_mile.csv",
                 "coverage.json")
 
-@dataclass
-class CoverageReport:
-    total_flights: int = 0
-    computed_flights: int = 0
-    causes: Counter[str] = field(default_factory=Counter)
-    fallback_flags: Counter[str] = field(default_factory=Counter)
+
+class CoverageReport(Record):
+    __slots__ = _fields = ("total_flights", "computed_flights", "causes", "fallback_flags")
+
+    def __init__(self, total_flights: int = 0, computed_flights: int = 0,
+                 causes: Counter[str] | None = None,
+                 fallback_flags: Counter[str] | None = None) -> None:
+        self.total_flights = total_flights
+        self.computed_flights = computed_flights
+        self.causes = Counter() if causes is None else causes
+        self.fallback_flags = Counter() if fallback_flags is None else fallback_flags
 
     @property
     def coverage(self) -> float:
@@ -360,8 +360,10 @@ class OutputWriter:
             self._unep_cells = (f",{unep.short_haul_co2_per_seat_mile:.6f}",
                                 f",{unep.long_haul_co2_per_seat_mile:.6f}", unep.cutoff_mi)
         else:
-            logger.warning("no UNEP baseline constants configured; "
-                           "scatter_seat_mile.csv omits the baseline column")
+            import logging  # only a run without UNEP constants pays for the import
+            logging.getLogger(__name__).warning(
+                "no UNEP baseline constants configured; "
+                "scatter_seat_mile.csv omits the baseline column")
         with _writing(self.outdir):
             self.outdir.mkdir(parents=True, exist_ok=True)
             try:
@@ -401,6 +403,7 @@ class OutputWriter:
     def commit(self, coverage: CoverageReport) -> None:
         """Write the roll-up files and coverage.json, then replace all seven
         outputs with their staged files."""
+        import json  # here, so that `validate` does not pay for the import
         with _writing(self.outdir):
             for schema, rows in zip(agg.ROLLUP_TABLES, self.rollup.rows(self.cfg.co2e_factors)):
                 name = f"{schema.table}.csv"

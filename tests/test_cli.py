@@ -1,8 +1,8 @@
 import builtins
 import codecs
 import csv
-import dataclasses
 import errno
+import gc
 import json
 import os
 import re
@@ -351,6 +351,24 @@ class TestInputErrorsExit2:
         assert err.startswith(f"error: {golden_config}: not UTF-8 text (byte 0xe9")
         assert not (tmp_path / "out").exists()
 
+    def test_config_value_holding_a_line_separator_character(self, tmp_path, capsys):
+        """U+0085 ends a line for str.splitlines, not for a config file."""
+        paths = write_golden_inputs(tmp_path)
+        paths["ontime"] = paths["ontime"].rename(tmp_path / "a\u0085b.csv")
+        cfg = write_config(tmp_path, paths, tmp_path / "out")
+        assert cli.main(["validate", "--config", str(cfg)]) == 0
+        assert "ontime: 1 accepted, 0 rejected" in capsys.readouterr().out
+        assert config.load_config(cfg).ontime == tmp_path / "a\u0085b.csv"
+
+    @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_config_lines_end_only_at_cr_and_lf(self, golden_config, capsys, ends):
+        lines = golden_config.read_text(encoding="utf-8").splitlines()
+        text = ends.join([lines[0], "\f", "# \x1c comment \u2028", "no equals sign", *lines[1:]])
+        golden_config.write_text(text + ends, encoding="utf-8", newline="")
+        assert cli.main(["validate", "--config", str(golden_config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {golden_config} line 4: expected key = value\n")
+
     @pytest.mark.parametrize("output_dir, culprit", [
         ("afile", "afile"), ("afile/out", "afile")], ids=["is-a-file", "parent-is-a-file"])
     def test_output_dir_not_a_directory(self, tmp_path, capsys, monkeypatch,
@@ -634,6 +652,97 @@ class TestClosedPipe:
         assert b"Traceback" not in err
 
 
+def unreachable_after(argv):
+    """The objects `gc.collect` finds unreachable after `cli.main(argv)` ran
+    with the collector off, as `cli.console` runs it."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestCollectorPolicy:
+    """`console` turns the cyclic collector off; that is safe because a
+    command leaves a fixed number of cyclic objects, not one per row."""
+
+    def test_run_cycles_do_not_grow_with_flights(self, tmp_path, capsys):
+        paths = build_corpus(tmp_path, n_flights=20000)
+        header, *rows = paths["ontime"].read_bytes().splitlines(keepends=True)
+        small = tmp_path / "ontime_2k.csv"
+        small.write_bytes(header + b"".join(rows[:2000]))
+        configs = {}
+        for name, ontime in (("2k", small), ("20k", paths["ontime"])):
+            (tmp_path / name).mkdir()
+            configs[name] = str(write_config(tmp_path / name, {**paths, "ontime": ontime},
+                                             tmp_path / name / "out"))
+        unreachable_after(["run", "--config", configs["20k"]])  # warm-up: first imports
+        counts = {name: unreachable_after(["run", "--config", config])
+                  for name, config in configs.items()}
+        assert counts["2k"] == counts["20k"], counts
+
+    def test_validate_cycles_do_not_grow_with_rejected_rows(self, tmp_path, capsys):
+        paths = build_corpus(tmp_path, n_flights=2000)
+        dirty = tmp_path / "ontime_dirty.csv"
+        dirty.write_bytes(paths["ontime"].read_bytes() + b"".join(
+            b"2021-09-02,DL,%d,N1,ATL,ATL,60,7.0,15.0,666\n" % i for i in range(2000)))
+        configs = {}
+        for name, ontime in (("clean", paths["ontime"]), ("dirty", dirty)):
+            (tmp_path / name).mkdir()
+            configs[name] = str(write_config(tmp_path / name, {**paths, "ontime": ontime},
+                                             tmp_path / name / "out"))
+        unreachable_after(["validate", "--config", configs["dirty"]])  # warm-up
+        counts = {name: unreachable_after(["validate", "--config", config])
+                  for name, config in configs.items()}
+        assert "ontime: 2000 accepted, 2000 rejected" in capsys.readouterr().out
+        assert counts["clean"] == counts["dirty"], counts
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_was(self, golden_config, capsys, enabled):
+        frozen = gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert cli.main(["run", "--config", str(golden_config)]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            gc.enable()
+
+    def test_console_runs_main_with_the_collector_off(self, monkeypatch):
+        states = []
+        monkeypatch.setattr(cli, "main", lambda: states.append(gc.isenabled()) or 3)
+        try:
+            with pytest.raises(SystemExit) as exited:
+                cli.console()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.enable()
+            gc.unfreeze()
+        assert (states, exited.value.code) == ([False], 3)
+
+
+class TestStartUp:
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def test_import_loads_no_optional_module(self):
+        """What a command does not always need is imported where it is used."""
+        code = ("import sys, aeroemit.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'logging', 'json'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=self.env,
+                              capture_output=True, encoding="utf-8", timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    def test_run_without_unep_warns_once(self, golden_config, tmp_path):
+        done = subprocess.run([sys.executable, "-m", "aeroemit.cli", "run", "--config",
+                               str(golden_config)], env=self.env, capture_output=True,
+                              encoding="utf-8", timeout=60)
+        assert done.returncode == 0
+        assert done.stderr == ("no UNEP baseline constants configured; "
+                               "scatter_seat_mile.csv omits the baseline column\n")
+        assert (tmp_path / "out" / "scatter_seat_mile.csv").is_file()
+
+
 class TestOneComputePath:
     """Per-flight compute runs in one thread; `threads` selects nothing."""
 
@@ -645,7 +754,7 @@ class TestOneComputePath:
                 assert name not in source, f"{path.name} uses {name}"
 
     def test_run_config_has_no_threads_field(self):
-        assert "threads" not in {f.name for f in dataclasses.fields(config.RunConfig)}
+        assert "threads" not in config.RunConfig._fields
 
     def test_threads_config_key_exit_2(self, tmp_path, capsys):
         paths = write_golden_inputs(tmp_path)
@@ -679,7 +788,7 @@ class TestDefaultsHaveOneSource:
 
     def test_choice_defaults_are_options(self):
         for key, options in config.CHOICES.items():
-            assert getattr(config.RunConfig, key) in options
+            assert config.RunConfig._field_defaults[key] in options
 
     def test_readme_states_the_defaults(self):
         paragraph = " ".join(TestReadmeMatchesCode.readme.split(

@@ -1,6 +1,5 @@
 """Fixed-point aggregation: exactness against Fraction, and metamorphic checks."""
 
-import dataclasses
 import datetime
 import fractions
 import hashlib
@@ -176,7 +175,7 @@ def corpus(tmp_path_factory):
 
 
 def written(cfg, outcomes, coverage, outdir):
-    write_outputs(outcomes, dataclasses.replace(cfg, output_dir=outdir), coverage)
+    write_outputs(outcomes, cfg._replace(output_dir=outdir), coverage)
     return {name: (outdir / name).read_text(encoding="utf-8")
             for name in pipeline.OUTPUT_FILES}
 

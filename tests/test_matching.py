@@ -444,6 +444,29 @@ class TestEngineResolutionEquivalence:
         assert (matching.match_engine(designation, bank, threshold)
                 == reference_match(designation, bank, threshold))
 
+    @example(uids=["A-B", "C"], queries=["X"], threshold=0.0)  # no shared token
+    @example(uids=["-", "A", " "], queries=["--", ""], threshold=0.5)  # no token at all
+    @example(uids=["A", "B"], queries=["/"], threshold=0.0)  # no token, threshold 0
+    @example(uids=["A B", "A-B", "B"], queries=["b a", "A C"], threshold=1e-9)  # ties
+    @given(st.lists(st.one_of(designations(), st.sampled_from(["-", "--/", " "])), max_size=8),
+           st.lists(st.one_of(designations(), st.sampled_from(["", "-", "--/", " "])),
+                    min_size=1, max_size=8),
+           st.sampled_from([0.0, 5e-324, 1e-9, 0.5, 1.0]) | st.floats(0.0, 0.1))
+    def test_indexed_candidates_equal_full_scan(self, uids, queries, threshold):
+        """`_resolve_engines` scores only UIDs sharing a token with a designation;
+        it gives every designation that is not a UID the full scan's match."""
+        tails = [f"N{i}" for i in range(len(queries))]
+        engines = matching._resolve_engines(tails, dict(zip(tails, queries)), {},
+                                            dict.fromkeys(uids), threshold)
+        bank = [engine(uid) for uid in uids]
+        for tail, designation in zip(tails, queries):
+            if designation.strip().upper() in uids:
+                expected = (designation.strip().upper(), matching.ENGINE_EXACT)
+            else:
+                scanned = matching.match_engine(designation, bank, threshold)
+                expected = scanned and (scanned[0], matching.ENGINE_JACCARD)
+            assert engines.get(tail) == expected, designation
+
     def test_build_tokenizes_each_uid_once_and_scans_once(self, monkeypatch):
         uids = [f"ENG{i:03d}-X{i % 7}" for i in range(200)]
         spellings = ["ENG001 X1 SERIES", "eng001-x1-series", "Eng001/X1 (series)"]
@@ -459,7 +482,8 @@ class TestEngineResolutionEquivalence:
             databank=[engine(uid) for uid in reversed(uids)],
             rules_rows=[("B739ER", "737-900ER")])
         assert sorted(s for s in tokenized if s in set(uids)) == uids
-        assert len(scored) == 200
+        # only the 29 UIDs sharing a token with the spelling: ENG001, or X1 (i % 7 == 1)
+        assert len(scored) == 29
         assert set(tables.engine_by_tail.values()) == {("ENG001-X1", matching.ENGINE_JACCARD)}
         assert len(tables.engine_by_tail) == 50
         # each registry spelling is resolved once, and its tails share one tuple

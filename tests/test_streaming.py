@@ -1,7 +1,6 @@
 """One pass over the flight table: streamed reading, staged outputs, bounded memory."""
 
 import contextlib
-import dataclasses
 import datetime
 import gc
 import tracemalloc
@@ -206,7 +205,7 @@ def test_run_writes_what_the_list_functions_write(tmp_path, capsys):
     resolved = pipeline.resolve_all(data)
     coverage = coverage_report(resolved)
     write_outputs(pipeline.compute_outcomes(resolved, data, cfg),
-                           dataclasses.replace(cfg, output_dir=tmp_path / "lists"), coverage)
+                           cfg._replace(output_dir=tmp_path / "lists"), coverage)
     assert outputs(tmp_path / "run") == outputs(tmp_path / "lists")
     assert pipeline.validate_inputs(cfg) == (data.reports, coverage)
 

@@ -11,7 +11,9 @@ any problems found. After each run it also runs the corpus's ``setup.cfg``,
 the same reference tables with a one-row flight table, as perfbench does:
 setup_s, that run's median wall time, is what every invocation pays before
 its first flight. --src picks the package sources to run (default ./src),
-so two checkouts can be measured on the same generated inputs.
+so two checkouts can be measured on the same generated inputs. One untimed
+run comes first and writes the bytecode cache of the sources, so no timed
+run compiles them.
 
 Each run is started by a small launcher process. On Linux a child's max RSS,
 as wait4 reports it, is at least its parent's resident set at the time of
@@ -56,6 +58,8 @@ def measure(src: Path, flights: int, seed: int, runs: int, work: Path) -> dict:
     synth.SHAPES[workload] = dataclasses.replace(synth.SHAPES["bulk-run"], flights=flights)
     corpus = synth.generate(workload, seed, work)
     env = dict(os.environ, PYTHONPATH=str(src))
+    # Let the untimed run write the bytecode cache that every timed run reads.
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     samples, setup_samples, digests, problems = [], [], set(), []
 
     def launch(config: Path, outdir: Path, expected: synth.Expected) -> dict:
@@ -73,6 +77,7 @@ def measure(src: Path, flights: int, seed: int, runs: int, work: Path) -> dict:
         return sample
 
     outdir = corpus.config.parent / "out"
+    launch(corpus.setup_config, corpus.config.parent / "out_setup", corpus.setup_expected)
     for _ in range(runs):
         samples.append(launch(corpus.config, outdir, corpus.expected))
         if samples[-1]["exit_code"] == 0:

@@ -5,23 +5,27 @@ Every finite double is an integer multiple of 2**-1074, so aggregation totals
 are kept as Python ints counting units of 2**-1074 kg: fixed point with no
 rounding, in which every grouping of the same flights sums to the same mass
 regardless of order. One record, `Sums`, holds the sums of a carrier, an
-airport or a cycle. `RollUpAccumulator.add` takes one flight's
-`emissions.emissions_row` tuple, converts each double it sums once, with
-`to_units` written inline as a `frexp` and a shift, and fills every
-grouping, so a run streams its flights through it and holds only the sums;
-accumulators of parts of a table `merge` by `+`. `RollUpAccumulator.rows`
-makes the cells of the tables of `ROLLUP_TABLES`, which `run` writes and
-`report` reads. Floats appear only in those cells, each produced by one
-correctly rounded ``int / int`` division (the same double
-``float(Fraction)`` gives).
+airport or a cycle. `RollUpAccumulator.add` counts one flight and holds its
+`emissions.emissions_row` tuple in lists by carrier, origin and destination,
+and its distance by carrier and seat count; every BLOCK computed flights,
+`_fold` sums each list's needed columns with `exact_units`, a few
+`math.fsum` calls per column whose results convert with `to_units`, and
+drops the rows. A run streams its flights through it and holds only the
+sums and at most one block; every read of the sums, `merge` and pickling
+fold first, and accumulators of parts of a table `merge` by `+`.
+`RollUpAccumulator.rows` makes the cells of the tables of `ROLLUP_TABLES`,
+which `run` writes and `report` reads. Floats appear only in those cells,
+each produced by one correctly rounded ``int / int`` division (the same
+double ``float(Fraction)`` gives).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from math import frexp
-from operator import attrgetter, mul
-from typing import Iterator, NamedTuple
+from itertools import chain
+from math import fsum
+from operator import add, attrgetter, mul, sub
+from typing import Iterator, NamedTuple, Sequence
 
 from .emissions import Co2eFactors, EmissionsResult
 from .ingest import (GASES, FlightRecord, Record, TableSchema, choice, integer, number,
@@ -33,7 +37,13 @@ UNIT_BITS = 1074
 # such totals (a mass times a CO2e factor) is divided by UNIT_SQUARED.
 UNIT = 1 << UNIT_BITS
 UNIT_SQUARED = UNIT * UNIT
-_TWO_53 = float(1 << 53)
+# Computed flights whose rows `RollUpAccumulator` holds before it sums them.
+BLOCK = 1024
+# `fsum` rounds `exact_units` tries before it converts a column value by value.
+_ROUNDS = 8
+# The columns of no rows, for an airport that is no flight's origin, or no
+# flight's destination, in a block.
+_NO_COLUMNS = ((),) * 8
 
 
 def to_units(x: float) -> int:
@@ -43,6 +53,32 @@ def to_units(x: float) -> int:
     """
     n, d = x.as_integer_ratio()
     return n << (UNIT_BITS + 1 - d.bit_length())
+
+
+def exact_units(values: Sequence[float]) -> int:
+    """``sum(map(to_units, values))``, by a few `fsum` calls.
+
+    `fsum` partials are exact, so it returns 0.0 only when the exact sum is
+    0, and otherwise the sum correctly rounded. Each round converts that
+    double and appends its negation, so the next round rounds what is left:
+    s1 = fsum(values), s2 = fsum(values + [-s1]), ..., until a round gives
+    0.0, and the result is the sum of the rounds' units. Each round leaves at
+    most half a unit in the last place of the one before, so a column of
+    doubles within a few powers of two of each other takes two or three. An
+    intermediate overflow, a NaN or an infinity, or more than _ROUNDS
+    rounds, sums the values' own units instead.
+    """
+    total, spent = 0, []
+    try:
+        for _ in range(_ROUNDS):
+            s = fsum(chain(values, spent))
+            if s == 0.0:
+                return total
+            total += to_units(s)
+            spent.append(-s)
+    except (OverflowError, ValueError):
+        pass
+    return sum(map(to_units, values))
 
 
 class FlightOutcome(NamedTuple):
@@ -83,6 +119,12 @@ class Sums(Record):
         self.flights, self.computed, self.seats = flights, computed, seats
         self.co2e, self.seat_miles = co2e, seat_miles
 
+    def add_gases(self, hc: int, co2: int, co: int, nox: int) -> None:
+        self.hc += hc
+        self.co2 += co2
+        self.co += co
+        self.nox += nox
+
     def merge(self, other: Sums) -> None:
         """Add every sum of `other`, the same grouping over other flights."""
         for name in self._fields:
@@ -93,46 +135,101 @@ class RollUpAccumulator:
     """Per-carrier, per-airport and per-cycle sums, one flight at a time.
 
     LTO mass is split between origin and destination airports; carrier totals
-    cover both LTO shares and CCD. The sums are exact integers, so the order
-    of `add` calls does not change what `rows` returns.
+    cover both LTO shares and CCD. The LTO cycle is the sum of the airports,
+    the CCD cycle that of the carriers less the LTO cycle. The sums are exact
+    integers, so neither the order of `add` calls nor where the blocks end
+    changes what `rows` returns. `carriers`, `airports`, `lto` and `ccd` are
+    the sums of every flight added.
     """
 
     def __init__(self) -> None:
-        self.carriers: defaultdict[str, Sums] = defaultdict(Sums)
-        self.airports: defaultdict[str, Sums] = defaultdict(Sums)
-        self.lto = Sums()
-        self.ccd = Sums()
+        self._carriers: defaultdict[str, Sums] = defaultdict(Sums)
+        self._airports: defaultdict[str, Sums] = defaultdict(Sums)
+        self._lto = Sums()
+        self._ccd = Sums()
+        self._pending = 0
+        self._by_carrier: defaultdict[str, list[tuple]] = defaultdict(list)
+        self._by_origin: defaultdict[str, list[tuple]] = defaultdict(list)
+        self._by_destination: defaultdict[str, list[tuple]] = defaultdict(list)
+        self._distances: defaultdict[tuple[str, int], list[float]] = defaultdict(list)
 
     def add(self, flight: FlightRecord, seats: int, row: tuple | None) -> None:
         """Count one flight of `seats` seats; add its emissions, the tuple of
         `emissions.emissions_row`, unless it has none (`row` is None)."""
-        carrier = self.carriers[flight.carrier_code]
-        carrier.flights += 1
+        carrier = flight.carrier_code
+        self._carriers[carrier].flights += 1
         if row is None:
             return
-        carrier.computed += 1
-        carrier.seats += seats
-        # The shares, the CCD masses, the total CO2e and the distance in units.
-        values = (*row[0:8], *row[12:16], row[18], flight.distance_mi)
-        try:  # to_units, inline: a normal double is m * 2**e, m * 2**53 an integer
-            units = [int(m * _TWO_53) << (e + UNIT_BITS - 53) for m, e in map(frexp, values)]
-        except ValueError:  # a subnormal has e < 53 - UNIT_BITS
-            units = list(map(to_units, values))
-        (o_hc, o_co2, o_co, o_nox, d_hc, d_co2, d_co, d_nox,
-         c_hc, c_co2, c_co, c_nox, total_co2e, distance) = units
-        carrier.co2e += total_co2e
-        carrier.seat_miles += seats * distance
-        l_hc, l_co2, l_co, l_nox = o_hc + d_hc, o_co2 + d_co2, o_co + d_co, o_nox + d_nox
-        for sums, hc, co2, co, nox in (
-                (carrier, l_hc + c_hc, l_co2 + c_co2, l_co + c_co, l_nox + c_nox),
-                (self.lto, l_hc, l_co2, l_co, l_nox),
-                (self.ccd, c_hc, c_co2, c_co, c_nox),
-                (self.airports[flight.origin], o_hc, o_co2, o_co, o_nox),
-                (self.airports[flight.destination], d_hc, d_co2, d_co, d_nox)):
-            sums.hc += hc
-            sums.co2 += co2
-            sums.co += co
-            sums.nox += nox
+        self._by_carrier[carrier].append(row)
+        self._by_origin[flight.origin].append(row)
+        self._by_destination[flight.destination].append(row)
+        self._distances[carrier, seats].append(flight.distance_mi)
+        self._pending += 1
+        if self._pending == BLOCK:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Add the held rows to the sums and drop them. A carrier's masses
+        sum its flights' origin shares [0:4], destination shares [4:8] and
+        CCD masses [12:16] in one column per gas, an airport's the shares of
+        its flights' ends; the LTO cycle is then the airports' sum and the
+        CCD cycle the carriers' less that."""
+        if not self._pending:
+            return
+        every, lto = [0] * 4, [0] * 4  # the block's masses: all, and LTO
+        for carrier, rows in self._by_carrier.items():
+            columns = list(zip(*rows))
+            gases = [exact_units(columns[i] + columns[i + 4] + columns[i + 12])
+                     for i in range(4)]
+            sums = self._carriers[carrier]
+            sums.add_gases(*gases)
+            sums.computed += len(rows)
+            sums.co2e += exact_units(columns[18])
+            every = list(map(add, every, gases))
+        origins, destinations = self._by_origin, self._by_destination
+        for airport in origins.keys() | destinations.keys():
+            o = list(zip(*origins.get(airport, ()))) or _NO_COLUMNS
+            d = list(zip(*destinations.get(airport, ()))) or _NO_COLUMNS
+            gases = [exact_units(o[i] + d[i + 4]) for i in range(4)]
+            self._airports[airport].add_gases(*gases)
+            lto = list(map(add, lto, gases))
+        self._lto.add_gases(*lto)
+        self._ccd.add_gases(*map(sub, every, lto))
+        for (carrier, seats), distances in self._distances.items():
+            sums = self._carriers[carrier]
+            sums.seats += seats * len(distances)
+            sums.seat_miles += seats * exact_units(distances)
+        self._pending = 0
+        for held in (self._by_carrier, origins, destinations, self._distances):
+            held.clear()
+
+    @property
+    def carriers(self) -> defaultdict[str, Sums]:
+        self._fold()
+        return self._carriers
+
+    @property
+    def airports(self) -> defaultdict[str, Sums]:
+        self._fold()
+        return self._airports
+
+    @property
+    def lto(self) -> Sums:
+        self._fold()
+        return self._lto
+
+    @property
+    def ccd(self) -> Sums:
+        self._fold()
+        return self._ccd
+
+    def __getstate__(self) -> tuple:
+        """The sums alone: a forked shard pickles no held rows."""
+        return self.carriers, self.airports, self.lto, self.ccd
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__()
+        self._carriers, self._airports, self._lto, self._ccd = state
 
     def merge(self, other: RollUpAccumulator) -> None:
         """Add every sum of `other`, an accumulator of other flights: the sums

@@ -5,6 +5,9 @@ with a fixed header row; the package's CSV and number text rules live here.
 A schema lists the table's columns, each with a converter that raises
 ValueError, a record builder that may raise it too or a grouping step for
 long-form tables, and may add a primary key and an optional trailing column.
+The flight table adds a kernel that reads most rows whole; a row it cannot
+settle goes through the columns, which stay the one definition of what is
+accepted and of every rejection message.
 `read_table(schema, path)` reads every table and rejects a malformed row
 (wrong arity, bytes that are not UTF-8, an oversized field, a refused value)
 with the file line it starts on and the reason; only a missing or unreadable
@@ -281,7 +284,10 @@ class TableSchema(NamedTuple):
     their first column make one record, and a ValueError from `group` rejects
     every one of those rows. `rows` is the inverse of either: the value rows
     of one record; values beyond the columns written (an absent optional
-    column) are dropped.
+    column) are dropped. A flat table may set `kernel`, which reads a row of
+    the table's own columns whole: it gives the record the columns and
+    `build` would give, which holds the row's values in column order, or
+    None (or raises ValueError) to send the row through the columns.
     """
     table: str
     columns: tuple[Column, ...]
@@ -291,6 +297,7 @@ class TableSchema(NamedTuple):
     key: tuple[str, ...] = ()
     repeat_fatal: bool = True  # a repeated key aborts the parse, else rejects the row
     optional: Column | None = None  # trailing column a file may add
+    kernel: Callable[[list[str]], Any] | None = None
 
     @property
     def header(self) -> list[str]:
@@ -390,6 +397,7 @@ def _accepted(schema: TableSchema, path: Path, columns: tuple[Column, ...], read
     key_of = itemgetter(*key_at) if key_at else None
     seen: set = set()
     build = schema.build
+    kernel = schema.kernel if columns is schema.columns else None
     while True:
         line = lines_before + reader.line_num + 1
         try:
@@ -401,8 +409,15 @@ def _accepted(schema: TableSchema, path: Path, columns: tuple[Column, ...], read
             joined = "".join(row)
             if not joined.isascii() and _UNDECODED.search(joined):
                 raise ValueError("field holds bytes that are not UTF-8")
-            values = [convert(value) for convert, value in zip(converters, row)]
-            record = build(*values) if build is not None else (line, values)
+            record = None
+            if kernel is not None:
+                try:
+                    record = values = kernel(row)
+                except ValueError:  # the columns give the reason
+                    pass
+            if record is None:
+                values = [convert(value) for convert, value in zip(converters, row)]
+                record = build(*values) if build is not None else (line, values)
             if key_of is not None:
                 key = key_of(values)
                 if key in seen:
@@ -505,6 +520,37 @@ def _flight(*values: Any) -> FlightRecord:
     return FlightRecord(*values)
 
 
+_FLIGHT_COLUMNS = (
+    iso_date("flight_date"), text("carrier"), Column("flight_number", str),
+    Column("tail_number", lambda value: value or None), text("origin"), text("dest"),
+    number("air_time_min", 0.0, optional=True), number("taxi_in_min", 0.0, optional=True),
+    number("taxi_out_min", 0.0, optional=True),
+    number("distance_mi", 0.0, strict=True, optional=True))
+_flight_date = _FLIGHT_COLUMNS[0].convert  # one date cache for the kernel and the column
+
+
+def _flight_row(row: list[str]) -> FlightRecord | None:
+    """The flight table's kernel: what `_FLIGHT_COLUMNS` and `_flight` make
+    of a row they accept, in one call. A number is `float` of its cell plus
+    0.0, which turns -0 into +0.0 as `number` does; it must lie in
+    [0, inf), or (0, inf) for the distance, which also refuses a NaN. None,
+    or a ValueError, leaves the row to the columns."""
+    date, carrier, flight_number, tail, origin, dest, air, taxi_in, taxi_out, distance = row
+    if not (carrier and origin and dest) or origin == dest:
+        return None
+    air = float(air) + 0.0 if air else None
+    taxi_in = float(taxi_in) + 0.0 if taxi_in else None
+    taxi_out = float(taxi_out) + 0.0 if taxi_out else None
+    distance = float(distance) + 0.0 if distance else None
+    if not ((air is None or 0.0 <= air < math.inf)
+            and (taxi_in is None or 0.0 <= taxi_in < math.inf)
+            and (taxi_out is None or 0.0 <= taxi_out < math.inf)
+            and (distance is None or 0.0 < distance < math.inf)):
+        return None
+    return tuple.__new__(FlightRecord, (_flight_date(date), carrier, flight_number, tail or None,
+                                        origin, dest, air, taxi_in, taxi_out, distance))
+
+
 def _engine_factors(uid: str, rows: list[list]) -> EngineLtoFactors:
     if len(rows) != 16:  # the key makes every (gas, mode) cell distinct
         raise ValueError(f"engine {uid} incomplete: {len(rows)}/16 rates")
@@ -519,14 +565,7 @@ def _ccd_profile(canonical_type: str, rows: list[list]) -> CcdProfile:
     return CcdProfile(canonical_type, tuple(sorted(knots, key=attrgetter("duration_min"))))
 
 
-ONTIME_TABLE = TableSchema(
-    "ontime",
-    (iso_date("flight_date"), text("carrier"), Column("flight_number", str),
-     Column("tail_number", lambda value: value or None), text("origin"), text("dest"),
-     number("air_time_min", 0.0, optional=True), number("taxi_in_min", 0.0, optional=True),
-     number("taxi_out_min", 0.0, optional=True),
-     number("distance_mi", 0.0, strict=True, optional=True)),
-    build=_flight)
+ONTIME_TABLE = TableSchema("ontime", _FLIGHT_COLUMNS, build=_flight, kernel=_flight_row)
 B43_TABLE = TableSchema(
     "b43",
     (text("tail_number"), shared(text("type_designator")), integer("seat_count", 1),

@@ -206,9 +206,17 @@ _NAN_RATES = (float("nan"),) * 16
 _FLIGHT_CAUSES = (matching.MISSING_AIRTIME, matching.MISSING_DISTANCE)
 
 
+class TailCause(NamedTuple):
+    """What `validate` needs of one tail: `resolve_flight`'s cause for any
+    flight of it, less the flight-level causes, and its provenance flags."""
+
+    cause: str | None  # the tail-level incomputable cause
+    flags: tuple[str, ...]  # the provenance flags, sorted
+
+
 class TailPlan(NamedTuple):
-    """What `run` and `validate` need of one tail: `resolve_flight`'s result
-    for any flight of it, less the flight-level causes, and the kernel inputs."""
+    """What `run` needs of one tail: its `TailCause` fields, and the seats,
+    the CSV cells and the kernel inputs of its flights."""
 
     cause: str | None  # the tail-level incomputable cause
     flags: tuple[str, ...]  # the provenance flags, sorted
@@ -234,12 +242,26 @@ class TailPlan(NamedTuple):
                    texts.setdefault(scatter_cells, scatter_cells), terms, ccd)
 
 
+def _flight_cause(cause: str | None, flight: ingest.FlightRecord) -> str | None:
+    """The flight's cause, that of `resolve_flight`, from its tail's `cause`."""
+    if cause is None:
+        if flight.air_time_min is None:
+            return matching.MISSING_AIRTIME
+        if flight.distance_mi is None:
+            return matching.MISSING_DISTANCE
+    return cause
+
+
 class TailPlans:
-    """Each tail's `TailPlan`, built on its first flight by `resolve_flight`.
+    """Each tail's resolution, made on its first flight by one
+    `resolve_flight`: a `TailCause` for `resolve`, which `validate` calls,
+    or a `TailPlan`, with the kernel inputs, for `compute`, which `run`
+    calls. An instance serves one of the two, as their entries share
+    `by_tail`.
 
     Only tails of the airframe inventory get an entry; a blank tail and an
-    unknown tail each share one plan and add no entry, so dirty data does not
-    grow the dict. Equal plans are one object, and so are equal CSV cells.
+    unknown tail each share one entry and add none, so dirty data does not
+    grow the dict. Equal entries are one object, and so are equal CSV cells.
     Two plans with equal cells have one engine UID and one CCD profile, and
     their kernel terms are one object unless the multiplier or the efficiency
     factor differs, so plan equality never merges floats that are equal but
@@ -249,31 +271,26 @@ class TailPlans:
     def __init__(self, tables: matching.LookupTables, cfg: RunConfig) -> None:
         self.tables = tables
         self.cfg = cfg
-        self.by_tail: dict[str, TailPlan] = {}
-        self._untracked: dict[bool, TailPlan] = {}
-        self._shared: dict[TailPlan, TailPlan] = {}
+        self.by_tail: dict[str, TailPlan | TailCause] = {}
+        self._untracked: dict[bool, TailPlan | TailCause] = {}
+        self._shared: dict[TailPlan | TailCause, TailPlan | TailCause] = {}
         self._texts: dict[str, str] = {}
         self._terms: dict[tuple[str, float, float], tuple[float, ...]] = {}
         self._ccd_key = operator.attrgetter(
             "air_time_min" if cfg.interpolation_key == "time" else "distance_mi")
 
-    def resolve(self, flight: ingest.FlightRecord) -> tuple[TailPlan, str | None]:
-        """The flight's tail plan and its cause, that of `resolve_flight`."""
-        plan = self.by_tail.get(flight.tail_number) or self._build(flight)
-        cause = plan.cause
-        if cause is None:
-            if flight.air_time_min is None:
-                cause = matching.MISSING_AIRTIME
-            elif flight.distance_mi is None:
-                cause = matching.MISSING_DISTANCE
-        return plan, cause
+    def resolve(self, flight: ingest.FlightRecord) -> tuple[TailCause, str | None]:
+        """The flight's `TailCause` and its cause, that of `resolve_flight`."""
+        entry = self.by_tail.get(flight.tail_number) or self._entry(flight, self._cause)
+        return entry, _flight_cause(entry.cause, flight)
 
     def compute(self, flight: ingest.FlightRecord,
                 ) -> tuple[TailPlan, str | None, tuple | None]:
-        """`resolve`, then the flight's `emissions.emissions_row`, None when it
-        is incomputable; a resolvable flight whose emissions are not finite
-        gets NONFINITE_EMISSIONS."""
-        plan, cause = self.resolve(flight)
+        """The flight's `TailPlan`, its cause, that of `resolve_flight`, and its
+        `emissions.emissions_row`, None when it is incomputable; a resolvable
+        flight whose emissions are not finite gets NONFINITE_EMISSIONS."""
+        plan = self.by_tail.get(flight.tail_number) or self._entry(flight, self._plan)
+        cause = _flight_cause(plan.cause, flight)
         row = None
         if cause is None:
             row = emissions.emissions_row(plan.terms, plan.ccd, plan.seats, flight.taxi_in_min,
@@ -283,21 +300,29 @@ class TailPlans:
                 cause = matching.NONFINITE_EMISSIONS
         return plan, cause, row
 
-    def _build(self, flight: ingest.FlightRecord) -> TailPlan:
+    def _entry(self, flight: ingest.FlightRecord,
+               make: Callable[[matching.ResolvedFlight, str | None], TailPlan | TailCause],
+               ) -> TailPlan | TailCause:
+        """What `make` gives for the flight's resolution and tail-level cause,
+        kept for the tail's later flights."""
         airframe = self.tables.airframes_by_tail.get(flight.tail_number)
-        if airframe is None:  # the plan depends only on whether the tail is blank
-            blank = flight.tail_number is None
-            plan = self._untracked.get(blank)
-            if plan is None:
-                plan = self._untracked[blank] = self._plan(flight)
-            return plan
-        # Keyed by the inventory's own string, so no flight's is kept.
-        plan = self.by_tail[airframe.tail_number] = self._plan(flight)
-        return plan
-
-    def _plan(self, flight: ingest.FlightRecord) -> TailPlan:
+        blank = flight.tail_number is None
+        if airframe is None and blank in self._untracked:  # the entry depends only on that
+            return self._untracked[blank]
         rf = matching.resolve_flight(flight, self.tables)
-        cause = None if rf.incomputable_cause in _FLIGHT_CAUSES else rf.incomputable_cause
+        entry = make(rf, None if rf.incomputable_cause in _FLIGHT_CAUSES
+                     else rf.incomputable_cause)
+        entry = self._shared.setdefault(entry, entry)
+        if airframe is None:
+            self._untracked[blank] = entry
+        else:  # keyed by the inventory's own string, so no flight's is kept
+            self.by_tail[airframe.tail_number] = entry
+        return entry
+
+    def _cause(self, rf: matching.ResolvedFlight, cause: str | None) -> TailCause:
+        return TailCause(cause, tuple(sorted(rf.provenance)))
+
+    def _plan(self, rf: matching.ResolvedFlight, cause: str | None) -> TailPlan:
         terms = ccd = None
         if cause is None:  # then the engine UID is set and its CCD profile exists
             multiplier = 1.0
@@ -311,8 +336,7 @@ class TailPlans:
                     _NAN_RATES if factors is None else factors.flat_rates, multiplier,
                     rf.efficiency_factor, self.cfg.co2e_factors)
             ccd = self.tables.ccd_by_type[rf.emissions_type].table
-        plan = TailPlan.of(rf, cause, terms, ccd, self._texts)
-        return self._shared.setdefault(plan, plan)
+        return TailPlan.of(rf, cause, terms, ccd, self._texts)
 
 
 # --- serialization ---

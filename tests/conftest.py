@@ -8,12 +8,20 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from aeroemit import aggregate as agg
 from aeroemit import pipeline
 from aeroemit.config import REQUIRED_TABLE_KEYS
 from aeroemit.emissions import Co2eFactors
 from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors
+
+# HYPOTHESIS_PROFILE=ci draws ten times the default examples for every property
+# test without its own count, among them those that hold a fast path to its
+# reference: the flight kernel to the columns, the roll-up fold to `to_units`
+# sums and `_resolve_engines` to `match_engine`.
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # CFM56-7B27E LTO emission rates, kg/s.
 CFM56_7B27E_RATES = {

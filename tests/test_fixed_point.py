@@ -4,8 +4,10 @@ import datetime
 import fractions
 import hashlib
 import json
+import math
 import pickle
 import random
+import struct
 import sys
 from fractions import Fraction
 
@@ -77,8 +79,13 @@ def synthetic_outcome(carrier, origin, destination, seats, masses):
                           st.lists(doubles, min_size=14, max_size=14)), max_size=12))
 @example([("AA", "X", "Y", 2, [0.0, -0.0, 5e-324, -5e-324, -0.0, 0.0, 1e-310, 3.5,
                                -0.0, 2.0**-1074 * 3, 1e300, 0.1, 0.0, 5e-324])])
+@example([("AA", "X", "Y", 2, [1.7e308, 1.0, 1.0, 1.0, 1.7e308, 1.0, 1.0, 1.0,
+                               -1.7e308, 1.0, 1.0, 1.0, 1.0, 100.0])] * 2)
+@example([("DL", "X", "Z", 3, [5e-324, -1e-310, 2.5e-308, 7e-320,
+                               -5e-324, 1e-320, 3e-315, -2e-322, 4e-323, 1e-300,
+                               -1e-300, 5e-324, 1e-310, 1e-320])] * 3)
 def test_accumulator_totals_are_sums_of_to_units(flights):
-    """The accumulator's inlined conversion gives what `to_units` gives."""
+    """The accumulator's fold gives what `to_units` gives."""
     outcomes = [synthetic_outcome(*f) for f in flights]
     rollup = roll_up(outcomes)
     expected_airlines, expected_airports = {}, {}
@@ -494,12 +501,15 @@ def test_outputs_per_setting_match_golden_digests(corpus, tmp_path, setting, gol
     assert digests == golden
 
 
-@pytest.mark.parametrize("shards", [1, 2, 3])
-@pytest.mark.parametrize("setting, golden", [
+GOLDEN_SETTINGS = [
     ({}, GOLDEN_DIGESTS), (UNEP_CONSTANTS, GOLDEN_DIGESTS_UNEP),
     ({"engine_multiplier_mode": "per-engine"}, GOLDEN_DIGESTS_PER_ENGINE),
-    ({"interpolation_key": "distance"}, GOLDEN_DIGESTS_DISTANCE),
-], ids=["default", "unep", "per-engine", "distance"])
+    ({"interpolation_key": "distance"}, GOLDEN_DIGESTS_DISTANCE)]
+GOLDEN_SETTING_IDS = ["default", "unep", "per-engine", "distance"]
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+@pytest.mark.parametrize("setting, golden", GOLDEN_SETTINGS, ids=GOLDEN_SETTING_IDS)
 def test_outputs_in_shards_match_golden_digests(corpus, tmp_path, monkeypatch, setting,
                                                 golden, shards):
     """The seven outputs do not depend on the number of processes a run is
@@ -537,3 +547,71 @@ def test_merged_accumulators_equal_one_over_all(flights, cut):
     def tables(accumulator):  # a table with a figure beyond a double is "overflow"
         return [_rounded(lambda: list(rows)) for rows in accumulator.rows(Co2eFactors())]
     assert tables(first) == tables(whole)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("setting, golden", GOLDEN_SETTINGS, ids=GOLDEN_SETTING_IDS)
+def test_outputs_in_small_blocks_match_golden_digests(corpus, tmp_path, monkeypatch, setting,
+                                                      golden, shards, block):
+    """Folding the roll-up after every flight, or every third, changes no
+    output byte."""
+    monkeypatch.setattr(agg, "BLOCK", block)
+    test_outputs_in_shards_match_golden_digests(corpus, tmp_path, monkeypatch, setting, golden,
+                                                shards)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_merged_accumulators_in_small_blocks(monkeypatch, block):
+    monkeypatch.setattr(agg, "BLOCK", block)
+    test_merged_accumulators_equal_one_over_all()
+
+
+@given(st.lists(doubles, max_size=60))
+@example([1.7e308, 1.7e308, -1.7e308])
+@example([SMALLEST_SUBNORMAL] * 7)
+@example([5e-324, -1e-310, 2.5e-308, -5e-324, 1e-320, 3e-315, -2e-322])
+@example([1e300, -1e300, 1e-300, -1.0, 1.0, 1e-300, -0.0])
+@example([2.0 ** (1000 - 60 * i) for i in range(30)])
+def test_exact_units_equal_sums_of_to_units(xs):
+    """`exact_units` is the sum of the values' units: through `fsum` rounds,
+    past an intermediate overflow, among subnormals and mixed signs, and for
+    a sum that needs more than _ROUNDS doubles."""
+    assert agg.exact_units(xs) == sum(map(agg.to_units, xs))
+
+
+def test_exact_units_falls_back_past_an_overflow():
+    """A column whose partial sums overflow a double."""
+    column = [1.7e308, 1.7e308, -1.7e308]
+    with pytest.raises(OverflowError):
+        math.fsum(column)
+    assert agg.exact_units(column) == sum(map(agg.to_units, column))
+
+
+def test_sums_read_between_folds_are_exact():
+    """Each read of the sums holds every flight added so far, with no explicit
+    fold, and the flights added after it are counted once."""
+    accumulator = agg.RollUpAccumulator()
+    expected = [0] * 4
+    for i in range(7):
+        masses = [0.1 * (i + k) for k in range(14)]
+        outcome = synthetic_outcome("AA", "X", "Y", 2, masses)
+        accumulator.add(outcome.resolved.flight, 2, row_of(outcome.result))
+        expected = [e + sum(map(agg.to_units, masses[g:12:4])) for g, e in enumerate(expected)]
+        assert gas_sums(accumulator.carriers["AA"]) == expected
+        assert accumulator.carriers["AA"].computed == i + 1
+
+
+def test_pickled_accumulator_holds_no_rows():
+    """A forked shard pickles its sums, not the rows of a block not yet
+    folded: no double of a row is in the pickle."""
+    accumulator = agg.RollUpAccumulator()
+    masses = [12345.678 + k for k in range(14)]
+    outcome = synthetic_outcome("AA", "X", "Y", 2, masses)
+    for _ in range(3):
+        accumulator.add(outcome.resolved.flight, 2, row_of(outcome.result))
+    data = pickle.dumps(accumulator)
+    assert not any(struct.pack(">d", x) in data for x in masses)
+    clone = pickle.loads(data)
+    assert (clone.carriers, clone.airports, clone.lto, clone.ccd) \
+        == (accumulator.carriers, accumulator.airports, accumulator.lto, accumulator.ccd)

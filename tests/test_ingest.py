@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aeroemit import aggregate as agg
@@ -552,3 +552,96 @@ def test_readme_schema_table_matches_schemas():
         assert spans[0].split(",") == schema.header
         if schema.optional is not None:
             assert spans[1] == schema.optional.name
+
+
+# --- the flight table's kernel against its columns ---
+
+KERNEL_NUMBERS = st.sampled_from(
+    ["", "0", "-0", "-0.0", "7.5", " 7.5 ", "1_0", "nan", "-nan", "inf", "-inf", "1e400",
+     "-1", "1e-320", "1e308", "x", " "])
+KERNEL_CODES = st.sampled_from(["", "DL", "ATL", "PHL", "atl", " ATL"])
+KERNEL_DATES = st.sampled_from(
+    ["2021-09-01", "2024-02-29", "2021-02-30", "2021-13-01", "2021-9-1", "20210901",
+     " 2021-09-01", "", "0000-01-01"])
+
+
+@st.composite
+def kernel_rows(draw):
+    """A flight row from a cell grammar: good and bad dates, blank, equal and
+    odd codes, and numbers that are blank, signed zeros, not finite, beyond
+    a double, padded or written with an underscore; any arity. Each cell is
+    a plain good one half the time, so that many rows are accepted."""
+    def cell(good, grammar):
+        return draw(st.one_of(st.just(good), grammar))
+    row = [cell("2021-09-01", KERNEL_DATES), cell("DL", KERNEL_CODES),
+           draw(st.sampled_from(["", "2441"])), draw(st.sampled_from(["", "N1"])),
+           cell("PHL", KERNEL_CODES), cell("ATL", KERNEL_CODES),
+           *(cell("124.5", KERNEL_NUMBERS) for _ in range(4))]
+    arity = draw(st.one_of(st.just(10), st.integers(0, 12)))
+    return (row + row)[:arity]
+
+
+KERNEL_EXAMPLES = [
+    ["2021-09-01", "DL", "1", "N1", "PHL", "ATL", "-0", "-0.0", "-0", "7.5"],
+    ["2024-02-29", "DL", "", "", "PHL", "ATL", " 7.5 ", "1_0", "1e-320", "1e308"],
+    ["2021-09-01", "DL", "1", "N1", "PHL", "ATL", "", "", "", "-0"],
+    ["2021-09-01", "DL", "1", "N1", "ATL", "ATL", "1", "1", "1", "1"],
+    ["2021-09-01", "DL", "1", "N1", "PHL", "ATL", "nan", "inf", "1e400", "-1"],
+    ["2021-02-30", "", "1", "N1", "", "ATL", "1", "1", "1", "1"]]
+
+
+@given(kernel_rows())
+@example(KERNEL_EXAMPLES[0])
+@example(KERNEL_EXAMPLES[1])
+@example(KERNEL_EXAMPLES[2])
+@example(KERNEL_EXAMPLES[3])
+@example(KERNEL_EXAMPLES[4])
+@example(KERNEL_EXAMPLES[5])
+def test_flight_kernel_builds_what_the_columns_build(row):
+    """Whenever the kernel settles `row`, its record is, field by field and
+    down to the sign of a zero, the one the columns and `_flight` make."""
+    schema = ingest.ONTIME_TABLE
+    try:
+        record = schema.kernel(row)
+    except ValueError:
+        record = None
+    if len(row) != len(schema.columns):
+        assert record is None
+    if record is not None:
+        expected = schema.build(*(c.convert(cell) for c, cell in zip(schema.columns, row)))
+        assert type(record) is type(expected)
+        assert list(map(repr, record)) == list(map(repr, expected))
+
+
+@given(st.lists(kernel_rows(), max_size=12))
+@example(KERNEL_EXAMPLES)
+def test_flight_table_reads_as_without_its_kernel(rows):
+    """The table of `rows` reads, records, report and every rejection with
+    its line and reason, as it does through the columns alone."""
+    def outcome(schema, path):
+        records, report = ingest.read_table(schema, path)
+        return [list(map(repr, r)) for r in records], report
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ontime.csv"
+        write_csv(path, ingest.ONTIME_TABLE.header, rows)
+        assert outcome(ingest.ONTIME_TABLE, path) \
+            == outcome(ingest.ONTIME_TABLE._replace(kernel=None), path)
+
+
+def test_every_clean_row_takes_the_kernel(tmp_path, monkeypatch):
+    """On a clean generated bulk-run corpus the kernel settles every row, so
+    none pays for the columns and no kernel is dead code."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import synth
+    corpus = synth.generate("bulk-run", 7, tmp_path)
+    settled = 0
+    schema = ingest.ONTIME_TABLE
+
+    def counting(row):
+        nonlocal settled
+        record = schema.kernel(row)
+        settled += record is not None
+        return record
+    path = corpus.config.parent / f"{schema.table}.csv"
+    records, report = ingest.read_table(schema._replace(kernel=counting), path)
+    assert report.rejected == 0 and settled == report.accepted == len(records) > 0

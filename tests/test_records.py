@@ -12,7 +12,7 @@ RECORDS = (
     ingest.TableSchema, emissions.GasVector, emissions.LtoTimes, emissions.Co2eFactors,
     emissions.EmissionsResult, matching.ResolvedFlight, matching.NormalizationRule,
     matching.FamilyFallback, matching.LookupTables, aggregate.FlightOutcome,
-    aggregate.UnepBaseline, pipeline.LoadedData, pipeline.TailPlan,
+    aggregate.UnepBaseline, pipeline.LoadedData, pipeline.TailPlan, pipeline.TailCause,
 )
 
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from aeroemit import cli, emissions, ingest, matching, pipeline
 from aeroemit.config import RunConfig, load_config
 from aeroemit.ingest import AirframeRecord, EngineLtoFactors, FlightRecord, TailEngineRecord
-from conftest import (CFM56_7B27E_RATES, build_corpus, coverage_report, make_b739er_profile,
-                      row_of, write_config, write_csv, write_outputs)
+from conftest import (CFM56_7B27E_RATES, build_corpus, coverage_report, in_shards,
+                      make_b739er_profile, row_of, write_config, write_csv, write_outputs)
 
 ONTIME_HEADER = ["flight_date", "carrier", "flight_number", "tail_number", "origin",
                  "dest", "air_time_min", "taxi_in_min", "taxi_out_min", "distance_mi"]
@@ -191,6 +191,50 @@ class TestPlanPathEqualsReference:
         plans.compute(base)
         plans.compute(base._replace(tail_number="N7"))
         assert list(plans.by_tail) == ["N1", "N7"]
+
+
+class TestValidateResolution:
+    @pytest.fixture
+    def config(self, tmp_path):
+        paths = build_corpus(tmp_path, n_flights=300, missing_tails=5, missing_airtimes=4,
+                             unknown_tails=3)
+        return str(write_config(tmp_path, paths, tmp_path / "run"))
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_validate_builds_no_tail_plan(self, config, monkeypatch, capsys, shards):
+        """`validate` makes no kernel input and no `TailPlan`: it prints the
+        same with both refused."""
+        assert cli.main(["validate", "--config", config]) == 0
+        expected = capsys.readouterr()
+
+        def refused(*args):
+            raise AssertionError("validate made a kernel input")
+        monkeypatch.setattr(emissions, "kernel_terms", refused)
+        monkeypatch.setattr(pipeline.TailPlan, "of", refused)
+        in_shards(monkeypatch, shards)
+        assert cli.main(["validate", "--config", config]) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_one_resolution_per_tail(self, config, monkeypatch, capsys, command):
+        """`run` and `validate` each call `resolve_flight` once per inventory
+        tail, and once for all unknown tails and once for all blank ones."""
+        calls = []
+        real = matching.resolve_flight
+
+        def counted(flight, tables):
+            calls.append(flight.tail_number)
+            return real(flight, tables)
+        monkeypatch.setattr(matching, "resolve_flight", counted)
+        assert cli.main([command, "--config", config]) == 0
+        cfg = load_config(config)
+        flights, _ = ingest.read_table(ingest.ONTIME_TABLE, cfg.ontime)
+        airframes, _ = ingest.read_table(ingest.B43_TABLE, cfg.b43)
+        inventory = {a.tail_number for a in airframes}
+        flown = {f.tail_number for f in flights}
+        tracked = [tail for tail in calls if tail in inventory]
+        assert sorted(tracked) == sorted(flown & inventory)
+        assert len(calls) - len(tracked) == (None in flown) + bool(flown - inventory - {None})
 
 
 def test_run_writes_what_the_list_functions_write(tmp_path, capsys):

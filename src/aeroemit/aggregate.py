@@ -125,11 +125,6 @@ class Sums(Record):
         self.co += co
         self.nox += nox
 
-    def merge(self, other: Sums) -> None:
-        """Add every sum of `other`, the same grouping over other flights."""
-        for name in self._fields:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
 
 class RollUpAccumulator:
     """Per-carrier, per-airport and per-cycle sums, one flight at a time.

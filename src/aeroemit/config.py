@@ -117,6 +117,8 @@ def load_config(path: str | Path | None) -> RunConfig:
         if key in pairs:
             if not pairs[key]:
                 raise ConfigError(f"{key}: empty path")
+            if "\0" in pairs[key]:  # no file system allows one; `open` would raise ValueError
+                raise ConfigError(f"{key}: a path cannot hold a NUL byte")
             settings[key] = path.parent / pairs[key]  # an absolute value replaces the base
     if "jaccard_threshold" in pairs:
         threshold = settings["jaccard_threshold"] = nonnegative("jaccard_threshold")

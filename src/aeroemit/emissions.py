@@ -3,11 +3,11 @@
 All arithmetic is 64-bit floating point. Every function here is pure: the same
 flight and tables always produce bit-identical results. `emissions_row` is the
 per-flight kernel: it takes the flight-independent terms of one tail once
-(`kernel_terms`, from the rates flattened once per UID by
-`EngineLtoFactors.flat_rates`) and keeps the masses in local floats, with every
-multiply and add of `split_lto`, `interpolate_ccd` and `co2e` in the same
-order, so its results equal that reference bit for bit. `flight_emissions` is
-the same computation returning an `EmissionsResult`.
+(`kernel_terms`, made once per engine, multiplier and efficiency factor from
+the rates `EngineLtoFactors.flat_rates` flattens) and keeps the masses in
+local floats, with every multiply and add of `split_lto`, `interpolate_ccd`
+and `co2e` in the same order, so its results equal that reference bit for
+bit. `flight_emissions` is the same computation returning an `EmissionsResult`.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ be unique aborts a parse.
 Numbers must be finite (inf and nan reject the row); -0 is stored as 0.0.
 Missing numeric fields are represented as None, never 0. `stream_table` is
 the reader itself, one record at a time, so a flight table of any length is
-read in constant memory, whole or one `row_spans` span of it;
-`read_strict` makes the first rejected row fatal.
+read in constant memory, whole or one `row_spans` span of it, into an
+`IngestReport`, a mutable `Record`; `read_strict` makes the first rejected
+row fatal.
 `write_table` is the reader's inverse, through the line encoder `csv_line`.
 """
 
@@ -84,10 +85,10 @@ class EngineCodeRecord(NamedTuple):
 
 
 class Record:
-    """Base of a small record kept in `__slots__`, without the import cost of
-    `dataclasses`: its `_fields` are its constructor's parameters, and it
-    equals a record of its own class with equal fields. Pickling reads the
-    slots; a slot not in `_fields` holds a value computed once from them."""
+    """Base of the mutable counters `IngestReport`, `pipeline.CoverageReport`
+    and `aggregate.Sums`, kept in `__slots__` without the import cost of
+    `dataclasses`: its slots are its `_fields`, its constructor's parameters,
+    and it equals a record of its own class with equal fields."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -102,20 +103,20 @@ class Record:
 
     __hash__ = None  # mutable: equal records may differ later
 
+    def merge(self, other: Record) -> None:
+        """Add each field of `other`, the same counter over other rows."""
+        for name in self._fields:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in
                            zip(self._fields, self._values()))
         return f"{type(self).__name__}({fields})"
 
 
-class EngineLtoFactors(Record):
-    _fields = ("engine_uid", "rate_kg_per_s")
-    __slots__ = (*_fields, "_flat_rates")
-
-    def __init__(self, engine_uid: str, rate_kg_per_s: dict[tuple[str, str], float]) -> None:
-        self.engine_uid = engine_uid
-        self.rate_kg_per_s = rate_kg_per_s
-        self._flat_rates: tuple[float, ...] | None = None
+class EngineLtoFactors(NamedTuple):
+    engine_uid: str
+    rate_kg_per_s: dict[tuple[str, str], float]
 
     def rate(self, gas: str, mode: str) -> float:
         return self.rate_kg_per_s[(gas, mode)]
@@ -123,10 +124,7 @@ class EngineLtoFactors(Record):
     @property
     def flat_rates(self) -> tuple[float, ...]:
         """The 16 rates flat, the four MODES of each gas in GASES order."""
-        if self._flat_rates is None:
-            self._flat_rates = tuple(self.rate_kg_per_s[(gas, mode)]
-                                     for gas in GASES for mode in MODES)
-        return self._flat_rates
+        return tuple(self.rate_kg_per_s[(gas, mode)] for gas in GASES for mode in MODES)
 
 
 class CcdKnot(NamedTuple):
@@ -135,24 +133,16 @@ class CcdKnot(NamedTuple):
     distance_mi: float | None = None
 
 
-class CcdProfile(Record):
-    _fields = ("canonical_type", "knots")
-    __slots__ = (*_fields, "_table")
-
-    def __init__(self, canonical_type: str, knots: tuple[CcdKnot, ...]) -> None:
-        self.canonical_type = canonical_type
-        self.knots = knots
-        self._table: tuple[tuple[float, ...], tuple[tuple[float, ...], ...]] | None = None
+class CcdProfile(NamedTuple):
+    canonical_type: str
+    knots: tuple[CcdKnot, ...]
 
     @property
     def table(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
         """The knots' durations, ascending, and each knot's masses in GASES
         order: what the interpolation reads."""
-        if self._table is None:
-            self._table = (tuple(k.duration_min for k in self.knots),
-                           tuple(tuple(k.emissions_kg[gas] for gas in GASES)
-                                 for k in self.knots))
-        return self._table
+        return (tuple(k.duration_min for k in self.knots),
+                tuple(tuple(k.emissions_kg[gas] for gas in GASES) for k in self.knots))
 
 
 class RowRejection(NamedTuple):
@@ -512,7 +502,7 @@ def write_table(schema: TableSchema, records: Iterable, path: str | Path) -> Non
         fh.writelines(csv_line([_format(v) for v in row[:len(columns)]]) for row in rows)
 
 
-# --- the six input tables ---
+# --- the six input tables, each record an immutable NamedTuple ---
 
 def _flight(*values: Any) -> FlightRecord:
     if values[4] == values[5]:

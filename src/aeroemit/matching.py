@@ -44,6 +44,8 @@ NO_TYPE_MATCH = "NO_TYPE_MATCH"
 NO_CCD_PROFILE = "NO_CCD_PROFILE"
 NO_ENGINE_MATCH = "NO_ENGINE_MATCH"
 NONFINITE_EMISSIONS = "NONFINITE_EMISSIONS"  # set after compute, by `run`
+# The causes read from the flight's own fields; every other cause is its tail's.
+FLIGHT_CAUSES = (MISSING_AIRTIME, MISSING_DISTANCE)
 
 _DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_NORMALIZATION_RULES = _DATA_DIR / "normalization_rules.csv"
@@ -328,20 +330,15 @@ def resolve_flight(flight: FlightRecord, tables: LookupTables) -> ResolvedFlight
     emissions_type: str | None = None
     efficiency_factor = 1.0
 
-    airframe = None
-    if flight.tail_number is None:
-        cause = MISSING_TAIL
+    airframe = tables.airframes_by_tail.get(flight.tail_number)  # None for a blank tail
+    if airframe is None:
+        cause = MISSING_TAIL if flight.tail_number is None else NO_AIRFRAME
     else:
-        airframe = tables.airframes_by_tail.get(flight.tail_number)
-        if airframe is None:
-            cause = NO_AIRFRAME
-
-    if airframe is not None:
         seat_count = airframe.seat_count
         engine_count = airframe.engine_count
         canonical_type = tables.canonical_types[airframe.raw_type_designator] or None
         if canonical_type is None:
-            cause = cause or NO_TYPE_MATCH
+            cause = NO_TYPE_MATCH
         else:
             emissions_type = canonical_type
             if canonical_type not in tables.ccd_by_type:
@@ -364,11 +361,6 @@ def resolve_flight(flight: FlightRecord, tables: LookupTables) -> ResolvedFlight
         else:
             cause = cause or NO_ENGINE_MATCH
 
-    if cause is None and flight.air_time_min is None:
-        cause = MISSING_AIRTIME
-    if cause is None and flight.distance_mi is None:
-        cause = MISSING_DISTANCE
-
     return ResolvedFlight(
         flight=flight,
         canonical_type=canonical_type,
@@ -378,5 +370,16 @@ def resolve_flight(flight: FlightRecord, tables: LookupTables) -> ResolvedFlight
         emissions_type=emissions_type,
         efficiency_factor=efficiency_factor,
         provenance=frozenset(flags),
-        incomputable_cause=cause,
+        incomputable_cause=flight_cause(cause, flight),
     )
+
+
+def flight_cause(cause: str | None, flight: FlightRecord) -> str | None:
+    """The flight's incomputable cause, given `cause`, its tail's: that, else
+    one of FLIGHT_CAUSES, else None."""
+    if cause is None:
+        if flight.air_time_min is None:
+            return MISSING_AIRTIME
+        if flight.distance_mi is None:
+            return MISSING_DISTANCE
+    return cause

@@ -23,6 +23,7 @@ the reference `resolve_flight` and `flight_emissions`.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import operator
 import os
 import shutil
@@ -84,13 +85,6 @@ class CoverageReport(Record):
             self.causes[cause] += 1
         for flag in flags:
             self.fallback_flags[flag] += 1
-
-    def merge(self, other: CoverageReport) -> None:
-        """Add the counts of `other`, a report of other flights."""
-        self.total_flights += other.total_flights
-        self.computed_flights += other.computed_flights
-        self.causes.update(other.causes)
-        self.fallback_flags.update(other.fallback_flags)
 
     def to_dict(self) -> dict:
         return {
@@ -179,14 +173,18 @@ def _outcome(rf: matching.ResolvedFlight, tables: matching.LookupTables,
              cfg: RunConfig) -> agg.FlightOutcome:
     """One resolved flight with its emissions, None when it is incomputable. A
     resolvable flight whose emissions are not finite gets NONFINITE_EMISSIONS."""
-    per_engine = cfg.engine_multiplier_mode == "per-engine"
     result = emissions.flight_emissions(
         rf, tables.databank_by_uid, tables.ccd_by_type, cfg.co2e_factors,
-        engine_multiplier=float(rf.engine_count or 1) if per_engine else 1.0,
-        interpolation_key=cfg.interpolation_key)
+        engine_multiplier=_engine_multiplier(rf, cfg), interpolation_key=cfg.interpolation_key)
     if result is None and rf.incomputable_cause is None:
         rf = rf._replace(incomputable_cause=matching.NONFINITE_EMISSIONS)
     return agg.FlightOutcome(rf, result)
+
+
+def _engine_multiplier(rf: matching.ResolvedFlight, cfg: RunConfig) -> float:
+    """What the LTO rates are multiplied by: the engine count under
+    `per-engine`, else 1."""
+    return float(rf.engine_count or 1) if cfg.engine_multiplier_mode == "per-engine" else 1.0
 
 
 def compute_outcomes(resolved: list[matching.ResolvedFlight], data: LoadedData,
@@ -203,7 +201,6 @@ def compute_outcomes(resolved: list[matching.ResolvedFlight], data: LoadedData,
 # LookupTables.build: the kernel drops such a flight by its finite check, as
 # flight_emissions drops it, and `run` gives it NONFINITE_EMISSIONS.
 _NAN_RATES = (float("nan"),) * 16
-_FLIGHT_CAUSES = (matching.MISSING_AIRTIME, matching.MISSING_DISTANCE)
 
 
 class TailCause(NamedTuple):
@@ -242,16 +239,6 @@ class TailPlan(NamedTuple):
                    texts.setdefault(scatter_cells, scatter_cells), terms, ccd)
 
 
-def _flight_cause(cause: str | None, flight: ingest.FlightRecord) -> str | None:
-    """The flight's cause, that of `resolve_flight`, from its tail's `cause`."""
-    if cause is None:
-        if flight.air_time_min is None:
-            return matching.MISSING_AIRTIME
-        if flight.distance_mi is None:
-            return matching.MISSING_DISTANCE
-    return cause
-
-
 class TailPlans:
     """Each tail's resolution, made on its first flight by one
     `resolve_flight`: a `TailCause` for `resolve`, which `validate` calls,
@@ -276,13 +263,14 @@ class TailPlans:
         self._shared: dict[TailPlan | TailCause, TailPlan | TailCause] = {}
         self._texts: dict[str, str] = {}
         self._terms: dict[tuple[str, float, float], tuple[float, ...]] = {}
+        self._ccd: dict[str, tuple] = {}  # each emissions type's CCD profile table
         self._ccd_key = operator.attrgetter(
             "air_time_min" if cfg.interpolation_key == "time" else "distance_mi")
 
     def resolve(self, flight: ingest.FlightRecord) -> tuple[TailCause, str | None]:
         """The flight's `TailCause` and its cause, that of `resolve_flight`."""
         entry = self.by_tail.get(flight.tail_number) or self._entry(flight, self._cause)
-        return entry, _flight_cause(entry.cause, flight)
+        return entry, matching.flight_cause(entry.cause, flight)
 
     def compute(self, flight: ingest.FlightRecord,
                 ) -> tuple[TailPlan, str | None, tuple | None]:
@@ -290,7 +278,7 @@ class TailPlans:
         `emissions.emissions_row`, None when it is incomputable; a resolvable
         flight whose emissions are not finite gets NONFINITE_EMISSIONS."""
         plan = self.by_tail.get(flight.tail_number) or self._entry(flight, self._plan)
-        cause = _flight_cause(plan.cause, flight)
+        cause = matching.flight_cause(plan.cause, flight)
         row = None
         if cause is None:
             row = emissions.emissions_row(plan.terms, plan.ccd, plan.seats, flight.taxi_in_min,
@@ -310,7 +298,7 @@ class TailPlans:
         if airframe is None and blank in self._untracked:  # the entry depends only on that
             return self._untracked[blank]
         rf = matching.resolve_flight(flight, self.tables)
-        entry = make(rf, None if rf.incomputable_cause in _FLIGHT_CAUSES
+        entry = make(rf, None if rf.incomputable_cause in matching.FLIGHT_CAUSES
                      else rf.incomputable_cause)
         entry = self._shared.setdefault(entry, entry)
         if airframe is None:
@@ -325,9 +313,7 @@ class TailPlans:
     def _plan(self, rf: matching.ResolvedFlight, cause: str | None) -> TailPlan:
         terms = ccd = None
         if cause is None:  # then the engine UID is set and its CCD profile exists
-            multiplier = 1.0
-            if self.cfg.engine_multiplier_mode == "per-engine":
-                multiplier = float(rf.engine_count or 1)
+            multiplier = _engine_multiplier(rf, self.cfg)
             key = (rf.engine_uid, multiplier, rf.efficiency_factor)
             terms = self._terms.get(key)
             if terms is None:
@@ -335,7 +321,10 @@ class TailPlans:
                 terms = self._terms[key] = emissions.kernel_terms(
                     _NAN_RATES if factors is None else factors.flat_rates, multiplier,
                     rf.efficiency_factor, self.cfg.co2e_factors)
-            ccd = self.tables.ccd_by_type[rf.emissions_type].table
+            ccd = self._ccd.get(rf.emissions_type)
+            if ccd is None:
+                ccd = self._ccd[rf.emissions_type] = self.tables.ccd_by_type[
+                    rf.emissions_type].table
         return TailPlan.of(rf, cause, terms, ccd, self._texts)
 
 
@@ -481,6 +470,21 @@ def _shard_spans(path: Path) -> list:
         return [None]
 
 
+PARENT_CHECK = 4096  # flights between a shard child's checks that its parent lives
+
+
+def _while_parent_lives(flights: Iterator[ingest.FlightRecord], parent: int,
+                        ) -> Iterator[ingest.FlightRecord]:
+    """`flights`; after every PARENT_CHECK of them, a shard child whose
+    parent, pid `parent`, is gone (SIGKILL leaves it no time to kill its
+    children) leaves by `os._exit`."""
+    for flight in flights:
+        yield flight
+        yield from itertools.islice(flights, PARENT_CHECK - 1)
+        if os.getppid() != parent:
+            os._exit(1)
+
+
 def _split(cfg: RunConfig, data: LoadedData, spans: list,
            shard: Callable[[Iterable[ingest.FlightRecord], Sequence], tuple],
            streams: Sequence = ()) -> tuple:
@@ -495,10 +499,12 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
     anonymous result file and leaves by `os._exit`, so none of this process's
     cleanup runs there; here the exception is raised again, from a
     RuntimeError holding that text. SIGINT and SIGTERM wait out each fork. On
-    exit every child is killed and reaped and every file closed. Fork, not
-    spawn: a child inherits the lookup tables instead of building them again,
-    and the package starts no thread that a fork could break."""
+    exit every child is killed and reaped and every file closed; a child whose
+    parent was killed by SIGKILL leaves on its own. Fork, not spawn: a child
+    inherits the lookup tables instead of building them again, and the
+    package starts no thread that a fork could break."""
     running: list[int] = []
+    parent = os.getpid()
     with contextlib.ExitStack() as stack:
         try:
             children = []
@@ -524,7 +530,8 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
                             try:
                                 with ingest.stream_table(ingest.ONTIME_TABLE, cfg.ontime,
                                                          span) as (flights, report):
-                                    message = (*shard(flights, files), report)
+                                    message = (*shard(_while_parent_lives(flights, parent),
+                                                       files), report)
                                 with _writing(cfg.output_dir):
                                     for file in files:
                                         file.flush()

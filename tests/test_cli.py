@@ -430,6 +430,19 @@ class TestInputErrorsExit2:
         assert capsys.readouterr().err == f"error: {key}: empty path\n"
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("key, command", [
+        ("output_dir", "run"), ("ontime", "validate"), ("ontime", "run")])
+    def test_nul_in_path_exit_2(self, tmp_path, capsys, key, command):
+        paths = write_golden_inputs(tmp_path)
+        config = write_config(tmp_path, paths, tmp_path / "out")
+        text = config.read_text(encoding="utf-8")
+        config.write_text(re.sub(rf"^({key} = .*)$", "\\1\0", text, flags=re.M),
+                          encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {key}: a path cannot hold a NUL byte\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_flight_header_reported_before_reference_header(self, tmp_path, capsys,
                                                              command):

@@ -8,11 +8,12 @@ from aeroemit import aggregate, emissions, ingest, matching, pipeline
 
 RECORDS = (
     ingest.FlightRecord, ingest.AirframeRecord, ingest.TailEngineRecord,
-    ingest.EngineCodeRecord, ingest.RowRejection, ingest.CcdKnot, ingest.Column,
-    ingest.TableSchema, emissions.GasVector, emissions.LtoTimes, emissions.Co2eFactors,
-    emissions.EmissionsResult, matching.ResolvedFlight, matching.NormalizationRule,
-    matching.FamilyFallback, matching.LookupTables, aggregate.FlightOutcome,
-    aggregate.UnepBaseline, pipeline.LoadedData, pipeline.TailPlan, pipeline.TailCause,
+    ingest.EngineCodeRecord, ingest.EngineLtoFactors, ingest.CcdProfile,
+    ingest.RowRejection, ingest.CcdKnot, ingest.Column, ingest.TableSchema,
+    emissions.GasVector, emissions.LtoTimes, emissions.Co2eFactors, emissions.EmissionsResult,
+    matching.ResolvedFlight, matching.NormalizationRule, matching.FamilyFallback,
+    matching.LookupTables, aggregate.FlightOutcome, aggregate.UnepBaseline,
+    pipeline.LoadedData, pipeline.TailPlan, pipeline.TailCause,
 )
 
 
@@ -25,3 +26,17 @@ def test_fields_cannot_be_assigned(record):
     with pytest.raises(AttributeError):
         value.added = 0
     assert tuple(value) == (None,) * len(record._fields)
+
+
+# The mutable counters: what `ingest.Record` serves.
+COUNTERS = (ingest.IngestReport, pipeline.CoverageReport, aggregate.Sums)
+
+
+def test_only_the_counters_are_mutable_records():
+    assert set(ingest.Record.__subclasses__()) == set(COUNTERS)
+
+
+@pytest.mark.parametrize("counter", COUNTERS, ids=lambda counter: counter.__name__)
+def test_a_counter_holds_its_fields_only(counter):
+    """A counter has no slot beyond its fields, so nothing is cached in it."""
+    assert counter.__slots__ == counter._fields

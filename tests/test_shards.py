@@ -1,13 +1,17 @@
 """A large flight table split across forked processes: row spans, exact merge,
 the same bytes and messages as one process, and no process or file left."""
 
+import contextlib
 import csv
 import errno
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -406,3 +410,71 @@ class TestFailingShard:
             cli.main(["run", "--config", config])
         assert outputs(outdir) == before
         assert_no_child_left()
+
+
+# `validate` with every flight taking at least 100 µs, so a shard child's span
+# of thousands of flights takes seconds.
+SLOW_VALIDATE = """
+import sys, time
+from aeroemit import cli, pipeline
+resolve = pipeline.TailPlans.resolve
+def slow(self, flight):
+    end = time.perf_counter() + 1e-4
+    while time.perf_counter() < end:
+        pass
+    return resolve(self, flight)
+pipeline.TailPlans.resolve = slow
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def proc_stat(pid):
+    """The fields of /proc/<pid>/stat after the command name, or None once
+    the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rpartition(b")")[2].split()
+    except OSError:
+        return None
+
+
+def children_of(pid):
+    return [int(entry) for entry in os.listdir("/proc")
+            if entry.isdigit() and (stat := proc_stat(entry)) and int(stat[1]) == pid]
+
+
+def running(pid):
+    """Whether `pid` runs: it exists and is not a zombie, which has exited
+    and waits only to be reaped."""
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] != b"Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self") or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs /proc and two CPUs")
+def test_children_end_with_a_killed_parent(tmp_path):
+    """A split `validate` killed by SIGKILL cannot kill its shard children;
+    each leaves on its own within a second."""
+    paths = build_corpus(tmp_path, n_flights=60000)
+    config = write_config(tmp_path, paths, tmp_path / "out")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    children = []
+    with subprocess.Popen([sys.executable, "-c", SLOW_VALIDATE, "validate", "--config",
+                           str(config)], stdout=subprocess.DEVNULL, env=env) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while not children and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+                children = children_of(proc.pid)
+            proc.kill()
+            proc.wait()
+            assert children, "the run made no shard process"
+            deadline = time.monotonic() + 1
+            while time.monotonic() < deadline and any(map(running, children)):
+                time.sleep(0.01)
+            left = list(filter(running, children))
+            assert not left, f"shard processes {left} outlived their parent by a second"
+        finally:
+            for pid in filter(running, children):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)

@@ -4,10 +4,7 @@ from .emissions import (
     Co2eFactors,
     EmissionsResult,
     GasVector,
-    LtoTimes,
-    co2e,
     flight_emissions,
-    split_lto,
 )
 from .ingest import (
     AirframeRecord,
@@ -30,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AirframeRecord", "CcdProfile", "Co2eFactors", "EmissionsResult",
     "EngineLtoFactors", "FlightRecord", "GasVector", "IngestReport",
-    "LtoTimes", "NormalizationRuleSet", "ResolvedFlight", "co2e",
-    "flight_emissions", "jaccard_similarity", "match_engine", "resolve_flight",
-    "split_lto", "tokenize", "__version__",
+    "NormalizationRuleSet", "ResolvedFlight", "flight_emissions",
+    "jaccard_similarity", "match_engine", "resolve_flight", "tokenize",
+    "__version__",
 ]

@@ -94,13 +94,6 @@ class UnepBaseline(NamedTuple):
     cutoff_mi: float
 
 
-def unep_baseline(distance_mi: float, config: UnepBaseline) -> float:
-    """Step-function reference intensity: long-haul constant at/above cutoff."""
-    if distance_mi < config.cutoff_mi:
-        return config.short_haul_co2_per_seat_mile
-    return config.long_haul_co2_per_seat_mile
-
-
 class Sums(Record):
     """The exact sums of one grouping: a carrier, an airport or a cycle.
 

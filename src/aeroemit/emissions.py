@@ -5,9 +5,9 @@ flight and tables always produce bit-identical results. `emissions_row` is the
 per-flight kernel: it takes the flight-independent terms of one tail once
 (`kernel_terms`, made once per engine, multiplier and efficiency factor from
 the rates `EngineLtoFactors.flat_rates` flattens) and keeps the masses in
-local floats, with every multiply and add of `split_lto`, `interpolate_ccd`
-and `co2e` in the same order, so its results equal that reference bit for
-bit. `flight_emissions` is the same computation returning an `EmissionsResult`.
+local floats. `tests/reference.py` states the method one mode and one knot at
+a time, every multiply and add in the kernel's order, and the tests hold the
+kernel to it bit for bit. `flight_emissions` wraps the kernel for one flight.
 """
 
 from __future__ import annotations
@@ -47,21 +47,6 @@ class GasVector(NamedTuple):
         return GasVector(self.hc * k, self.co2 * k, self.co * k, self.nox * k)
 
 
-class LtoTimes(NamedTuple):
-    takeoff_s: float = TAKEOFF_S
-    climbout_s: float = CLIMBOUT_S
-    approach_s: float = APPROACH_S
-    idle_s: float = DEFAULT_IDLE_S
-    idle_from_taxi: bool = False
-
-    @classmethod
-    def from_taxi(cls, taxi_in_min: float | None, taxi_out_min: float | None) -> "LtoTimes":
-        """Actual idle time when both taxi legs are reported, else the default."""
-        if taxi_in_min is None or taxi_out_min is None:
-            return cls()
-        return cls(idle_s=(taxi_in_min + taxi_out_min) * 60.0, idle_from_taxi=True)
-
-
 class Co2eFactors(NamedTuple):
     co2: float = 1.0
     co: float = 1.57
@@ -69,63 +54,12 @@ class Co2eFactors(NamedTuple):
     nox: float = 298.0
 
 
-def _mode_vector(factors: EngineLtoFactors, mode: str, seconds: float,
-                 multiplier: float) -> GasVector:
-    return GasVector(
-        hc=factors.rate("HC", mode) * seconds * multiplier,
-        co2=factors.rate("CO2", mode) * seconds * multiplier,
-        co=factors.rate("CO", mode) * seconds * multiplier,
-        nox=factors.rate("NOX", mode) * seconds * multiplier,
-    )
-
-
-def split_lto(factors: EngineLtoFactors, times: LtoTimes,
-              taxi_in_min: float | None, taxi_out_min: float | None,
-              engine_multiplier: float = 1.0, efficiency_factor: float = 1.0,
-              ) -> tuple[GasVector, GasVector]:
-    """Apportion LTO mass to (origin, destination) airports.
-
-    Origin takes take-off, climb-out and the taxi-out share of idle;
-    destination takes approach and the taxi-in share. Idle splits by the
-    taxi-time ratio, 50/50 when default times were used.
-    """
-    takeoff = _mode_vector(factors, "TAKEOFF", times.takeoff_s, engine_multiplier)
-    climbout = _mode_vector(factors, "CLIMBOUT", times.climbout_s, engine_multiplier)
-    approach = _mode_vector(factors, "APPROACH", times.approach_s, engine_multiplier)
-    idle = _mode_vector(factors, "IDLE", times.idle_s, engine_multiplier)
-    if (times.idle_from_taxi and taxi_in_min is not None and taxi_out_min is not None
-            and taxi_in_min + taxi_out_min > 0):
-        w_in = taxi_in_min / (taxi_in_min + taxi_out_min)
-    else:
-        w_in = 0.5
-    dest_idle = idle.scaled(w_in)
-    origin_idle = idle + dest_idle.scaled(-1.0)
-    origin = ((takeoff + climbout) + origin_idle).scaled(efficiency_factor)
-    destination = (approach + dest_idle).scaled(efficiency_factor)
-    return origin, destination
-
-
-def interpolate_ccd(profile: CcdProfile, duration_min: float) -> tuple[GasVector, str | None]:
-    """Two-point linear interpolation over a profile's knots.
-
-    An exact knot duration returns the tabulated masses exactly. Below the
-    first knot the masses interpolate from an implied knot of 0 kg at 0, so
-    they are never negative; above the last knot they extrapolate linearly
-    from the last segment. Both are flagged. When the knots' masses do not
-    fall, neither do these as the duration grows (barring a step of 2**-1074
-    kg where two knots differ by a subnormal mass). A NaN duration raises
-    ValueError.
-    """
-    if math.isnan(duration_min):
-        raise ValueError("CCD interpolation: the duration is NaN")
-    *masses, flag = _interpolate(*profile.table, duration_min)
-    return GasVector(*masses), flag
-
-
 def _interpolate(durations: tuple[float, ...], masses: tuple[tuple[float, ...], ...],
                  x: float) -> tuple[float, float, float, float, str | None]:
-    """The HC, CO2, CO and NOX masses of `interpolate_ccd` over a profile's
-    `table`, then its flag."""
+    """Two-point linear interpolation over a profile's `table` at key `x`: the
+    HC, CO2, CO and NOX masses, then the flag. An exact knot gives its masses;
+    below the first knot they run from an implied (0, 0 kg) knot, above the
+    last along the last segment, flagged EXTRAPOLATED_LOW and _HIGH."""
     flag = None
     if x < durations[0]:  # the formula below, from an implied (0, 0 kg) knot
         d0 = durations[0]
@@ -146,10 +80,6 @@ def _interpolate(durations: tuple[float, ...], masses: tuple[tuple[float, ...], 
     return (lo_hc + (hi_hc - lo_hc) * offset / span, lo_co2 + (hi_co2 - lo_co2) * offset / span,
             lo_co + (hi_co - lo_co) * offset / span, lo_nox + (hi_nox - lo_nox) * offset / span,
             flag)
-
-
-def co2e(v: GasVector, f: Co2eFactors = Co2eFactors()) -> float:
-    return v.co2 * f.co2 + f.co * v.co + f.hc * v.hc + f.nox * v.nox
 
 
 class EmissionsResult(NamedTuple):
@@ -174,9 +104,9 @@ def kernel_terms(rates: tuple[float, ...], engine_multiplier: float,
     """The flight-independent LTO inputs of `emissions_row` for one engine's
     `flat_rates`, multiplier, efficiency factor and set of CO2e factors.
 
-    Per gas, in `split_lto`'s order: the take-off plus climb-out mass, the
-    approach mass, then the idle rate; then the multiplier, the efficiency
-    factor and the CO2, CO, HC and NOX factors.
+    Per gas, in the order of `split_lto` in `tests/reference.py`: the
+    take-off plus climb-out mass, the approach mass, then the idle rate; then
+    the multiplier, the efficiency factor and the CO2, CO, HC and NOX factors.
     """
     k = engine_multiplier
     return (*(rates[i] * TAKEOFF_S * k + rates[i + 1] * CLIMBOUT_S * k for i in _GAS_OFFSETS),
@@ -206,8 +136,8 @@ def emissions_row(terms: tuple[float, ...], ccd: tuple, seat_count: int | None,
         idle_s = (taxi_in + taxi_out) * 60.0
         if taxi_in + taxi_out > 0:
             w_in = taxi_in / (taxi_in + taxi_out)
-    # split_lto per gas: the idle mass (rate * seconds) * multiplier, its
-    # destination part, then each share scaled by the efficiency factor.
+    # Per gas as the reference split_lto: the idle mass (rate * s) * multiplier,
+    # its destination part, then each share scaled by the efficiency factor.
     i_hc, i_co2, i_co, i_nox = (id_hc * idle_s * k, id_co2 * idle_s * k,
                                 id_co * idle_s * k, id_nox * idle_s * k)
     j_hc, j_co2, j_co, j_nox = i_hc * w_in, i_co2 * w_in, i_co * w_in, i_nox * w_in
@@ -218,7 +148,7 @@ def emissions_row(terms: tuple[float, ...], ccd: tuple, seat_count: int | None,
     l_hc, l_co2, l_co, l_nox = o_hc + d_hc, o_co2 + d_co2, o_co + d_co, o_nox + d_nox
     c_hc, c_co2, c_co, c_nox, flag = _interpolate(*ccd, x)
     c_hc, c_co2, c_co, c_nox = c_hc * eff, c_co2 * eff, c_co * eff, c_nox * eff
-    lto_co2e = l_co2 * f_co2 + f_co * l_co + f_hc * l_hc + f_nox * l_nox  # co2e's order
+    lto_co2e = l_co2 * f_co2 + f_co * l_co + f_hc * l_hc + f_nox * l_nox  # reference co2e's order
     ccd_co2e = c_co2 * f_co2 + f_co * c_co + f_hc * c_hc + f_nox * c_nox
     total = lto_co2e + ccd_co2e
     seats = seat_count or 1
@@ -240,7 +170,8 @@ def flight_emissions(rf: ResolvedFlight,
                      ) -> EmissionsResult | None:
     """Full per-flight computation; None when the flight is not computable, the
     tables lack its engine or CCD profile, or its total CO2e or CO2 per seat
-    mile is not finite. The reference form of `emissions_row`.
+    mile is not finite. A wrapper over the kernel for the list-form API;
+    `run` and `validate` do not call it.
     """
     if not rf.is_computable:
         return None

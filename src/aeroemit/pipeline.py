@@ -17,7 +17,7 @@ flight (`OutputWriter`). Output bytes depend on the inputs alone; every CSV
 line is `ingest.csv_line`'s, and the roll-up tables are `aggregate`'s
 (`RollUpAccumulator.rows` through `ROLLUP_TABLES`). `load_data`,
 `resolve_all` and `compute_outcomes` are the same steps over lists, through
-the reference `resolve_flight` and `flight_emissions`.
+the reference `resolve_flight` and the kernel's wrapper `flight_emissions`.
 """
 
 from __future__ import annotations
@@ -407,7 +407,7 @@ class OutputWriter:
             f",{distance},{flight.air_time_min!r}{plan.cells}" + _FLIGHT_NUMBERS % row[8:21]))
         scatter = f"{plan.scatter_cells},{csv_cell(carrier)}"
         co2e.write("%s,%.2f%s\n" % (distance, row[18], scatter))
-        unep = self._unep_cells  # the cell of agg.unep_baseline
+        unep = self._unep_cells  # the UNEP step rule: short haul below the cutoff
         if unep is not None:
             short, long, cutoff = unep
             scatter += short if flight.distance_mi < cutoff else long

@@ -9,9 +9,10 @@ import pytest
 from aeroemit import aggregate as agg
 from aeroemit import cli, matching, pipeline
 from aeroemit.config import load_config
-from aeroemit.emissions import GasVector, co2e, interpolate_ccd
+from aeroemit.emissions import GasVector
 from conftest import (B739ER_CCD_KNOTS, build_corpus, coverage_report, roll_up, rollup_rows,
                       write_config, write_golden_inputs)
+from reference import co2e, interpolate_ccd
 from test_emissions import oracle_interpolate
 
 

@@ -7,11 +7,12 @@ import pytest
 
 from aeroemit import aggregate as agg
 from aeroemit.config import RunConfig
-from aeroemit.emissions import Co2eFactors, GasVector, LtoTimes, split_lto
+from aeroemit.emissions import Co2eFactors, GasVector
 from aeroemit.emissions import EmissionsResult, flight_emissions
 from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors, FlightRecord
 from aeroemit.matching import ENGINE_EXACT, ResolvedFlight
 from conftest import CFM56_7B27E_RATES, coverage_report, roll_up, rollup_rows, write_outputs
+from reference import LtoTimes, split_lto, unep_baseline
 
 
 def make_flight(carrier="DL", origin="PHL", dest="ATL", taxi_in=7.43,
@@ -294,7 +295,7 @@ class TestScatter:
             if unep is None:
                 assert "unep_baseline" not in point
             else:
-                baseline = agg.unep_baseline(float(point["distance_mi"]), unep)
+                baseline = unep_baseline(float(point["distance_mi"]), unep)
                 assert point["unep_baseline"] == f"{baseline:.6f}"
 
 
@@ -303,10 +304,10 @@ class TestUnepBaseline:
                               long_haul_co2_per_seat_mile=0.1, cutoff_mi=700.0)
 
     def test_below_cutoff_short(self):
-        assert agg.unep_baseline(699.9, self.config) == 0.2
+        assert unep_baseline(699.9, self.config) == 0.2
 
     def test_at_cutoff_long(self):
-        assert agg.unep_baseline(700.0, self.config) == 0.1
+        assert unep_baseline(700.0, self.config) == 0.1
 
     def test_above_cutoff_long(self):
-        assert agg.unep_baseline(3000.0, self.config) == 0.1
+        assert unep_baseline(3000.0, self.config) == 0.1

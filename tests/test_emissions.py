@@ -6,18 +6,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aeroemit import emissions
-from aeroemit.emissions import (
-    Co2eFactors,
-    GasVector,
-    LtoTimes,
-    co2e,
-    flight_emissions,
-    interpolate_ccd,
-    split_lto,
-)
+from aeroemit.emissions import Co2eFactors, GasVector, flight_emissions
 from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors, FlightRecord
 from aeroemit.matching import ENGINE_EXACT, MISSING_AIRTIME, ResolvedFlight
 from conftest import B739ER_CCD_KNOTS
+from reference import LtoTimes, ccd_masses, co2e, interpolate_ccd, split_lto
 
 
 def constant_factors(value=1.0, **per_gas):
@@ -343,15 +336,16 @@ class TestFlightEmissions:
 
 def reference_emissions(rf, factors, profile, co2e_factors, engine_multiplier,
                         interpolation_key):
-    """`flight_emissions` built from the public reference pieces: its LTO, both
-    LTO shares, CCD, the three CO2e values and the CCD flag."""
+    """`flight_emissions` built from the reference pieces, the CCD masses
+    written out knot by knot: its LTO, both LTO shares, CCD, the three CO2e
+    values and the CCD flag."""
     flight = rf.flight
     times = LtoTimes.from_taxi(flight.taxi_in_min, flight.taxi_out_min)
     origin, destination = split_lto(factors, times, flight.taxi_in_min, flight.taxi_out_min,
                                     engine_multiplier, rf.efficiency_factor)
     lto = origin + destination
     x = flight.air_time_min if interpolation_key == "time" else flight.distance_mi
-    ccd, flag = interpolate_ccd(profile, x)
+    ccd, flag = ccd_masses(profile, x)
     ccd = ccd.scaled(rf.efficiency_factor)
     lto_co2e, ccd_co2e = co2e(lto, co2e_factors), co2e(ccd, co2e_factors)
     return lto, origin, destination, ccd, lto_co2e, ccd_co2e, lto_co2e + ccd_co2e, flag
@@ -381,6 +375,7 @@ class TestKernelEqualsReference:
     @example([0.37] * 16, None, None, 2, 0.85, 22.0, 700.0, "time", None)  # on a knot
     @example([5e-324] * 16, 0.0, 0.0, 4, 1.0, 10.0, 500.0, "distance", 180)  # taxi sum 0
     @example([1e300] * 16, 0.0, 12.0, 3, 0.5, 300.0, 410.0, "time", 1)  # not finite
+    @example([0.37] * 16, 7.43, 15.42, 1, 1.0, 25.7, 666.0, "time", 180)  # HC tells `* offset / span` from `* (offset / span)`
     def test_bit_for_bit(self, rate_list, taxi_in, taxi_out, multiplier, efficiency,
                          air_time, distance, key, seats):
         factors = EngineLtoFactors("R", dict(zip(

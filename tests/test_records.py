@@ -5,12 +5,13 @@ may change one under another."""
 import pytest
 
 from aeroemit import aggregate, emissions, ingest, matching, pipeline
+import reference
 
 RECORDS = (
     ingest.FlightRecord, ingest.AirframeRecord, ingest.TailEngineRecord,
     ingest.EngineCodeRecord, ingest.EngineLtoFactors, ingest.CcdProfile,
     ingest.RowRejection, ingest.CcdKnot, ingest.Column, ingest.TableSchema,
-    emissions.GasVector, emissions.LtoTimes, emissions.Co2eFactors, emissions.EmissionsResult,
+    emissions.GasVector, reference.LtoTimes, emissions.Co2eFactors, emissions.EmissionsResult,
     matching.ResolvedFlight, matching.NormalizationRule, matching.FamilyFallback,
     matching.LookupTables, aggregate.FlightOutcome, aggregate.UnepBaseline,
     pipeline.LoadedData, pipeline.TailPlan, pipeline.TailCause,

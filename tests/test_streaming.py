@@ -3,6 +3,7 @@
 import contextlib
 import datetime
 import gc
+import shutil
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -200,20 +201,35 @@ class TestValidateResolution:
                              unknown_tails=3)
         return str(write_config(tmp_path, paths, tmp_path / "run"))
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_validate_builds_no_tail_plan(self, config, monkeypatch, capsys, shards):
-        """`validate` makes no kernel input and no `TailPlan`: it prints the
-        same with both refused."""
-        assert cli.main(["validate", "--config", config]) == 0
-        expected = capsys.readouterr()
+    # What a command never calls: `validate` makes no kernel input and no
+    # `TailPlan`; `run` computes through the kernel, not `flight_emissions`.
+    REFUSED = {"validate": ((emissions, "kernel_terms"), (pipeline.TailPlan, "of")),
+               "run": ((emissions, "flight_emissions"),)}
 
-        def refused(*args):
-            raise AssertionError("validate made a kernel input")
-        monkeypatch.setattr(emissions, "kernel_terms", refused)
-        monkeypatch.setattr(pipeline.TailPlan, "of", refused)
+    @pytest.mark.parametrize("command, shards",
+                             [("validate", 1), ("validate", 3), ("run", 1), ("run", 3)],
+                             ids=["1", "3", "run-1", "run-3"])
+    def test_validate_builds_no_tail_plan(self, config, tmp_path, monkeypatch, capsys,
+                                          command, shards):
+        """`validate` makes no kernel input and no `TailPlan`, and `run` does
+        not call `flight_emissions`: each writes and prints the same with those
+        refused."""
+        outdir = tmp_path / "run"
+
+        def written():
+            return {p.name: p.read_bytes() for p in outdir.iterdir()} if outdir.exists() else {}
+        assert cli.main([command, "--config", config]) == 0
+        expected = capsys.readouterr(), written()
+        assert set(expected[1]) == (set(pipeline.OUTPUT_FILES) if command == "run" else set())
+        shutil.rmtree(outdir, ignore_errors=True)
+
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{command} called a refused function")
+        for owner, name in self.REFUSED[command]:
+            monkeypatch.setattr(owner, name, refused)
         in_shards(monkeypatch, shards)
-        assert cli.main(["validate", "--config", config]) == 0
-        assert capsys.readouterr() == expected
+        assert cli.main([command, "--config", config]) == 0
+        assert (capsys.readouterr(), written()) == expected
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_one_resolution_per_tail(self, config, monkeypatch, capsys, command):

@@ -1,11 +1,6 @@
 """aeroemit: per-flight greenhouse-gas emissions for U.S. domestic flights."""
 
-from .emissions import (
-    Co2eFactors,
-    EmissionsResult,
-    GasVector,
-    flight_emissions,
-)
+from .emissions import Co2eFactors, flight_emissions
 from .ingest import (
     AirframeRecord,
     CcdProfile,
@@ -25,9 +20,8 @@ from .matching import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AirframeRecord", "CcdProfile", "Co2eFactors", "EmissionsResult",
-    "EngineLtoFactors", "FlightRecord", "GasVector", "IngestReport",
-    "NormalizationRuleSet", "ResolvedFlight", "flight_emissions",
-    "jaccard_similarity", "match_engine", "resolve_flight", "tokenize",
-    "__version__",
+    "AirframeRecord", "CcdProfile", "Co2eFactors", "EngineLtoFactors",
+    "FlightRecord", "IngestReport", "NormalizationRuleSet", "ResolvedFlight",
+    "flight_emissions", "jaccard_similarity", "match_engine", "resolve_flight",
+    "tokenize", "__version__",
 ]

@@ -27,10 +27,9 @@ from math import fsum
 from operator import add, attrgetter, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .emissions import Co2eFactors, EmissionsResult
+from .emissions import Co2eFactors
 from .ingest import (GASES, FlightRecord, Record, TableSchema, choice, integer, number,
                      text)
-from .matching import ResolvedFlight
 
 UNIT_BITS = 1074
 # A total in units of 2**-1074 divided by UNIT is its value; a product of two
@@ -79,13 +78,6 @@ def exact_units(values: Sequence[float]) -> int:
     except (OverflowError, ValueError):
         pass
     return sum(map(to_units, values))
-
-
-class FlightOutcome(NamedTuple):
-    """A resolved flight paired with its computed emissions, if any."""
-
-    resolved: ResolvedFlight
-    result: EmissionsResult | None
 
 
 class UnepBaseline(NamedTuple):

@@ -7,7 +7,8 @@ per-flight kernel: it takes the flight-independent terms of one tail once
 the rates `EngineLtoFactors.flat_rates` flattens) and keeps the masses in
 local floats. `tests/reference.py` states the method one mode and one knot at
 a time, every multiply and add in the kernel's order, and the tests hold the
-kernel to it bit for bit. `flight_emissions` wraps the kernel for one flight.
+kernel to it bit for bit. `flight_emissions` returns the kernel's row for one
+resolved flight.
 """
 
 from __future__ import annotations
@@ -31,20 +32,6 @@ TAKEOFF_S = 42.0
 CLIMBOUT_S = 132.0
 APPROACH_S = 240.0
 DEFAULT_IDLE_S = 1560.0
-
-
-class GasVector(NamedTuple):
-    hc: float = 0.0
-    co2: float = 0.0
-    co: float = 0.0
-    nox: float = 0.0
-
-    def __add__(self, other: "GasVector") -> "GasVector":
-        return GasVector(self.hc + other.hc, self.co2 + other.co2,
-                         self.co + other.co, self.nox + other.nox)
-
-    def scaled(self, k: float) -> "GasVector":
-        return GasVector(self.hc * k, self.co2 * k, self.co * k, self.nox * k)
 
 
 class Co2eFactors(NamedTuple):
@@ -80,19 +67,6 @@ def _interpolate(durations: tuple[float, ...], masses: tuple[tuple[float, ...], 
     return (lo_hc + (hi_hc - lo_hc) * offset / span, lo_co2 + (hi_co2 - lo_co2) * offset / span,
             lo_co + (hi_co - lo_co) * offset / span, lo_nox + (hi_nox - lo_nox) * offset / span,
             flag)
-
-
-class EmissionsResult(NamedTuple):
-    lto: GasVector
-    ccd: GasVector
-    lto_origin_share: GasVector
-    lto_destination_share: GasVector
-    lto_co2e_kg: float
-    ccd_co2e_kg: float
-    total_co2e_kg: float
-    per_seat_co2e_kg: float
-    per_seat_mile_co2_kg: float
-    ccd_flag: str | None = None
 
 
 # The first index of each gas's four modes in `EngineLtoFactors.flat_rates`.
@@ -167,11 +141,11 @@ def flight_emissions(rf: ResolvedFlight,
                      co2e_factors: Co2eFactors = Co2eFactors(),
                      engine_multiplier: float = 1.0,
                      interpolation_key: str = "time",
-                     ) -> EmissionsResult | None:
-    """Full per-flight computation; None when the flight is not computable, the
-    tables lack its engine or CCD profile, or its total CO2e or CO2 per seat
-    mile is not finite. A wrapper over the kernel for the list-form API;
-    `run` and `validate` do not call it.
+                     ) -> tuple | None:
+    """One resolved flight's `emissions_row`, for the list-form API; None when
+    the flight is not computable, the tables lack its engine or CCD profile,
+    or its total CO2e or CO2 per seat mile is not finite. `run` and
+    `validate` do not call it.
     """
     if not rf.is_computable:
         return None
@@ -180,13 +154,9 @@ def flight_emissions(rf: ResolvedFlight,
     if factors is None or profile is None:
         return None
     flight = rf.flight
-    row = emissions_row(
+    return emissions_row(
         kernel_terms(factors.flat_rates, engine_multiplier, rf.efficiency_factor,
                      co2e_factors),
         profile.table, rf.seat_count, flight.taxi_in_min, flight.taxi_out_min,
         flight.air_time_min if interpolation_key == "time" else flight.distance_mi,
         flight.distance_mi)
-    if row is None:
-        return None
-    return EmissionsResult(GasVector(*row[8:12]), GasVector(*row[12:16]),
-                           GasVector(*row[0:4]), GasVector(*row[4:8]), *row[16:])

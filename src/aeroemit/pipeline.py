@@ -17,7 +17,8 @@ flight (`OutputWriter`). Output bytes depend on the inputs alone; every CSV
 line is `ingest.csv_line`'s, and the roll-up tables are `aggregate`'s
 (`RollUpAccumulator.rows` through `ROLLUP_TABLES`). `load_data`,
 `resolve_all` and `compute_outcomes` are the same steps over lists, through
-the reference `resolve_flight` and the kernel's wrapper `flight_emissions`.
+the reference `resolve_flight` and `flight_emissions`, the kernel for one
+resolved flight.
 """
 
 from __future__ import annotations
@@ -170,15 +171,16 @@ def resolve_all(data: LoadedData) -> list[matching.ResolvedFlight]:
 
 
 def _outcome(rf: matching.ResolvedFlight, tables: matching.LookupTables,
-             cfg: RunConfig) -> agg.FlightOutcome:
-    """One resolved flight with its emissions, None when it is incomputable. A
-    resolvable flight whose emissions are not finite gets NONFINITE_EMISSIONS."""
-    result = emissions.flight_emissions(
+             cfg: RunConfig) -> tuple[matching.ResolvedFlight, tuple | None]:
+    """One resolved flight and its `emissions_row`, None when it is
+    incomputable. A resolvable flight whose emissions are not finite gets
+    NONFINITE_EMISSIONS."""
+    row = emissions.flight_emissions(
         rf, tables.databank_by_uid, tables.ccd_by_type, cfg.co2e_factors,
         engine_multiplier=_engine_multiplier(rf, cfg), interpolation_key=cfg.interpolation_key)
-    if result is None and rf.incomputable_cause is None:
+    if row is None and rf.incomputable_cause is None:
         rf = rf._replace(incomputable_cause=matching.NONFINITE_EMISSIONS)
-    return agg.FlightOutcome(rf, result)
+    return rf, row
 
 
 def _engine_multiplier(rf: matching.ResolvedFlight, cfg: RunConfig) -> float:
@@ -189,9 +191,10 @@ def _engine_multiplier(rf: matching.ResolvedFlight, cfg: RunConfig) -> float:
 
 def compute_outcomes(resolved: list[matching.ResolvedFlight], data: LoadedData,
                      cfg: RunConfig, threads: int | None = None,
-                     ) -> list[agg.FlightOutcome]:
-    """Per-flight emissions, in input order. `threads` is ignored; it is removed
-    once perfbench/spans.py stops passing `threads=1`."""
+                     ) -> list[tuple[matching.ResolvedFlight, tuple | None]]:
+    """Each resolved flight and its emissions, as `_outcome` pairs them, in
+    input order. `threads` is ignored; it is removed once perfbench/spans.py
+    stops passing `threads=1`."""
     return [_outcome(rf, data.tables, cfg) for rf in resolved]
 
 

@@ -79,24 +79,19 @@ def in_shards(monkeypatch, shards):
 
 # The list forms of the streaming pieces `run` feeds one flight at a time.
 
-def row_of(result):
-    """The `emissions.emissions_row` tuple of an `EmissionsResult`, or None."""
-    if result is None:
-        return None
-    return (*(getattr(v, gas) for v in (result.lto_origin_share, result.lto_destination_share,
-                                        result.lto, result.ccd)
-              for gas in ("hc", "co2", "co", "nox")),
-            result.lto_co2e_kg, result.ccd_co2e_kg, result.total_co2e_kg,
-            result.per_seat_co2e_kg, result.per_seat_mile_co2_kg, result.ccd_flag)
-
-
 def roll_up(outcomes) -> agg.RollUpAccumulator:
-    """The sums of every grouping of `outcomes`, through `RollUpAccumulator`."""
+    """The sums of every grouping of `outcomes`, (resolved flight,
+    `emissions_row`) pairs, through `RollUpAccumulator`."""
     accumulator = agg.RollUpAccumulator()
-    for outcome in outcomes:
-        rf = outcome.resolved
-        accumulator.add(rf.flight, rf.seat_count or 0, row_of(outcome.result))
+    for rf, row in outcomes:
+        accumulator.add(rf.flight, rf.seat_count or 0, row)
     return accumulator
+
+
+def bits(value):
+    """An `emissions_row` item to compare bit for bit: a float as its hex
+    text, which tells -0.0 from 0.0, the CCD flag as it is."""
+    return value.hex() if isinstance(value, float) else value
 
 
 def rollup_rows(rollup: agg.RollUpAccumulator, co2e_factors: Co2eFactors = Co2eFactors(),
@@ -114,12 +109,12 @@ def coverage_report(resolved) -> pipeline.CoverageReport:
 
 
 def write_outputs(outcomes, cfg, coverage: pipeline.CoverageReport) -> None:
-    """All seven run outputs of `outcomes`, through `OutputWriter`."""
+    """All seven run outputs of `outcomes`, (resolved flight, `emissions_row`)
+    pairs, through `OutputWriter`."""
     with pipeline.OutputWriter(cfg) as out:
-        for outcome in outcomes:
-            rf = outcome.resolved
+        for rf, row in outcomes:
             out.add(rf.flight, pipeline.TailPlan.of(rf, rf.incomputable_cause, None, None, {}),
-                    row_of(outcome.result))
+                    row)
         out.commit(coverage)
 
 

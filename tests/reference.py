@@ -17,9 +17,22 @@ from typing import NamedTuple
 
 from aeroemit.aggregate import UnepBaseline
 from aeroemit.emissions import (APPROACH_S, CLIMBOUT_S, DEFAULT_IDLE_S, EXTRAPOLATED_HIGH,
-                                EXTRAPOLATED_LOW, TAKEOFF_S, Co2eFactors, GasVector,
-                                _interpolate)
+                                EXTRAPOLATED_LOW, TAKEOFF_S, Co2eFactors, _interpolate)
 from aeroemit.ingest import CcdProfile, EngineLtoFactors
+
+
+class GasVector(NamedTuple):
+    hc: float = 0.0
+    co2: float = 0.0
+    co: float = 0.0
+    nox: float = 0.0
+
+    def __add__(self, other: "GasVector") -> "GasVector":
+        return GasVector(self.hc + other.hc, self.co2 + other.co2,
+                         self.co + other.co, self.nox + other.nox)
+
+    def scaled(self, k: float) -> "GasVector":
+        return GasVector(self.hc * k, self.co2 * k, self.co * k, self.nox * k)
 
 
 class LtoTimes(NamedTuple):

@@ -9,10 +9,9 @@ import pytest
 from aeroemit import aggregate as agg
 from aeroemit import cli, matching, pipeline
 from aeroemit.config import load_config
-from aeroemit.emissions import GasVector
 from conftest import (B739ER_CCD_KNOTS, build_corpus, coverage_report, roll_up, rollup_rows,
                       write_config, write_golden_inputs)
-from reference import co2e, interpolate_ccd
+from reference import GasVector, co2e, interpolate_ccd
 from test_emissions import oracle_interpolate
 
 
@@ -39,18 +38,18 @@ def test_criterion_1_golden_worked_example(tmp_path):
     start = time.perf_counter()
     data = pipeline.load_data(cfg)
     (rf,) = pipeline.resolve_all(data)
-    (outcome,) = pipeline.compute_outcomes([rf], data, cfg)
+    ((_, row),) = pipeline.compute_outcomes([rf], data, cfg)
     elapsed = time.perf_counter() - start
-    result = outcome.result
-    assert result is not None
-    assert result.lto.hc == pytest.approx(0.24, rel=0.01)
-    assert result.lto.co2 == pytest.approx(1334.11, rel=0.01)
-    assert result.lto.co == pytest.approx(4.70, rel=0.01)
-    assert result.lto.nox == pytest.approx(5.14, rel=0.01)
-    assert result.lto_co2e_kg == pytest.approx(2893.61, rel=0.01)
-    assert result.ccd.co2 == pytest.approx(16564.99, rel=0.01)
-    assert result.total_co2e_kg == pytest.approx(43265.46, rel=0.01)
-    assert result.per_seat_co2e_kg == pytest.approx(240.36, rel=0.01)
+    assert row is not None
+    hc, co2, co, nox = row[8:12]  # the LTO mass
+    assert hc == pytest.approx(0.24, rel=0.01)
+    assert co2 == pytest.approx(1334.11, rel=0.01)
+    assert co == pytest.approx(4.70, rel=0.01)
+    assert nox == pytest.approx(5.14, rel=0.01)
+    assert row[16] == pytest.approx(2893.61, rel=0.01)  # LTO CO2e
+    assert row[13] == pytest.approx(16564.99, rel=0.01)  # CCD CO2
+    assert row[18] == pytest.approx(43265.46, rel=0.01)  # total CO2e
+    assert row[19] == pytest.approx(240.36, rel=0.01)  # CO2e per seat
     assert elapsed < 1.0
     print(f"\nPASS: criterion 1 — golden worked example within 1% ({elapsed:.3f}s)")
 
@@ -112,10 +111,10 @@ def test_criterion_5_jaccard_properties():
 def test_criterion_6_conservation(corpus_outcomes):
     outcomes = corpus_outcomes
     assert len(outcomes) == 5000
-    assert all(o.result is not None for o in outcomes)
+    assert all(row is not None for _, row in outcomes)
 
-    for o in outcomes:
-        assert o.result.lto_origin_share + o.result.lto_destination_share == o.result.lto
+    for _, row in outcomes:  # origin share + destination share == LTO mass
+        assert [o + d for o, d in zip(row[0:4], row[4:8])] == list(row[8:12])
 
     rollup = roll_up(outcomes)
     ccd_bd = rollup.ccd

@@ -7,12 +7,11 @@ import pytest
 
 from aeroemit import aggregate as agg
 from aeroemit.config import RunConfig
-from aeroemit.emissions import Co2eFactors, GasVector
-from aeroemit.emissions import EmissionsResult, flight_emissions
+from aeroemit.emissions import Co2eFactors, flight_emissions
 from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors, FlightRecord
 from aeroemit.matching import ENGINE_EXACT, ResolvedFlight
 from conftest import CFM56_7B27E_RATES, coverage_report, roll_up, rollup_rows, write_outputs
-from reference import LtoTimes, split_lto, unep_baseline
+from reference import GasVector, LtoTimes, split_lto, unep_baseline
 
 
 def make_flight(carrier="DL", origin="PHL", dest="ATL", taxi_in=7.43,
@@ -43,10 +42,11 @@ def flat_profile(co2_per_min=100.0):
 
 
 def outcome(flight, seats=180):
+    """The resolved flight and its `emissions_row`."""
     rf = make_resolved(flight, seats)
-    result = flight_emissions(rf, {"E": cfm56()}, {"T": flat_profile()})
-    assert result is not None
-    return agg.FlightOutcome(rf, result)
+    row = flight_emissions(rf, {"E": cfm56()}, {"T": flat_profile()})
+    assert row is not None
+    return rf, row
 
 
 class TestSplitLto:
@@ -105,7 +105,7 @@ class TestAirlineAggregation:
         outcomes = [outcome(make_flight(number=str(i))) for i in range(2)]
         rollup = roll_up(outcomes)
         (summary,) = rollup.carriers.values()
-        expected = sum(o.result.lto.co2 + o.result.ccd.co2 for o in outcomes)
+        expected = sum(row[9] + row[13] for _, row in outcomes)  # LTO and CCD CO2
         assert summary.co2 / agg.UNIT == pytest.approx(expected)
         assert summary.flights == 2
         assert summary.computed == 2
@@ -126,10 +126,9 @@ class TestAirlineAggregation:
         rows = {row[0]: row for row in rollup_rows(rollup)[0]}
         # independent naive loop
         for carrier in carriers:
-            mine = [o for o in outcomes if o.resolved.flight.carrier_code == carrier]
-            naive_co2 = sum(o.result.lto.co2 + o.result.ccd.co2 for o in mine)
-            naive_seat_miles = sum(
-                o.resolved.seat_count * o.resolved.flight.distance_mi for o in mine)
+            mine = [(rf, row) for rf, row in outcomes if rf.flight.carrier_code == carrier]
+            naive_co2 = sum(row[9] + row[13] for _, row in mine)  # LTO and CCD CO2
+            naive_seat_miles = sum(rf.seat_count * rf.flight.distance_mi for rf, _ in mine)
             s = rollup.carriers[carrier]
             assert s.flights == len(mine)
             assert s.co2 / agg.UNIT == pytest.approx(naive_co2)
@@ -145,7 +144,7 @@ class TestAirlineAggregation:
             engine_count=None, engine_uid=None, emissions_type=None,
             efficiency_factor=1.0, provenance=frozenset(),
             incomputable_cause="MISSING_TAIL")
-        rollup = roll_up([agg.FlightOutcome(rf, None)])
+        rollup = roll_up([(rf, None)])
         (summary,) = rollup.carriers.values()
         assert summary.flights == 1
         assert summary.computed == 0
@@ -182,18 +181,19 @@ class TestConservation:
         return outcomes
 
     @staticmethod
-    def exact_kg(outcomes, gas, shares):
-        """Exact per-gas mass of the named result vectors over all outcomes."""
-        return sum((Fraction(getattr(getattr(o.result, share), gas.lower()))
-                    for o in outcomes for share in shares), Fraction(0))
+    def exact_kg(outcomes, gas, starts):
+        """Exact mass of `gas` over all outcomes in the row slices that begin
+        at `starts`: 0 the origin share, 4 the destination share, 12 CCD."""
+        i = agg.GASES.index(gas)
+        return sum((Fraction(row[start + i]) for _, row in outcomes for start in starts),
+                   Fraction(0))
 
     def test_airport_split_conserves_mass(self):
         outcomes = self.corpus()
         airports = roll_up(outcomes).airports.values()
         for gas in agg.GASES:
             total = sum(getattr(a, gas.lower()) for a in airports)
-            flight_lto = self.exact_kg(
-                outcomes, gas, ("lto_origin_share", "lto_destination_share"))
+            flight_lto = self.exact_kg(outcomes, gas, (0, 4))
             assert Fraction(total, agg.UNIT) == flight_lto
 
     def test_three_way_grouping_identity(self):
@@ -201,8 +201,7 @@ class TestConservation:
         rollup = roll_up(outcomes)
         lto_bd, ccd_bd = rollup.lto, rollup.ccd
         for gas in agg.GASES:
-            system = self.exact_kg(
-                outcomes, gas, ("lto_origin_share", "lto_destination_share", "ccd"))
+            system = self.exact_kg(outcomes, gas, (0, 4, 12))
             field = gas.lower()
             airline_total = sum(getattr(s, field) for s in rollup.carriers.values())
             airport_total = sum(getattr(a, field) for a in rollup.airports.values())
@@ -241,14 +240,14 @@ def incomputable_outcome():
         engine_count=None, engine_uid=None, emissions_type=None,
         efficiency_factor=1.0, provenance=frozenset(),
         incomputable_cause="MISSING_TAIL")
-    return agg.FlightOutcome(rf, None)
+    return rf, None
 
 
 def written_csv(outcomes, outdir, unep=None):
     """Rows of the per-flight and scatter files `write_outputs` writes, as
     dicts keyed by header."""
     cfg = RunConfig(*(Path("unused.csv"),) * 6, output_dir=outdir, unep=unep)
-    resolved = [o.resolved for o in outcomes]
+    resolved = [rf for rf, _ in outcomes]
     write_outputs(outcomes, cfg, coverage_report(resolved))
     files = {}
     for name in ("flight_emissions.csv", "scatter_co2e.csv", "scatter_seat_mile.csv"):
@@ -266,9 +265,9 @@ class TestScatter:
         seat_mile_points = files["scatter_seat_mile.csv"]
         assert len(co2e_points) == 4
         assert len(seat_mile_points) == 4
-        assert co2e_points[0]["co2e_kg"] == f"{outcomes[0].result.total_co2e_kg:.2f}"
-        assert seat_mile_points[0]["co2_per_seat_mile"] \
-            == f"{outcomes[0].result.per_seat_mile_co2_kg:.6f}"
+        _, row = outcomes[0]  # total CO2e [18], CO2 per seat mile [20]
+        assert co2e_points[0]["co2e_kg"] == f"{row[18]:.2f}"
+        assert seat_mile_points[0]["co2_per_seat_mile"] == f"{row[20]:.6f}"
 
     @pytest.mark.parametrize("unep", [None, agg.UnepBaseline(0.2, 0.1, 700.0)],
                              ids=["no-unep", "unep"])

@@ -6,11 +6,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aeroemit import emissions
-from aeroemit.emissions import Co2eFactors, GasVector, flight_emissions
+from aeroemit.emissions import Co2eFactors, flight_emissions
 from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors, FlightRecord
 from aeroemit.matching import ENGINE_EXACT, MISSING_AIRTIME, ResolvedFlight
-from conftest import B739ER_CCD_KNOTS
-from reference import LtoTimes, ccd_masses, co2e, interpolate_ccd, split_lto
+from conftest import B739ER_CCD_KNOTS, bits
+from reference import GasVector, LtoTimes, ccd_masses, co2e, interpolate_ccd, split_lto
 
 
 def constant_factors(value=1.0, **per_gas):
@@ -274,24 +274,24 @@ def dl2441():
 class TestFlightEmissions:
     def test_worked_example_end_to_end(self, cfm56_factors, b739er_profile):
         rf = resolved(dl2441())
-        result = flight_emissions(rf, {"CFM56-7B27E": cfm56_factors},
-                                  {"737-900ER": b739er_profile})
-        assert result.ccd.co2 == pytest.approx(16564.99, rel=0.005)
-        assert result.lto_co2e_kg == pytest.approx(2893.61, rel=0.01)
-        assert result.total_co2e_kg == pytest.approx(43265.46, rel=0.01)
-        assert result.per_seat_co2e_kg == pytest.approx(240.36, rel=0.01)
+        row = flight_emissions(rf, {"CFM56-7B27E": cfm56_factors},
+                               {"737-900ER": b739er_profile})
+        assert row[13] == pytest.approx(16564.99, rel=0.005)  # CCD CO2
+        assert row[16] == pytest.approx(2893.61, rel=0.01)  # LTO CO2e
+        assert row[18] == pytest.approx(43265.46, rel=0.01)  # total CO2e
+        assert row[19] == pytest.approx(240.36, rel=0.01)  # CO2e per seat
 
     def test_total_is_exact_sum_of_cycles(self, cfm56_factors, b739er_profile):
-        result = flight_emissions(resolved(dl2441()),
-                                  {"CFM56-7B27E": cfm56_factors},
-                                  {"737-900ER": b739er_profile})
-        assert result.total_co2e_kg == result.lto_co2e_kg + result.ccd_co2e_kg
+        row = flight_emissions(resolved(dl2441()),
+                               {"CFM56-7B27E": cfm56_factors},
+                               {"737-900ER": b739er_profile})
+        assert row[18] == row[16] + row[17]  # total, LTO and CCD CO2e
 
     def test_split_shares_sum_to_lto(self, cfm56_factors, b739er_profile):
-        result = flight_emissions(resolved(dl2441()),
-                                  {"CFM56-7B27E": cfm56_factors},
-                                  {"737-900ER": b739er_profile})
-        assert result.lto_origin_share + result.lto_destination_share == result.lto
+        row = flight_emissions(resolved(dl2441()),
+                               {"CFM56-7B27E": cfm56_factors},
+                               {"737-900ER": b739er_profile})
+        assert [o + d for o, d in zip(row[0:4], row[4:8])] == list(row[8:12])
 
     def test_unit_denominators(self):
         flight = FlightRecord(
@@ -302,19 +302,19 @@ class TestFlightEmissions:
         factors = mode_rates("CO2", 0.0, 0.0, 0.0, 0.0)
         knots = tuple(CcdKnot(d, {"HC": 0.0, "CO2": 7.0, "CO": 0.0, "NOX": 0.0})
                       for d in (10.0, 100.0))
-        result = flight_emissions(rf, {"TEST": factors}, {"T": CcdProfile("T", knots)})
-        assert result.per_seat_mile_co2_kg == pytest.approx(7.0)
-        assert result.per_seat_co2e_kg == pytest.approx(7.0)
+        row = flight_emissions(rf, {"TEST": factors}, {"T": CcdProfile("T", knots)})
+        assert row[20] == pytest.approx(7.0)  # CO2 per seat mile
+        assert row[19] == pytest.approx(7.0)  # CO2e per seat
 
     def test_missing_profile_withheld(self, cfm56_factors):
-        result = flight_emissions(resolved(dl2441()),
-                                  {"CFM56-7B27E": cfm56_factors}, {})
-        assert result is None
+        row = flight_emissions(resolved(dl2441()),
+                               {"CFM56-7B27E": cfm56_factors}, {})
+        assert row is None
 
     def test_missing_engine_withheld(self, b739er_profile):
-        result = flight_emissions(resolved(dl2441()), {},
-                                  {"737-900ER": b739er_profile})
-        assert result is None
+        row = flight_emissions(resolved(dl2441()), {},
+                               {"737-900ER": b739er_profile})
+        assert row is None
 
     def test_incomputable_rejected(self, cfm56_factors, b739er_profile):
         rf = resolved(dl2441(), incomputable_cause=MISSING_AIRTIME)
@@ -330,15 +330,15 @@ class TestFlightEmissions:
                                                                  "FAMILY_FALLBACK"})),
                                   {"CFM56-7B27E": cfm56_factors},
                                   {"737-900ER": b739er_profile})
-        assert scaled.lto.co2 == pytest.approx(0.85 * base.lto.co2)
-        assert scaled.ccd.co2 == pytest.approx(0.85 * base.ccd.co2)
+        assert scaled[9] == pytest.approx(0.85 * base[9])  # LTO CO2
+        assert scaled[13] == pytest.approx(0.85 * base[13])  # CCD CO2
 
 
 def reference_emissions(rf, factors, profile, co2e_factors, engine_multiplier,
                         interpolation_key):
     """`flight_emissions` built from the reference pieces, the CCD masses
-    written out knot by knot: its LTO, both LTO shares, CCD, the three CO2e
-    values and the CCD flag."""
+    written out knot by knot: the 22 items of `emissions_row`, None when the
+    total CO2e or the CO2 per seat mile is not finite."""
     flight = rf.flight
     times = LtoTimes.from_taxi(flight.taxi_in_min, flight.taxi_out_min)
     origin, destination = split_lto(factors, times, flight.taxi_in_min, flight.taxi_out_min,
@@ -348,14 +348,13 @@ def reference_emissions(rf, factors, profile, co2e_factors, engine_multiplier,
     ccd, flag = ccd_masses(profile, x)
     ccd = ccd.scaled(rf.efficiency_factor)
     lto_co2e, ccd_co2e = co2e(lto, co2e_factors), co2e(ccd, co2e_factors)
-    return lto, origin, destination, ccd, lto_co2e, ccd_co2e, lto_co2e + ccd_co2e, flag
-
-
-def bits(value):
-    """Every double of a GasVector or a float, as text that tells -0.0 from 0.0."""
-    if isinstance(value, GasVector):
-        return tuple(x.hex() for x in (value.hc, value.co2, value.co, value.nox))
-    return value if value is None or isinstance(value, str) else value.hex()
+    total = lto_co2e + ccd_co2e
+    seats = rf.seat_count or 1
+    per_seat_mile = (lto.co2 + ccd.co2) / (seats * flight.distance_mi)
+    if not (math.isfinite(total) and math.isfinite(per_seat_mile)):
+        return None
+    return (*origin, *destination, *lto, *ccd, lto_co2e, ccd_co2e, total, total / seats,
+            per_seat_mile, flag)
 
 
 KNOT_DURATIONS = [float(k[0]) for k in B739ER_CCD_KNOTS]
@@ -389,17 +388,11 @@ class TestKernelEqualsReference:
             distance_mi=distance)
         rf = resolved(flight, seat_count=seats, engine_uid="R", emissions_type="T",
                       efficiency_factor=efficiency)
-        result = flight_emissions(rf, {"R": factors}, {"T": profile}, Co2eFactors(),
-                                  engine_multiplier=float(multiplier),
-                                  interpolation_key=key)
+        row = flight_emissions(rf, {"R": factors}, {"T": profile}, Co2eFactors(),
+                               engine_multiplier=float(multiplier), interpolation_key=key)
         expected = reference_emissions(rf, factors, profile, Co2eFactors(),
                                        float(multiplier), key)
-        total = expected[6]
-        seat_mile = (expected[0].co2 + expected[3].co2) / ((seats or 1) * distance)
-        if not (math.isfinite(total) and math.isfinite(seat_mile)):
-            assert result is None
+        if expected is None:
+            assert row is None
             return
-        got = (result.lto, result.lto_origin_share, result.lto_destination_share,
-               result.ccd, result.lto_co2e_kg, result.ccd_co2e_kg, result.total_co2e_kg,
-               result.ccd_flag)
-        assert list(map(bits, got)) == list(map(bits, expected))
+        assert list(map(bits, row)) == list(map(bits, expected))

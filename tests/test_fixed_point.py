@@ -16,12 +16,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aeroemit import aggregate as agg
-from aeroemit import cli, pipeline
+from aeroemit import cli, emissions, pipeline
 from aeroemit.config import REQUIRED_TABLE_KEYS, load_config
-from aeroemit.emissions import Co2eFactors, EmissionsResult, GasVector
+from aeroemit.emissions import Co2eFactors
 from aeroemit.ingest import FlightRecord
 from aeroemit.matching import ResolvedFlight
-from conftest import (build_corpus, coverage_report, in_shards, roll_up, rollup_rows, row_of,
+from conftest import (build_corpus, coverage_report, in_shards, roll_up, rollup_rows,
                       table_paths, write_config, write_outputs)
 
 SMALLEST_SUBNORMAL = 5e-324
@@ -63,20 +63,30 @@ def test_nonfinite_has_no_units(x, error):
 
 
 def synthetic_outcome(carrier, origin, destination, seats, masses):
-    """A computed flight whose 14 doubles the accumulator reads are `masses`:
-    origin share, destination share and CCD (four gases each), total CO2e and
-    distance."""
-    o, d, c = (GasVector(*masses[i:i + 4]) for i in (0, 4, 8))
+    """A computed flight and its `emissions_row`, whose 14 doubles the
+    accumulator reads are `masses`: origin share, destination share and CCD
+    (four gases each), total CO2e and distance."""
     flight = FlightRecord(datetime.date(2021, 9, 1), carrier, "1", "N1", origin,
                           destination, 60.0, None, None, masses[13])
     rf = ResolvedFlight(flight, "T", seats, 2, "E", "T", 1.0, frozenset())
-    result = EmissionsResult(o + d, c, o, d, 0.0, 0.0, masses[12], 0.0, 0.0)
-    return agg.FlightOutcome(rf, result)
+    lto = (o + d for o, d in zip(masses[0:4], masses[4:8]))
+    return rf, (*masses[0:8], *lto, *masses[8:12], 0.0, 0.0, masses[12], 0.0, 0.0, None)
 
 
-@given(st.lists(st.tuples(st.sampled_from(["AA", "DL"]), st.sampled_from(["X", "Y", "Z"]),
-                          st.sampled_from(["X", "Y", "Z"]), st.integers(0, 300),
-                          st.lists(doubles, min_size=14, max_size=14)), max_size=12))
+@st.composite
+def synthetic_flights(draw, carriers, origins, destinations):
+    """Up to 12 flights for `synthetic_outcome`. Each flight's 14 doubles are
+    picked from one pool of 1 to 14 doubles drawn per example, which is
+    cheaper than drawing 14 per flight; any 14 doubles are still reachable,
+    as a pool of their distinct values."""
+    pool = draw(st.lists(doubles, min_size=1, max_size=14))
+    masses = st.lists(st.sampled_from(pool), min_size=14, max_size=14)
+    return draw(st.lists(st.tuples(st.sampled_from(carriers), st.sampled_from(origins),
+                                   st.sampled_from(destinations), st.integers(0, 300), masses),
+                         max_size=12))
+
+
+@given(synthetic_flights(["AA", "DL"], ["X", "Y", "Z"], ["X", "Y", "Z"]))
 @example([("AA", "X", "Y", 2, [0.0, -0.0, 5e-324, -5e-324, -0.0, 0.0, 1e-310, 3.5,
                                -0.0, 2.0**-1074 * 3, 1e300, 0.1, 0.0, 5e-324])])
 @example([("AA", "X", "Y", 2, [1.7e308, 1.0, 1.0, 1.0, 1.7e308, 1.0, 1.0, 1.0,
@@ -117,31 +127,28 @@ def fraction_roll_up(outcomes):
     airlines = {}
     airports = {}
     cycles = {"LTO": [Fraction(0)] * 4, "CCD": [Fraction(0)] * 4}
-    for o in outcomes:
-        flight = o.resolved.flight
+    for rf, row in outcomes:
+        flight = rf.flight
         a = airlines.setdefault(flight.carrier_code,
                                 [0, 0, 0, Fraction(0), Fraction(0), Fraction(0)])
         a[0] += 1
-        r = o.result
-        if r is None:
+        if row is None:
             continue
-        seats = o.resolved.seat_count or 0
+        seats = rf.seat_count or 0
         a[1] += 1
         a[2] += seats
-        a[3] += (Fraction(r.lto_origin_share.co2) + Fraction(r.lto_destination_share.co2)
-                 + Fraction(r.ccd.co2))
-        a[4] += Fraction(r.total_co2e_kg)
+        # The CO2 of the origin share, the destination share and CCD.
+        a[3] += Fraction(row[1]) + Fraction(row[5]) + Fraction(row[13])
+        a[4] += Fraction(row[18])  # total CO2e
         a[5] += Fraction(seats) * Fraction(flight.distance_mi)
-        for airport, share in ((flight.origin, r.lto_origin_share),
-                               (flight.destination, r.lto_destination_share)):
+        for airport, share in ((flight.origin, row[0:4]), (flight.destination, row[4:8])):
             totals = airports.setdefault(airport, [Fraction(0)] * 4)
-            for i, gas in enumerate(agg.GASES):
-                totals[i] += Fraction(getattr(share, gas.lower()))
-        for cycle, vectors in (("LTO", (r.lto_origin_share, r.lto_destination_share)),
-                               ("CCD", (r.ccd,))):
+            for i, mass in enumerate(share):
+                totals[i] += Fraction(mass)
+        for cycle, vectors in (("LTO", (row[0:4], row[4:8])), ("CCD", (row[12:16],))):
             for v in vectors:
-                for i, gas in enumerate(agg.GASES):
-                    cycles[cycle][i] += Fraction(getattr(v, gas.lower()))
+                for i, mass in enumerate(v):
+                    cycles[cycle][i] += Fraction(mass)
     return airlines, airports, cycles
 
 
@@ -309,8 +316,35 @@ def test_computed_flights_are_the_computable_ones(tmp_path):
     data = pipeline.load_data(cfg)
     resolved = pipeline.resolve_all(data)
     outcomes = pipeline.compute_outcomes(resolved, data, cfg)
-    assert [o.result is not None for o in outcomes] == [rf.is_computable for rf in resolved]
+    assert [row is not None for _, row in outcomes] == [rf.is_computable for rf in resolved]
     assert coverage_report(resolved).computed_flights == 185
+
+
+@pytest.mark.parametrize("key", ["time", "distance"])
+def test_benchmark_side_mode_calls(tmp_path, key):
+    """The list-form calls of the benchmark's traced side mode
+    (`perfbench/spans.py`'s `_run_side`), with its arguments: `flight_emissions`
+    gives a row exactly for the flights `compute_outcomes` computed. A change
+    that breaks one of these calls fails here before the traced benchmark
+    run. ROADMAP item 1 retires this test, with the side mode."""
+    paths = build_corpus(tmp_path, n_flights=200, missing_tails=7,
+                         missing_airtimes=5, unknown_tails=3)
+    if key == "distance":
+        time_cfg = load_config(write_config(tmp_path, paths, tmp_path / "out"))
+        paths["bada_ccd"] = knot_distances(time_cfg, tmp_path / "bada_ccd_distance.csv")
+    cfg = load_config(write_config(tmp_path, paths, tmp_path / "out",
+                                   extra={"interpolation_key": key}))
+    data = pipeline.load_data(cfg)
+    resolved = pipeline.resolve_all(data)
+    outcomes = pipeline.compute_outcomes(resolved, data, cfg, threads=1)
+    engines, profiles = data.tables.databank_by_uid, data.tables.ccd_by_type
+    per_engine = cfg.engine_multiplier_mode == "per-engine"
+    computed = [emissions.flight_emissions(
+        rf, engines, profiles, cfg.co2e_factors,
+        engine_multiplier=float(rf.engine_count or 1) if per_engine else 1.0,
+        interpolation_key=cfg.interpolation_key) is not None for rf in resolved]
+    assert computed == [row is not None for _, row in outcomes]
+    assert computed.count(True) == 185
 
 
 def run_outputs(workdir, paths, matching_tables):
@@ -525,10 +559,7 @@ def test_outputs_in_shards_match_golden_digests(corpus, tmp_path, monkeypatch, s
     assert digests == golden
 
 
-@given(st.lists(st.tuples(st.sampled_from(["AA", "DL", "UA"]), st.sampled_from(["X", "Y", "Z"]),
-                          st.sampled_from(["W", "V"]), st.integers(0, 300),
-                          st.lists(doubles, min_size=14, max_size=14)), max_size=12),
-       st.integers(0, 12))
+@given(synthetic_flights(["AA", "DL", "UA"], ["X", "Y", "Z"], ["W", "V"]), st.integers(0, 12))
 def test_merged_accumulators_equal_one_over_all(flights, cut):
     """Accumulators over the two parts of a list of flights, merged, hold the
     sums of one accumulator over the whole list and make its rows. The second
@@ -536,10 +567,9 @@ def test_merged_accumulators_equal_one_over_all(flights, cut):
     outcomes = [synthetic_outcome(*f) for f in flights]
     whole = agg.RollUpAccumulator()
     first, second = agg.RollUpAccumulator(), agg.RollUpAccumulator()
-    for i, outcome in enumerate(outcomes):
-        rf = outcome.resolved
+    for i, (rf, row) in enumerate(outcomes):
         for accumulator in (whole, first if i < cut else second):
-            accumulator.add(rf.flight, rf.seat_count or 0, row_of(outcome.result))
+            accumulator.add(rf.flight, rf.seat_count or 0, row)
     first.merge(pickle.loads(pickle.dumps(second)))
     assert (first.carriers, first.airports, first.lto, first.ccd) \
         == (whole.carriers, whole.airports, whole.lto, whole.ccd)
@@ -595,8 +625,8 @@ def test_sums_read_between_folds_are_exact():
     expected = [0] * 4
     for i in range(7):
         masses = [0.1 * (i + k) for k in range(14)]
-        outcome = synthetic_outcome("AA", "X", "Y", 2, masses)
-        accumulator.add(outcome.resolved.flight, 2, row_of(outcome.result))
+        rf, row = synthetic_outcome("AA", "X", "Y", 2, masses)
+        accumulator.add(rf.flight, 2, row)
         expected = [e + sum(map(agg.to_units, masses[g:12:4])) for g, e in enumerate(expected)]
         assert gas_sums(accumulator.carriers["AA"]) == expected
         assert accumulator.carriers["AA"].computed == i + 1
@@ -607,9 +637,9 @@ def test_pickled_accumulator_holds_no_rows():
     folded: no double of a row is in the pickle."""
     accumulator = agg.RollUpAccumulator()
     masses = [12345.678 + k for k in range(14)]
-    outcome = synthetic_outcome("AA", "X", "Y", 2, masses)
+    rf, row = synthetic_outcome("AA", "X", "Y", 2, masses)
     for _ in range(3):
-        accumulator.add(outcome.resolved.flight, 2, row_of(outcome.result))
+        accumulator.add(rf.flight, 2, row)
     data = pickle.dumps(accumulator)
     assert not any(struct.pack(">d", x) in data for x in masses)
     clone = pickle.loads(data)

@@ -11,9 +11,9 @@ RECORDS = (
     ingest.FlightRecord, ingest.AirframeRecord, ingest.TailEngineRecord,
     ingest.EngineCodeRecord, ingest.EngineLtoFactors, ingest.CcdProfile,
     ingest.RowRejection, ingest.CcdKnot, ingest.Column, ingest.TableSchema,
-    emissions.GasVector, reference.LtoTimes, emissions.Co2eFactors, emissions.EmissionsResult,
+    reference.GasVector, reference.LtoTimes, emissions.Co2eFactors,
     matching.ResolvedFlight, matching.NormalizationRule, matching.FamilyFallback,
-    matching.LookupTables, aggregate.FlightOutcome, aggregate.UnepBaseline,
+    matching.LookupTables, aggregate.UnepBaseline,
     pipeline.LoadedData, pipeline.TailPlan, pipeline.TailCause,
 )
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from aeroemit import cli, emissions, ingest, matching, pipeline
 from aeroemit.config import RunConfig, load_config
 from aeroemit.ingest import AirframeRecord, EngineLtoFactors, FlightRecord, TailEngineRecord
-from conftest import (CFM56_7B27E_RATES, build_corpus, coverage_report, in_shards,
-                      make_b739er_profile, row_of, write_config, write_csv, write_outputs)
+from conftest import (CFM56_7B27E_RATES, bits, build_corpus, coverage_report, in_shards,
+                      make_b739er_profile, write_config, write_csv, write_outputs)
 
 ONTIME_HEADER = ["flight_date", "carrier", "flight_number", "tail_number", "origin",
                  "dest", "air_time_min", "taxi_in_min", "taxi_out_min", "distance_mi"]
@@ -119,10 +119,6 @@ def first_flight_incomplete():
             base._replace(distance_mi=None), base]
 
 
-def bits(value):
-    return value.hex() if isinstance(value, float) else value
-
-
 class TestPlanPathEqualsReference:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(plan_flights(), max_size=40), st.sampled_from(["time", "distance"]),
@@ -140,12 +136,11 @@ class TestPlanPathEqualsReference:
         outcomes = pipeline.compute_outcomes(
             resolved, pipeline.LoadedData(flights, tables, {}), cfg)
         run, validate = pipeline.TailPlans(tables, cfg), pipeline.TailPlans(tables, cfg)
-        for flight, rf, outcome in zip(flights, resolved, outcomes):
+        for flight, rf, (computed, expected) in zip(flights, resolved, outcomes):
             plan, cause, row = run.compute(flight)
-            assert cause == outcome.resolved.incomputable_cause
+            assert cause == computed.incomputable_cause
             assert plan.flags == tuple(sorted(rf.provenance))
             assert plan.seats == (rf.seat_count or 0)
-            expected = row_of(outcome.result)
             assert (row is None) == (expected is None)
             if row is not None:
                 assert list(map(bits, row)) == list(map(bits, expected))
@@ -177,9 +172,10 @@ class TestPlanPathEqualsReference:
         cfg = RunConfig(*(Path("unused.csv"),) * 6)
         flight = first_flight_incomplete()[-1]
         rf = matching.resolve_flight(flight, tables)
-        (outcome,) = pipeline.compute_outcomes([rf], pipeline.LoadedData([], tables, {}), cfg)
+        ((computed, _),) = pipeline.compute_outcomes([rf], pipeline.LoadedData([], tables, {}),
+                                                     cfg)
         plan, cause, row = pipeline.TailPlans(tables, cfg).compute(flight)
-        assert (cause, row) == (outcome.resolved.incomputable_cause, None)
+        assert (cause, row) == (computed.incomputable_cause, None)
         assert cause == matching.NONFINITE_EMISSIONS
 
     def test_unknown_and_blank_tails_add_no_entry(self):

@@ -6,8 +6,10 @@ A schema lists the table's columns, each with a converter that raises
 ValueError, a record builder that may raise it too or a grouping step for
 long-form tables, and may add a primary key and an optional trailing column.
 The flight table adds a kernel that reads most rows whole; a row it cannot
-settle goes through the columns, which stay the one definition of what is
-accepted and of every rejection message.
+settle goes through the columns. The ICAO table adds one that reads the whole
+table a column at a time, in chunks of whole engines; a table with any row it
+cannot settle is read again through the columns. The columns stay the one
+definition of what is accepted and of every rejection message.
 `read_table(schema, path)` reads every table and rejects a malformed row
 (wrong arity, bytes that are not UTF-8, an oversized field, a refused value)
 with the file line it starts on and the reason; only a missing or unreadable
@@ -277,7 +279,12 @@ class TableSchema(NamedTuple):
     column) are dropped. A flat table may set `kernel`, which reads a row of
     the table's own columns whole: it gives the record the columns and
     `build` would give, which holds the row's values in column order, or
-    None (or raises ValueError) to send the row through the columns.
+    None (or raises ValueError) to send the row through the columns. A
+    long-form table may set `kernel` to read the table whole: given the csv
+    reader of the rows after a header of its own columns, it gives the
+    records `group` would give, and the count of rows they hold, when the
+    columns accept every row and `group` every record; else None, and
+    `read_table` reads the table again through the columns.
     """
     table: str
     columns: tuple[Column, ...]
@@ -287,7 +294,7 @@ class TableSchema(NamedTuple):
     key: tuple[str, ...] = ()
     repeat_fatal: bool = True  # a repeated key aborts the parse, else rejects the row
     optional: Column | None = None  # trailing column a file may add
-    kernel: Callable[[list[str]], Any] | None = None
+    kernel: Callable[[Any], Any] | None = None  # a row's or, long-form, the table's
 
     @property
     def header(self) -> list[str]:
@@ -341,6 +348,34 @@ def row_spans(path: str | Path, parts: int) -> list[tuple[int, int, int | None]]
     return [*spans, (start, first, None)]
 
 
+def _read_error(path: Path, exc: OSError) -> IngestError:
+    return IngestError(f"{path}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def _rows(schema: TableSchema, path: Path, start: int = 0, lines: int | None = None,
+          ) -> Iterator[tuple[tuple[Column, ...], Any]]:
+    """The columns the header names and a csv reader of the rows after it,
+    from byte `start` (a row's first byte; past 0 there is no header and the
+    schema's own columns are given) for `lines` lines, or to the end."""
+    if not path.is_file():
+        raise IngestError(f"input file not found: {path}")
+    with contextlib.ExitStack() as files:
+        try:
+            raw = files.enter_context(open(path, "rb"))
+            raw.seek(start)
+            fh = files.enter_context(io.TextIOWrapper(
+                raw, encoding="utf-8" if start else "utf-8-sig", errors="surrogateescape",
+                newline=""))
+            reader = csv.reader(itertools.islice(fh, lines))
+            header = None if start else next(reader, None)
+        except csv.Error as exc:
+            header = str(exc)
+        except OSError as exc:
+            raise _read_error(path, exc) from None
+        yield schema.columns if start else schema.columns_for(path, header), reader
+
+
 @contextlib.contextmanager
 def stream_table(schema: TableSchema, path: str | Path,
                  span: tuple[int, int, int | None] | None = None,
@@ -358,23 +393,8 @@ def stream_table(schema: TableSchema, path: str | Path,
     a character of its first row.
     """
     path = Path(path)
-    if not path.is_file():
-        raise IngestError(f"input file not found: {path}")
     start, lines_before, lines = span or (0, 0, None)
-    with contextlib.ExitStack() as files:
-        try:
-            raw = files.enter_context(open(path, "rb"))
-            raw.seek(start)
-            fh = files.enter_context(io.TextIOWrapper(
-                raw, encoding="utf-8" if start else "utf-8-sig", errors="surrogateescape",
-                newline=""))
-            reader = csv.reader(itertools.islice(fh, lines))
-            header = None if start else next(reader, None)
-        except csv.Error as exc:
-            header = str(exc)
-        except OSError as exc:
-            raise IngestError(f"{path}: {exc.strerror or exc}") from None
-        columns = schema.columns if start else schema.columns_for(path, header)
+    with _rows(schema, path, start, lines) as (columns, reader):
         report = IngestReport(schema.table)
         yield _accepted(schema, path, columns, reader, lines_before, report), report
 
@@ -387,7 +407,7 @@ def _accepted(schema: TableSchema, path: Path, columns: tuple[Column, ...], read
     key_of = itemgetter(*key_at) if key_at else None
     seen: set = set()
     build = schema.build
-    kernel = schema.kernel if columns is schema.columns else None
+    kernel = schema.kernel if build is not None and columns is schema.columns else None
     while True:
         line = lines_before + reader.line_num + 1
         try:
@@ -421,13 +441,25 @@ def _accepted(schema: TableSchema, path: Path, columns: tuple[Column, ...], read
             report.reject(line, str(exc))
             continue
         except OSError as exc:
-            raise IngestError(f"{path}: {exc.strerror or exc}") from None
+            raise _read_error(path, exc) from None
         report.accepted += 1
         yield record
 
 
 def read_table(schema: TableSchema, path: str | Path) -> tuple[list, IngestReport]:
-    """Parse one table; a rejection gives the file line its row starts on."""
+    """Parse one table; a rejection gives the file line its row starts on.
+    A long-form table's kernel reads it first; if the kernel gives up, the
+    table is read again from its start through the columns."""
+    path = Path(path)
+    if schema.group is not None and schema.kernel is not None:
+        with _rows(schema, path) as (columns, reader):
+            try:
+                settled = schema.kernel(reader) if columns is schema.columns else None
+            except OSError as exc:
+                raise _read_error(path, exc) from None
+        if settled is not None:
+            records, count = settled
+            return records, IngestReport(schema.table, count)
     with stream_table(schema, path) as (accepted, report):
         records = (list(accepted) if schema.build is not None
                    else _grouped(schema, accepted, report))
@@ -541,10 +573,55 @@ def _flight_row(row: list[str]) -> FlightRecord | None:
                                         origin, dest, air, taxi_in, taxi_out, distance))
 
 
+# An engine's 16 rate keys, each one shared tuple of the GASES and MODES strings.
+_RATE_KEYS = {(gas, mode): (gas, mode) for gas in GASES for mode in MODES}
+_ENGINE_CHUNK = 64 * 16  # rows `_engine_table` reads at a time: whole engines
+
+
 def _engine_factors(uid: str, rows: list[list]) -> EngineLtoFactors:
     if len(rows) != 16:  # the key makes every (gas, mode) cell distinct
         raise ValueError(f"engine {uid} incomplete: {len(rows)}/16 rates")
-    return EngineLtoFactors(uid, {(gas, mode): rate for _, gas, mode, rate in rows})
+    return EngineLtoFactors(uid, {_RATE_KEYS[gas, mode]: rate for _, gas, mode, rate in rows})
+
+
+def _engine_table(reader: Iterator[list[str]]) -> tuple[list[EngineLtoFactors], int] | None:
+    """The ICAO table's kernel: the records, and the count of rows, that the
+    columns and `_grouped` make of a table whose every row they accept and
+    whose every UID is one run of 16 rows; else None. It reads the rows in
+    chunks of whole engines, each chunk freed before the next is read."""
+    records: list[EngineLtoFactors] = []
+    try:
+        for engines in map(_engines, iter(lambda: list(itertools.islice(reader, _ENGINE_CHUNK)),
+                                           [])):
+            if engines is None:
+                return None
+            records += engines
+    except (csv.Error, ValueError, KeyError, OverflowError):  # the columns give the reason
+        return None
+    if len({engine.engine_uid for engine in records}) != len(records):  # a UID in two runs
+        return None
+    records.sort(key=itemgetter(0))
+    return records, 16 * len(records)
+
+
+def _engines(chunk: list[list[str]]) -> list[EngineLtoFactors] | None:
+    """The engines of `chunk`, rows of the table from a multiple of 16 on,
+    settled a column at a time: each row has 4 cells; each run of 16 rows
+    has one UID, non-empty ASCII; a (gas, mode) is one of `_RATE_KEYS` and
+    repeats in no run; a rate is `float` of its cell plus 0.0 (as `number`
+    makes -0 +0.0), in [0, inf) and no NaN (their `math.fsum` is finite).
+    Else None, or a ValueError, KeyError or OverflowError."""
+    uids, gases, modes, cells = zip(*chunk, strict=True)
+    heads = uids[::16]
+    keys = list(map(_RATE_KEYS.__getitem__, zip(gases, modes)))
+    rates = list(map(float.__add__, map(float, cells), itertools.repeat(0.0)))
+    if (any(uids[k::16] != heads for k in range(1, 16))  # also a chunk of 16n rows
+            or "" in heads or not "".join(heads).isascii()
+            or len(set(zip(uids, keys))) != len(uids)
+            or not (math.isfinite(math.fsum(rates)) and min(rates) >= 0.0)):
+        return None
+    return [EngineLtoFactors(uid, dict(zip(keys[i:i + 16], rates[i:i + 16])))
+            for uid, i in zip(heads, range(0, len(uids), 16))]
 
 
 def _ccd_profile(canonical_type: str, rows: list[list]) -> CcdProfile:
@@ -571,7 +648,7 @@ ICAO_ENGINES_TABLE = TableSchema(
     "icao_engines",
     (shared(text("engine_uid")), shared(choice("gas", GASES)), shared(choice("mode", MODES)),
      number("rate_kg_per_s", 0.0)),
-    group=_engine_factors,
+    group=_engine_factors, kernel=_engine_table,
     rows=lambda e: [(e.engine_uid, gas, mode, e.rate_kg_per_s[(gas, mode)])
                     for gas in GASES for mode in MODES],
     key=("engine_uid", "gas", "mode"))

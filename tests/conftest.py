@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from aeroemit import aggregate as agg
 from aeroemit import pipeline
@@ -22,6 +23,13 @@ from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors
 # sums and `_resolve_engines` to `match_engine`.
 settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def pick(draw, options):
+    """One of `options`, drawn as an index, which `st.integers` caches: a
+    `sampled_from` built for each draw costs more than the draw."""
+    return options[draw(st.integers(0, len(options) - 1))]
+
 
 # CFM56-7B27E LTO emission rates, kg/s.
 CFM56_7B27E_RATES = {

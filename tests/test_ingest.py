@@ -6,6 +6,7 @@ import io
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aeroemit import aggregate as agg
-from aeroemit import ingest, matching
-from conftest import B739ER_CCD_KNOTS, CFM56_7B27E_RATES, icao_rows, write_csv
+from aeroemit import cli, ingest, matching
+from conftest import B739ER_CCD_KNOTS, CFM56_7B27E_RATES, icao_rows, pick, write_csv
 
 ONTIME_HEADER = ingest.ONTIME_TABLE.header
 
@@ -406,12 +407,10 @@ def test_report_keeps_the_first_rejections_and_counts_all():
                                 for line in range(2, 22)]
 
 
-@pytest.mark.parametrize("lines_read", [0, 2], ids=["header", "row"])
-def test_read_error_names_the_table(tmp_path, monkeypatch, lines_read):
-    """An OSError while the header or a row is read, as a failing disk gives
-    it, raises IngestError naming the table."""
-    path = ontime_file(tmp_path, [GOLDEN_ROW] * 3)
-    readable = len(b"".join(path.read_bytes().splitlines(keepends=True)[:lines_read]))
+def fail_reads_after(monkeypatch, path, lines):
+    """Make every read of `path` past its first `lines` lines fail with EIO,
+    as a failing disk does."""
+    readable = len(b"".join(path.read_bytes().splitlines(keepends=True)[:lines]))
 
     class Failing(io.FileIO):
         def readinto(self, buffer):
@@ -421,8 +420,27 @@ def test_read_error_names_the_table(tmp_path, monkeypatch, lines_read):
     real_open = open
     monkeypatch.setattr(builtins, "open", lambda file, *args, **kwargs: (
         io.BufferedReader(Failing(file)) if file == path else real_open(file, *args, **kwargs)))
+
+
+@pytest.mark.parametrize("lines_read", [0, 2], ids=["header", "row"])
+def test_read_error_names_the_table(tmp_path, monkeypatch, lines_read):
+    """An OSError while the header or a row is read, as a failing disk gives
+    it, raises IngestError naming the table."""
+    path = ontime_file(tmp_path, [GOLDEN_ROW] * 3)
+    fail_reads_after(monkeypatch, path, lines_read)
     with pytest.raises(ingest.IngestError) as raised:
         ingest.read_table(ingest.ONTIME_TABLE, path)
+    assert str(raised.value) == f"{path}: {os.strerror(errno.EIO)}"
+
+
+def test_read_error_in_the_databank_kernel_names_the_table(tmp_path, monkeypatch):
+    """An OSError while the ICAO kernel reads the rows raises IngestError
+    naming the table, as the columns' read does."""
+    path = tmp_path / "icao.csv"
+    write_csv(path, ingest.ICAO_ENGINES_TABLE.header, icao_rows("E1", CFM56_7B27E_RATES))
+    fail_reads_after(monkeypatch, path, 2)
+    with pytest.raises(ingest.IngestError) as raised:
+        ingest.read_table(ingest.ICAO_ENGINES_TABLE, path)
     assert str(raised.value) == f"{path}: {os.strerror(errno.EIO)}"
 
 
@@ -565,20 +583,26 @@ KERNEL_DATES = st.sampled_from(
      " 2021-09-01", "", "0000-01-01"])
 
 
+# Each flight cell: a plain good one, or one of its grammar. Drawing a
+# boolean, then the grammar, costs less than a `one_of` of the two, which
+# Hypothesis builds a strategy for at each draw.
+KERNEL_CELLS = (("2021-09-01", KERNEL_DATES), ("DL", KERNEL_CODES), ("2441", st.just("")),
+                ("N1", st.just("")), ("PHL", KERNEL_CODES), ("ATL", KERNEL_CODES),
+                *[("124.5", KERNEL_NUMBERS)] * 4)
+
+
+def good_or(draw, good, grammar):
+    return good if draw(st.booleans()) else draw(grammar)
+
+
 @st.composite
 def kernel_rows(draw):
     """A flight row from a cell grammar: good and bad dates, blank, equal and
     odd codes, and numbers that are blank, signed zeros, not finite, beyond
     a double, padded or written with an underscore; any arity. Each cell is
     a plain good one half the time, so that many rows are accepted."""
-    def cell(good, grammar):
-        return draw(st.one_of(st.just(good), grammar))
-    row = [cell("2021-09-01", KERNEL_DATES), cell("DL", KERNEL_CODES),
-           draw(st.sampled_from(["", "2441"])), draw(st.sampled_from(["", "N1"])),
-           cell("PHL", KERNEL_CODES), cell("ATL", KERNEL_CODES),
-           *(cell("124.5", KERNEL_NUMBERS) for _ in range(4))]
-    arity = draw(st.one_of(st.just(10), st.integers(0, 12)))
-    return (row + row)[:arity]
+    row = [good_or(draw, good, grammar) for good, grammar in KERNEL_CELLS]
+    return (row + row)[:good_or(draw, 10, st.integers(0, 12))]
 
 
 KERNEL_EXAMPLES = [
@@ -613,35 +637,221 @@ def test_flight_kernel_builds_what_the_columns_build(row):
         assert list(map(repr, record)) == list(map(repr, expected))
 
 
-@given(st.lists(kernel_rows(), max_size=12))
-@example(KERNEL_EXAMPLES)
-def test_flight_table_reads_as_without_its_kernel(rows):
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    """One file, which a property test rewrites for each example."""
+    return tmp_path_factory.mktemp("table") / "table.csv"
+
+
+@given(rows=st.lists(kernel_rows(), max_size=12))
+@example(rows=KERNEL_EXAMPLES)
+def test_flight_table_reads_as_without_its_kernel(table_path, rows):
     """The table of `rows` reads, records, report and every rejection with
     its line and reason, as it does through the columns alone."""
-    def outcome(schema, path):
-        records, report = ingest.read_table(schema, path)
+    def outcome(schema):
+        records, report = ingest.read_table(schema, table_path)
         return [list(map(repr, r)) for r in records], report
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "ontime.csv"
-        write_csv(path, ingest.ONTIME_TABLE.header, rows)
-        assert outcome(ingest.ONTIME_TABLE, path) \
-            == outcome(ingest.ONTIME_TABLE._replace(kernel=None), path)
+    write_csv(table_path, ingest.ONTIME_TABLE.header, rows)
+    assert outcome(ingest.ONTIME_TABLE) == outcome(ingest.ONTIME_TABLE._replace(kernel=None))
 
 
-def test_every_clean_row_takes_the_kernel(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def perfbench_synth():
+    """The benchmark's corpus generator, `perfbench/synth.py`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import synth
+    return synth
+
+
+def kernel_outcomes(schema):
+    """`schema` whose kernel also appends what it returns to the list given."""
+    outcomes = []
+
+    def recording(rows):
+        outcomes.append(schema.kernel(rows))
+        return outcomes[-1]
+    return schema._replace(kernel=recording), outcomes
+
+
+def test_every_clean_row_takes_the_kernel(perfbench_synth, tmp_path):
     """On a clean generated bulk-run corpus the kernel settles every row, so
     none pays for the columns and no kernel is dead code."""
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-    import synth
-    corpus = synth.generate("bulk-run", 7, tmp_path)
-    settled = 0
-    schema = ingest.ONTIME_TABLE
-
-    def counting(row):
-        nonlocal settled
-        record = schema.kernel(row)
-        settled += record is not None
-        return record
-    path = corpus.config.parent / f"{schema.table}.csv"
-    records, report = ingest.read_table(schema._replace(kernel=counting), path)
+    corpus = perfbench_synth.generate("bulk-run", 7, tmp_path)
+    schema, outcomes = kernel_outcomes(ingest.ONTIME_TABLE)
+    records, report = ingest.read_table(schema, corpus.table_paths["ontime"])
+    settled = sum(record is not None for record in outcomes)
     assert report.rejected == 0 and settled == report.accepted == len(records) > 0
+
+
+# --- the ICAO table's kernel against its columns ---
+
+def engine_rows(uid, rate="0.5"):
+    """An engine's 16 rows, each rate `rate`."""
+    return [[uid, gas, mode, rate] for gas in ingest.GASES for mode in ingest.MODES]
+
+
+# Cells of each ICAO column, good and bad. "E\udcff" is written as the byte
+# 0xff, which is not UTF-8; "\ufeffE1" holds a byte-order mark.
+ICAO_UIDS = ["E1", "E2", "E3", "", "\u00c91", "E,1", "E\n1", "E\udcff", "\ufeffE1"]
+ICAO_GASES = [*ingest.GASES, "SO2", "co2", ""]
+ICAO_MODES = [*ingest.MODES, "CRUISE", "idle"]
+ICAO_RATES = ["0.5", "0", "-0", "-0.0", " 7.5 ", "1_0", "1e-320", "1e308", "nan", "-nan",
+              "inf", "1e400", "-1", "x", ""]
+ICAO_CELLS = (ICAO_UIDS, ICAO_GASES, ICAO_MODES, ICAO_RATES)
+# Each UID and rate is a plain good one half the time, so that many tables
+# are clean.
+ICAO_ENGINE_UIDS = st.lists(st.one_of(st.sampled_from(ICAO_UIDS[:3]), st.sampled_from(ICAO_UIDS)),
+                            min_size=1, max_size=4, unique=True)
+ICAO_RATE_POOL = st.lists(st.one_of(st.floats(min_value=0.0, allow_infinity=False).map(repr),
+                                    st.sampled_from(ICAO_RATES)),
+                          min_size=1, max_size=4)
+ICAO_EDITS = st.one_of(st.just(0), st.integers(0, 3))
+NEWLINES = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@st.composite
+def icao_tables(draw):
+    """An ICAO table: its rows, line end and whether a byte-order mark leads
+    it. One to four engines of 16 rows, their rates picked from a pool of 1
+    to 4 cells drawn per example, then up to three edits, none half the
+    time: a cell from its column's grammar, a row dropped, repeated or moved
+    (a UID with 15 or 17 rows, a duplicate key, a UID in two runs), or a
+    cell added or dropped."""
+    pool = draw(ICAO_RATE_POOL)
+    rows = [[uid, gas, mode, pick(draw, pool)]
+            for uid in draw(ICAO_ENGINE_UIDS) for gas in ingest.GASES for mode in ingest.MODES]
+    for _ in range(draw(ICAO_EDITS) if rows else 0):
+        kind, at = draw(st.integers(0, 5)), draw(st.integers(0, len(rows) - 1))
+        if kind == 0:
+            column = draw(st.integers(0, 3))
+            rows[at][column % len(rows[at])] = pick(draw, ICAO_CELLS[column])
+        elif kind == 1 and len(rows) > 1:
+            del rows[at]
+        elif kind in (2, 3):
+            row = rows[at] if kind == 2 else rows.pop(at)
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+        elif kind == 4:
+            rows[at].append(pick(draw, ICAO_RATES))
+        elif kind == 5 and rows[at]:
+            rows[at].pop()
+    return rows, draw(NEWLINES), draw(st.booleans())
+
+
+def write_icao(path, rows, newline, bom):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=newline)
+    writer.writerow(ingest.ICAO_ENGINES_TABLE.header)
+    writer.writerows(rows)
+    path.write_bytes(b"\xef\xbb\xbf" * bom + buffer.getvalue().encode("utf-8", "surrogateescape"))
+
+
+E1, E2 = engine_rows("E1"), engine_rows("E2")
+ICAO_EXAMPLES = {
+    "3 cells": ([*E1[:3], E1[3][:3], *E1[4:]], "\r\n", False),
+    "5 cells": ([*E1[:4], E1[4] + ["0.5"], *E1[5:]], "\r\n", False),
+    "empty UID": (engine_rows(""), "\r\n", False),
+    "unknown gas": ([*E1[:5], ["E1", "SO2", "IDLE", "1"], *E1[6:]], "\r\n", False),
+    "unknown mode": ([*E1[:5], ["E1", "HC", "CRUISE", "1"], *E1[6:]], "\r\n", False),
+    "signed zero, underscore, padding": (
+        engine_rows("E1", "-0") + engine_rows("E2", "1_0") + engine_rows("E3", " 7.5 "),
+        "\r\n", False),
+    "nan": (E1 + engine_rows("E2", "nan"), "\r\n", False),
+    "inf": (E1 + engine_rows("E2", "inf"), "\r\n", False),
+    "beyond a double": ([*E1[:15], ["E1", "NOX", "IDLE", "1e400"]], "\r\n", False),
+    "finite, with an infinite sum": (engine_rows("E1", "1e308"), "\r\n", False),
+    "negative": ([*E1[:15], ["E1", "NOX", "IDLE", "-1"]], "\r\n", False),
+    "duplicate key": (E1 + [E1[0]], "\r\n", False),
+    "duplicate key in 16 rows": (E1[:15] + [E1[0]], "\r\n", False),
+    "15 rows": (E1[1:] + E2, "\r\n", False),
+    "17 rows": (E1 + [["E1", "SO2", "IDLE", "1"]] + E2, "\r\n", False),
+    "two runs": (E1[:8] + E2 + E1[8:], "\r\n", False),
+    "two runs of 16": (E1 + E2 + E1, "\r\n", False),
+    "two runs, 65 engines apart": (
+        [row for i in [*range(65), 0] for row in engine_rows(f"E{i:02d}")], "\r\n", False),
+    "a cell beyond the csv field limit": (
+        [*E1[:15], ["E1", "NOX", "IDLE", "1" * (csv.field_size_limit() + 1)]], "\r\n", False),
+    "not UTF-8": (engine_rows("E\udcff"), "\r\n", False),
+    "byte-order marks": (engine_rows("\ufeffE1") + E2, "\r\n", True),
+    "lone CR, quoted comma and line break": (
+        engine_rows("E,1") + engine_rows("E\n1"), "\r", False),
+    "LF, quoted comma and line break": (engine_rows("E,1") + engine_rows("E\n1"), "\n", False),
+    "empty": ([], "\r\n", False),
+}
+
+
+def icao_outcome(schema, path):
+    """The ICAO table as read: each record's UID and rates, the keys in order
+    and by identity, the rates by `repr` (which shows a zero's sign), and the
+    report; or the fatal error's type and text."""
+    try:
+        records, report = ingest.read_table(schema, path)
+    except ingest.IngestError as exc:
+        return type(exc), str(exc)
+    assert all(type(r) is ingest.EngineLtoFactors for r in records)
+    return [(r.engine_uid, [(key, id(key), repr(rate)) for key, rate in r.rate_kg_per_s.items()])
+            for r in records], report
+
+
+def with_icao_examples(test):
+    for table in ICAO_EXAMPLES.values():
+        test = example(table=table)(test)
+    return test
+
+
+@given(table=icao_tables())
+@with_icao_examples
+def test_icao_table_reads_as_without_its_kernel(table_path, table):
+    """The ICAO table reads, records, report, every rejection with its line
+    and reason and a duplicate key's error, as it does through the columns
+    alone; the records of either path share the 16 rate keys."""
+    write_icao(table_path, *table)
+    assert (icao_outcome(ingest.ICAO_ENGINES_TABLE, table_path)
+            == icao_outcome(ingest.ICAO_ENGINES_TABLE._replace(kernel=None), table_path))
+
+
+@pytest.fixture(scope="module")
+def registry_heavy_databank(perfbench_synth, tmp_path_factory):
+    """The ICAO table of the generated registry-heavy corpus: 800 engines,
+    12,800 rows."""
+    corpus = perfbench_synth.generate("registry-heavy", 7, tmp_path_factory.mktemp("heavy"))
+    return corpus.table_paths["icao_engines"]
+
+
+def test_clean_databank_takes_the_table_kernel(registry_heavy_databank):
+    """On the clean generated registry-heavy corpus the kernel settles the
+    whole ICAO table, so no row pays for the columns."""
+    schema, outcomes = kernel_outcomes(ingest.ICAO_ENGINES_TABLE)
+    records, report = ingest.read_table(schema, registry_heavy_databank)
+    assert len(outcomes) == 1 and outcomes[0] is not None
+    assert report.rejected == 0 and report.accepted == 16 * len(records) == 12800
+
+
+def test_dirty_databank_falls_back_to_the_columns(perfbench_synth, tmp_path, monkeypatch,
+                                                 capsys):
+    """The validate-dirty ICAO table, with planted rejections and a NaN
+    engine, leaves the kernel for the columns: `validate` prints what it
+    prints through the columns alone."""
+    corpus = perfbench_synth.generate("validate-dirty", 7, tmp_path)
+    schema, outcomes = kernel_outcomes(ingest.ICAO_ENGINES_TABLE)
+    printed = []
+    for table in (schema, ingest.ICAO_ENGINES_TABLE._replace(kernel=None)):
+        monkeypatch.setattr(ingest, "ICAO_ENGINES_TABLE", table)
+        assert cli.main(["validate", "--config", str(corpus.setup_config)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert outcomes == [None]
+    assert "icao_engines" in printed[0] and printed[0] == printed[1]
+
+
+def test_databank_read_peaks_no_higher_than_the_columns(registry_heavy_databank):
+    """The kernel reads in chunks, so reading a 12,800-row table peaks at no
+    more memory than the columns' read does."""
+    peaks = []
+    for schema in (ingest.ICAO_ENGINES_TABLE, ingest.ICAO_ENGINES_TABLE._replace(kernel=None)):
+        tracemalloc.start()
+        try:
+            ingest.read_table(schema, registry_heavy_databank)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]

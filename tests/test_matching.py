@@ -12,7 +12,7 @@ from aeroemit.ingest import (
     FlightRecord,
     TailEngineRecord,
 )
-from conftest import CFM56_7B27E_RATES, write_csv
+from conftest import CFM56_7B27E_RATES, pick, write_csv
 
 import datetime
 
@@ -387,45 +387,43 @@ def reference_tables(airframes, registry, codes, databank, rules_rows, threshold
 
 TOKENS = ["CFM56", "7B27E", "7B26", "PW", "4060", "V2500", "A5", "x1"]
 SEPARATORS = ["-", " ", "/", "--", " - "]
-
-
-@st.composite
-def designations(draw):
-    parts = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3))
-    return draw(st.sampled_from(SEPARATORS)).join(parts)
+# The strategies are built once: one built for each draw cost more than the draw.
+DESIGNATIONS = st.builds(str.join, st.sampled_from(SEPARATORS),
+                         st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3))
+UIDS = st.lists(st.one_of(DESIGNATIONS, st.sampled_from(["-", "--/", " "])), max_size=8)
+TAIL_COUNTS = st.integers(1, 12)
+RAW_TYPES = ["RAW-A", "RAW-B", "RAW-C"]
 
 
 @st.composite
 def matching_inputs(draw):
-    uids = draw(st.lists(st.one_of(designations(), st.sampled_from(["-", "--/", " "])),
-                         min_size=0, max_size=8))
-    tails = [f"N{i}" for i in range(draw(st.integers(1, 12)))]
-    raw_types = ["RAW-A", "RAW-B", "RAW-C"]
-    airframes = [AirframeRecord(t, draw(st.sampled_from(raw_types)), 150, 2) for t in tails]
+    uids = draw(UIDS)
+    tails = [f"N{i}" for i in range(draw(TAIL_COUNTS))]
+    airframes = [AirframeRecord(t, pick(draw, RAW_TYPES), 150, 2) for t in tails]
 
     def spelled(uid):
         # a UID as the registry may spell it: another case or other punctuation
-        return draw(st.sampled_from([uid, uid.lower(), uid.replace("-", " "),
-                                     f" {uid}/", uid.replace("-", "--").title()]))
+        return pick(draw, [uid, uid.lower(), uid.replace("-", " "), f" {uid}/",
+                           uid.replace("-", "--").title()])
 
     codes = [EngineCodeRecord(f"C{i}", spelled(uid) if draw(st.booleans())
-                              else draw(designations()))
+                              else draw(DESIGNATIONS))
              for i, uid in enumerate(uids)]
 
     def registry_designation():
-        kind = draw(st.sampled_from(["uid", "code", "other"] if uids else ["other"]))
+        kind = pick(draw, ["uid", "code", "other"] if uids else ["other"])
         if kind == "uid":
-            return spelled(draw(st.sampled_from(uids)))
+            return spelled(pick(draw, uids))
         if kind == "code":
-            return draw(st.sampled_from(codes)).faa_code
-        return draw(designations())
+            return pick(draw, codes).faa_code
+        return draw(DESIGNATIONS)
 
     registry = [TailEngineRecord(t, registry_designation())
                 for t in tails if draw(st.integers(0, 5))]
     return dict(airframes=airframes, registry=registry, codes=codes,
                 databank=[engine(uid) for uid in uids],
                 rules_rows=[("RAW-A", "TA"), ("RAW-B", "TB")],
-                threshold=draw(st.sampled_from([0.0, 0.5, 1.0])))
+                threshold=pick(draw, [0.0, 0.5, 1.0]))
 
 
 class TestEngineResolutionEquivalence:
@@ -438,7 +436,7 @@ class TestEngineResolutionEquivalence:
         assert set(tables.engine_by_tail) <= set(engines)
         assert tables.popular_engine == popular
 
-    @given(matching_inputs(), designations())
+    @given(matching_inputs(), DESIGNATIONS)
     def test_match_engine_equals_brute_force(self, inputs, designation):
         bank, threshold = inputs["databank"], inputs["threshold"]
         assert (matching.match_engine(designation, bank, threshold)
@@ -448,8 +446,8 @@ class TestEngineResolutionEquivalence:
     @example(uids=["-", "A", " "], queries=["--", ""], threshold=0.5)  # no token at all
     @example(uids=["A", "B"], queries=["/"], threshold=0.0)  # no token, threshold 0
     @example(uids=["A B", "A-B", "B"], queries=["b a", "A C"], threshold=1e-9)  # ties
-    @given(st.lists(st.one_of(designations(), st.sampled_from(["-", "--/", " "])), max_size=8),
-           st.lists(st.one_of(designations(), st.sampled_from(["", "-", "--/", " "])),
+    @given(UIDS,
+           st.lists(st.one_of(DESIGNATIONS, st.sampled_from(["", "-", "--/", " "])),
                     min_size=1, max_size=8),
            st.sampled_from([0.0, 5e-324, 1e-9, 0.5, 1.0]) | st.floats(0.0, 0.1))
     def test_indexed_candidates_equal_full_scan(self, uids, queries, threshold):

@@ -6,14 +6,15 @@ Run from the root of a source checkout. The script generates the inputs with
 the bulk-run shape of perfbench/synth.py scaled to --flights rows, runs
 ``python -m aeroemit.cli run`` on them --runs times, checks every run's output
 files with perfbench/checks.py, and prints one JSON object: the flight count,
-the median wall_s, flights_per_s and peak_rss_mb, the outputs' digest and
-any problems found. After each run it also runs the corpus's ``setup.cfg``,
-the same reference tables with a one-row flight table, as perfbench does:
-setup_s, that run's median wall time, is what every invocation pays before
-its first flight. --src picks the package sources to run (default ./src),
-so two checkouts can be measured on the same generated inputs. One untimed
-run comes first and writes the bytecode cache of the sources, so no timed
-run compiles them.
+the median wall_s, flights_per_s and peak_rss_mb, the outputs' digest (a
+sorted list of them if the runs' outputs differ, which is a problem too) and
+any problems found; a problem makes the exit code 1. After each run it also
+runs the corpus's ``setup.cfg``, the same reference tables with a one-row
+flight table, as perfbench does: setup_s, that run's median wall time, is
+what every invocation pays before its first flight. --src picks the package
+sources to run (default ./src), so two checkouts can be measured on the same
+generated inputs. One untimed run comes first and writes the bytecode cache
+of the sources, so no timed run compiles them.
 
 Each run is started by a small launcher process. On Linux a child's max RSS,
 as wait4 reports it, is at least its parent's resident set at the time of
@@ -84,6 +85,8 @@ def measure(src: Path, flights: int, seed: int, runs: int, work: Path) -> dict:
             digests.add(checks.digest_files(outdir))
         setup_samples.append(launch(corpus.setup_config, corpus.config.parent / "out_setup",
                                     corpus.setup_expected))
+    if len(digests) > 1:
+        problems.append(f"the runs' outputs differ: {len(digests)} digests")
     walls = [s["wall_s"] for s in samples]
     return {
         "flights": flights,

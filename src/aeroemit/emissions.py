@@ -4,7 +4,7 @@ All arithmetic is 64-bit floating point. Every function here is pure: the same
 flight and tables always produce bit-identical results. `emissions_row` is the
 per-flight kernel: it takes the flight-independent terms of one tail once
 (`kernel_terms`, made once per engine, multiplier and efficiency factor from
-the rates `EngineLtoFactors.flat_rates` flattens) and keeps the masses in
+`EngineLtoFactors.rates`) and the tail's `CcdProfile`, and keeps the masses in
 local floats. `tests/reference.py` states the method one mode and one knot at
 a time, every multiply and add in the kernel's order, and the tests hold the
 kernel to it bit for bit. `flight_emissions` returns the kernel's row for one
@@ -43,10 +43,10 @@ class Co2eFactors(NamedTuple):
 
 def _interpolate(durations: tuple[float, ...], masses: tuple[tuple[float, ...], ...],
                  x: float) -> tuple[float, float, float, float, str | None]:
-    """Two-point linear interpolation over a profile's `table` at key `x`: the
-    HC, CO2, CO and NOX masses, then the flag. An exact knot gives its masses;
-    below the first knot they run from an implied (0, 0 kg) knot, above the
-    last along the last segment, flagged EXTRAPOLATED_LOW and _HIGH."""
+    """Two-point linear interpolation of `masses` over `durations` at key `x`:
+    the HC, CO2, CO and NOX masses, then the flag. An exact knot gives its
+    masses; below the first knot they run from an implied (0, 0 kg) knot,
+    above the last along the last segment, flagged EXTRAPOLATED_LOW and _HIGH."""
     flag = None
     if x < durations[0]:  # the formula below, from an implied (0, 0 kg) knot
         d0 = durations[0]
@@ -69,14 +69,14 @@ def _interpolate(durations: tuple[float, ...], masses: tuple[tuple[float, ...], 
             flag)
 
 
-# The first index of each gas's four modes in `EngineLtoFactors.flat_rates`.
+# The first index of each gas's four modes in `EngineLtoFactors.rates`.
 _GAS_OFFSETS = (0, 4, 8, 12)
 
 
 def kernel_terms(rates: tuple[float, ...], engine_multiplier: float,
                  efficiency_factor: float, f: Co2eFactors) -> tuple[float, ...]:
     """The flight-independent LTO inputs of `emissions_row` for one engine's
-    `flat_rates`, multiplier, efficiency factor and set of CO2e factors.
+    `rates`, multiplier, efficiency factor and set of CO2e factors.
 
     Per gas, in the order of `split_lto` in `tests/reference.py`: the
     take-off plus climb-out mass, the approach mass, then the idle rate; then
@@ -89,14 +89,14 @@ def kernel_terms(rates: tuple[float, ...], engine_multiplier: float,
             k, efficiency_factor, f.co2, f.co, f.hc, f.nox)
 
 
-def emissions_row(terms: tuple[float, ...], ccd: tuple, seat_count: int | None,
+def emissions_row(terms: tuple[float, ...], ccd: CcdProfile, seat_count: int | None,
                   taxi_in: float | None, taxi_out: float | None,
                   x: float, distance: float) -> tuple | None:
     """One flight's emissions as a flat tuple, None when its total CO2e or its
     CO2 per seat mile is not finite.
 
-    `terms` come from `kernel_terms`, `ccd` is a CCD profile's `table` and
-    `x` its interpolation key (air time or distance). The 22 items: the origin
+    `terms` come from `kernel_terms`, `ccd` is the CCD profile and `x` its
+    interpolation key (air time or distance). The 22 items: the origin
     share [0:4], the destination share [4:8], the LTO mass [8:12] and the CCD
     mass [12:16], each as HC, CO2, CO and NOX; the LTO, CCD and total CO2e
     [16:19]; CO2e per seat [19], CO2 per seat mile [20] and the CCD flag [21].
@@ -120,7 +120,7 @@ def emissions_row(terms: tuple[float, ...], ccd: tuple, seat_count: int | None,
     d_hc, d_co2, d_co, d_nox = ((ap_hc + j_hc) * eff, (ap_co2 + j_co2) * eff,
                                 (ap_co + j_co) * eff, (ap_nox + j_nox) * eff)
     l_hc, l_co2, l_co, l_nox = o_hc + d_hc, o_co2 + d_co2, o_co + d_co, o_nox + d_nox
-    c_hc, c_co2, c_co, c_nox, flag = _interpolate(*ccd, x)
+    c_hc, c_co2, c_co, c_nox, flag = _interpolate(ccd.durations, ccd.masses, x)
     c_hc, c_co2, c_co, c_nox = c_hc * eff, c_co2 * eff, c_co * eff, c_nox * eff
     lto_co2e = l_co2 * f_co2 + f_co * l_co + f_hc * l_hc + f_nox * l_nox  # reference co2e's order
     ccd_co2e = c_co2 * f_co2 + f_co * c_co + f_hc * c_hc + f_nox * c_nox
@@ -155,8 +155,7 @@ def flight_emissions(rf: ResolvedFlight,
         return None
     flight = rf.flight
     return emissions_row(
-        kernel_terms(factors.flat_rates, engine_multiplier, rf.efficiency_factor,
-                     co2e_factors),
-        profile.table, rf.seat_count, flight.taxi_in_min, flight.taxi_out_min,
+        kernel_terms(factors.rates, engine_multiplier, rf.efficiency_factor, co2e_factors),
+        profile, rf.seat_count, flight.taxi_in_min, flight.taxi_out_min,
         flight.air_time_min if interpolation_key == "time" else flight.distance_mi,
         flight.distance_mi)

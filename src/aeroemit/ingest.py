@@ -35,12 +35,14 @@ import itertools
 import math
 import os
 import re
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 GASES = ("HC", "CO2", "CO", "NOX")
 MODES = ("TAKEOFF", "CLIMBOUT", "APPROACH", "IDLE")
+# Each (gas, mode)'s index in `EngineLtoFactors.rates`: the four MODES of each gas in GASES order.
+_RATE_INDEX = {key: i for i, key in enumerate(itertools.product(GASES, MODES))}
 REJECTIONS_KEPT = 20  # per IngestReport: all that `validate` prints
 
 
@@ -118,33 +120,17 @@ class Record:
 
 class EngineLtoFactors(NamedTuple):
     engine_uid: str
-    rate_kg_per_s: dict[tuple[str, str], float]
+    rates: tuple[float, ...]  # kg/s, in `_RATE_INDEX` order
 
     def rate(self, gas: str, mode: str) -> float:
-        return self.rate_kg_per_s[(gas, mode)]
-
-    @property
-    def flat_rates(self) -> tuple[float, ...]:
-        """The 16 rates flat, the four MODES of each gas in GASES order."""
-        return tuple(self.rate_kg_per_s[(gas, mode)] for gas in GASES for mode in MODES)
-
-
-class CcdKnot(NamedTuple):
-    duration_min: float
-    emissions_kg: dict[str, float]
-    distance_mi: float | None = None
+        return self.rates[_RATE_INDEX[gas, mode]]
 
 
 class CcdProfile(NamedTuple):
     canonical_type: str
-    knots: tuple[CcdKnot, ...]
-
-    @property
-    def table(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-        """The knots' durations, ascending, and each knot's masses in GASES
-        order: what the interpolation reads."""
-        return (tuple(k.duration_min for k in self.knots),
-                tuple(tuple(k.emissions_kg[gas] for gas in GASES) for k in self.knots))
+    durations: tuple[float, ...]  # each knot's, ascending
+    masses: tuple[tuple[float, float, float, float], ...]  # each knot's, in GASES order
+    distances: tuple[float | None, ...]  # each knot's, None when the table gives none
 
 
 class RowRejection(NamedTuple):
@@ -273,18 +259,19 @@ class TableSchema(NamedTuple):
     A flat table makes one record per row with `build(*values)`, the values
     in column order; a ValueError from `build` rejects the row, and such a
     row adds no key. A long-form table sets `group` instead: the rows sharing
-    their first column make one record, and a ValueError from `group` rejects
-    every one of those rows. `rows` is the inverse of either: the value rows
-    of one record; values beyond the columns written (an absent optional
-    column) are dropped. A flat table may set `kernel`, which reads a row of
-    the table's own columns whole: it gives the record the columns and
-    `build` would give, which holds the row's values in column order, or
-    None (or raises ValueError) to send the row through the columns. A
-    long-form table may set `kernel` to read the table whole: given the csv
-    reader of the rows after a header of its own columns, it gives the
-    records `group` would give, and the count of rows they hold, when the
-    columns accept every row and `group` every record; else None, and
-    `read_table` reads the table again through the columns.
+    their first column make one record, in the form the emissions kernel
+    reads, and a ValueError from `group` rejects every one of those rows.
+    `rows` is the inverse of either: the value rows of one record; values
+    beyond the columns written (an absent optional column) are dropped. A
+    flat table may set `kernel`, which reads a row of the table's own columns
+    whole: it gives the record the columns and `build` would give, which
+    holds the row's values in column order, or None (or raises ValueError)
+    to send the row through the columns. A long-form table may set `kernel`
+    to read the table whole: given the csv reader of the rows after a header
+    of its own columns, it gives the records `group` would give, and the
+    count of rows they hold, when the columns accept every row and `group`
+    every record; else None, and `read_table` reads the table again through
+    the columns.
     """
     table: str
     columns: tuple[Column, ...]
@@ -573,15 +560,22 @@ def _flight_row(row: list[str]) -> FlightRecord | None:
                                         origin, dest, air, taxi_in, taxi_out, distance))
 
 
-# An engine's 16 rate keys, each one shared tuple of the GASES and MODES strings.
-_RATE_KEYS = {(gas, mode): (gas, mode) for gas in GASES for mode in MODES}
 _ENGINE_CHUNK = 64 * 16  # rows `_engine_table` reads at a time: whole engines
+
+
+def _in_rate_order(pairs: Iterable[tuple[int, float]]) -> tuple[float, ...]:
+    """An engine's 16 rates, each given with its `_RATE_INDEX` index, in index order."""
+    rates = [0.0] * 16
+    for index, rate in pairs:
+        rates[index] = rate
+    return tuple(rates)
 
 
 def _engine_factors(uid: str, rows: list[list]) -> EngineLtoFactors:
     if len(rows) != 16:  # the key makes every (gas, mode) cell distinct
         raise ValueError(f"engine {uid} incomplete: {len(rows)}/16 rates")
-    return EngineLtoFactors(uid, {_RATE_KEYS[gas, mode]: rate for _, gas, mode, rate in rows})
+    return EngineLtoFactors(uid, _in_rate_order((_RATE_INDEX[gas, mode], rate)
+                                                for _, gas, mode, rate in rows))
 
 
 def _engine_table(reader: Iterator[list[str]]) -> tuple[list[EngineLtoFactors], int] | None:
@@ -607,29 +601,29 @@ def _engine_table(reader: Iterator[list[str]]) -> tuple[list[EngineLtoFactors], 
 def _engines(chunk: list[list[str]]) -> list[EngineLtoFactors] | None:
     """The engines of `chunk`, rows of the table from a multiple of 16 on,
     settled a column at a time: each row has 4 cells; each run of 16 rows
-    has one UID, non-empty ASCII; a (gas, mode) is one of `_RATE_KEYS` and
-    repeats in no run; a rate is `float` of its cell plus 0.0 (as `number`
-    makes -0 +0.0), in [0, inf) and no NaN (their `math.fsum` is finite).
-    Else None, or a ValueError, KeyError or OverflowError."""
+    has one UID, non-empty ASCII; a (gas, mode) is a key of `_RATE_INDEX`
+    and repeats in no run; a rate is `float` of its cell plus 0.0 (as
+    `number` makes -0 +0.0), in [0, inf) and no NaN (their `math.fsum` is
+    finite). Else None, or a ValueError, KeyError or OverflowError."""
     uids, gases, modes, cells = zip(*chunk, strict=True)
     heads = uids[::16]
-    keys = list(map(_RATE_KEYS.__getitem__, zip(gases, modes)))
+    indices = list(map(_RATE_INDEX.__getitem__, zip(gases, modes)))
     rates = list(map(float.__add__, map(float, cells), itertools.repeat(0.0)))
     if (any(uids[k::16] != heads for k in range(1, 16))  # also a chunk of 16n rows
             or "" in heads or not "".join(heads).isascii()
-            or len(set(zip(uids, keys))) != len(uids)
+            or len(set(zip(uids, indices))) != len(uids)
             or not (math.isfinite(math.fsum(rates)) and min(rates) >= 0.0)):
         return None
-    return [EngineLtoFactors(uid, dict(zip(keys[i:i + 16], rates[i:i + 16])))
+    return [EngineLtoFactors(uid, _in_rate_order(zip(indices[i:i + 16], rates[i:i + 16])))
             for uid, i in zip(heads, range(0, len(uids), 16))]
 
 
 def _ccd_profile(canonical_type: str, rows: list[list]) -> CcdProfile:
     if len(rows) < 2:
         raise ValueError(f"type {canonical_type} has fewer than 2 knots")
-    knots = (CcdKnot(row[1], dict(zip(GASES, row[2:6])), row[6] if len(row) > 6 else None)
-             for row in rows)
-    return CcdProfile(canonical_type, tuple(sorted(knots, key=attrgetter("duration_min"))))
+    _, durations, *columns = zip(*sorted(rows, key=itemgetter(1)))  # 4 masses, any distances
+    return CcdProfile(canonical_type, durations, tuple(zip(*columns[:4])),
+                      columns[4] if len(columns) > 4 else (None,) * len(durations))
 
 
 ONTIME_TABLE = TableSchema("ontime", _FLIGHT_COLUMNS, build=_flight, kernel=_flight_row)
@@ -649,17 +643,16 @@ ICAO_ENGINES_TABLE = TableSchema(
     (shared(text("engine_uid")), shared(choice("gas", GASES)), shared(choice("mode", MODES)),
      number("rate_kg_per_s", 0.0)),
     group=_engine_factors, kernel=_engine_table,
-    rows=lambda e: [(e.engine_uid, gas, mode, e.rate_kg_per_s[(gas, mode)])
-                    for gas in GASES for mode in MODES],
+    rows=lambda e: [(e.engine_uid, gas, mode, rate)
+                    for (gas, mode), rate in zip(_RATE_INDEX, e.rates)],
     key=("engine_uid", "gas", "mode"))
 BADA_CCD_TABLE = TableSchema(
     "bada_ccd",
     (text("canonical_type"), number("duration_min", 0.0, strict=True),
      *(number(f"{gas.lower()}_kg", 0.0) for gas in GASES)),
     group=_ccd_profile,
-    rows=lambda p: [(p.canonical_type, k.duration_min,
-                     *(k.emissions_kg[gas] for gas in GASES), k.distance_mi)
-                    for k in p.knots],
+    rows=lambda p: [(p.canonical_type, duration, *masses, distance)
+                    for duration, masses, distance in zip(p.durations, p.masses, p.distances)],
     key=("duration_min", "canonical_type"), repeat_fatal=False,
     optional=number("distance_mi", 0.0, strict=True, optional=True))
 INPUT_TABLES = (ONTIME_TABLE, B43_TABLE, TAIL_REGISTRY_TABLE, ENGINE_CODES_TABLE,

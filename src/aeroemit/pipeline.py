@@ -9,10 +9,11 @@ may use: once the lookup tables are built, a forked child streams each span
 but the first, which this process streams itself, and pickles its exact sums
 and counts to an anonymous result file; its per-flight rows go to anonymous
 fragment files that are appended in span order. Integer sums merge with `+`,
-so the outputs do not depend on the number of processes. Resolution
-runs once per tail (`TailPlans`); per flight only the air time and distance
-checks and the `emissions.emissions_row` kernel remain, and its flat tuple
-goes straight to the writers. The outputs are replaced together after the last
+so the outputs do not depend on the number of processes. Resolution runs
+once per tail (`TailPlans`), whose plan holds the engine's kernel terms and
+the lookup tables' own CCD profile; per flight only the air time and distance
+checks and the `emissions.emissions_row` kernel remain, its flat tuple going
+straight to the writers. The outputs are replaced together after the last
 flight (`OutputWriter`). Output bytes depend on the inputs alone; every CSV
 line is `ingest.csv_line`'s, and the roll-up tables are `aggregate`'s
 (`RollUpAccumulator.rows` through `ROLLUP_TABLES`). `load_data`,
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import aggregate as agg
 from . import emissions, ingest, matching
 from .config import ConfigError, RunConfig
-from .ingest import CcdKnot, CcdProfile, IngestReport, Record, csv_cell, csv_line
+from .ingest import CcdProfile, IngestReport, Record, csv_cell, csv_line
 
 FLIGHT_EMISSIONS_HEADER = [
     "flight_date", "carrier", "flight_number", "tail_number", "origin", "dest",
@@ -149,20 +150,17 @@ def load_data(cfg: RunConfig) -> LoadedData:
 def _rekey_profiles_by_distance(profiles: list[CcdProfile]) -> list[CcdProfile]:
     rekeyed = []
     for profile in profiles:
-        if any(k.distance_mi is None for k in profile.knots):
+        if None in profile.distances:
             raise ConfigError(
                 f"interpolation_key=distance requires a distance_mi column; "
                 f"missing for type {profile.canonical_type}")
-        knots = tuple(sorted(
-            (CcdKnot(k.distance_mi, k.emissions_kg, k.distance_mi)
-             for k in profile.knots),
-            key=lambda k: k.duration_min))
-        for a, b in zip(knots, knots[1:]):
-            if a.duration_min == b.duration_min:
+        distances, masses = zip(*sorted(zip(profile.distances, profile.masses)))
+        for a, b in zip(distances, distances[1:]):
+            if a == b:
                 raise ConfigError(
                     f"interpolation_key=distance: type {profile.canonical_type} has "
-                    f"two knots at distance_mi {a.duration_min}")
-        rekeyed.append(CcdProfile(profile.canonical_type, knots))
+                    f"two knots at distance_mi {a}")
+        rekeyed.append(CcdProfile(profile.canonical_type, distances, masses, distances))
     return rekeyed
 
 
@@ -216,7 +214,7 @@ class TailCause(NamedTuple):
 
 class TailPlan(NamedTuple):
     """What `run` needs of one tail: its `TailCause` fields, and the seats,
-    the CSV cells and the kernel inputs of its flights."""
+    the CSV cells and the kernel inputs of its flights: terms and CCD profile."""
 
     cause: str | None  # the tail-level incomputable cause
     flags: tuple[str, ...]  # the provenance flags, sorted
@@ -224,11 +222,11 @@ class TailPlan(NamedTuple):
     cells: str  # ",type,emissions type,engine UID,provenance", CSV-quoted
     scatter_cells: str  # ",type,engine UID", CSV-quoted
     terms: tuple[float, ...] | None  # emissions.kernel_terms; None when incomputable
-    ccd: tuple | None  # the CCD profile's table; None when incomputable
+    ccd: CcdProfile | None  # None when incomputable
 
     @classmethod
     def of(cls, rf: matching.ResolvedFlight, cause: str | None,
-           terms: tuple[float, ...] | None, ccd: tuple | None,
+           terms: tuple[float, ...] | None, ccd: CcdProfile | None,
            texts: dict[str, str]) -> TailPlan:
         """The plan of `rf`; its CSV cells are those of `texts` that equal
         them, and are added to it otherwise."""
@@ -266,7 +264,6 @@ class TailPlans:
         self._shared: dict[TailPlan | TailCause, TailPlan | TailCause] = {}
         self._texts: dict[str, str] = {}
         self._terms: dict[tuple[str, float, float], tuple[float, ...]] = {}
-        self._ccd: dict[str, tuple] = {}  # each emissions type's CCD profile table
         self._ccd_key = operator.attrgetter(
             "air_time_min" if cfg.interpolation_key == "time" else "distance_mi")
 
@@ -322,12 +319,9 @@ class TailPlans:
             if terms is None:
                 factors = self.tables.databank_by_uid.get(rf.engine_uid)
                 terms = self._terms[key] = emissions.kernel_terms(
-                    _NAN_RATES if factors is None else factors.flat_rates, multiplier,
+                    _NAN_RATES if factors is None else factors.rates, multiplier,
                     rf.efficiency_factor, self.cfg.co2e_factors)
-            ccd = self._ccd.get(rf.emissions_type)
-            if ccd is None:
-                ccd = self._ccd[rf.emissions_type] = self.tables.ccd_by_type[
-                    rf.emissions_type].table
+            ccd = self.tables.ccd_by_type[rf.emissions_type]
         return TailPlan.of(rf, cause, terms, ccd, self._texts)
 
 

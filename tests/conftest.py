@@ -15,7 +15,7 @@ from aeroemit import aggregate as agg
 from aeroemit import pipeline
 from aeroemit.config import REQUIRED_TABLE_KEYS
 from aeroemit.emissions import Co2eFactors
-from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors
+from aeroemit.ingest import GASES, MODES, CcdProfile, EngineLtoFactors
 
 # HYPOTHESIS_PROFILE=ci draws ten times the default examples for every property
 # test without its own count, among them those that hold a fast path to its
@@ -131,17 +131,20 @@ def table_paths(cfg) -> dict[str, Path]:
     return {key: getattr(cfg, key) for key in REQUIRED_TABLE_KEYS}
 
 
+def lto_factors(uid: str, rates: dict[tuple[str, str], float]) -> EngineLtoFactors:
+    """The engine record of `rates`, keyed by (gas, mode)."""
+    return EngineLtoFactors(uid, tuple(rates[gas, mode] for gas in GASES for mode in MODES))
+
+
 @pytest.fixture
 def cfm56_factors() -> EngineLtoFactors:
-    return EngineLtoFactors("CFM56-7B27E", dict(CFM56_7B27E_RATES))
+    return lto_factors("CFM56-7B27E", CFM56_7B27E_RATES)
 
 
 def make_b739er_profile() -> CcdProfile:
-    knots = tuple(
-        CcdKnot(float(d), {"HC": float(hc), "CO2": float(co2),
-                           "CO": float(co), "NOX": float(nox)})
-        for d, hc, co2, co, nox in B739ER_CCD_KNOTS)
-    return CcdProfile("737-900ER", knots)
+    return CcdProfile("737-900ER", tuple(float(knot[0]) for knot in B739ER_CCD_KNOTS),
+                      tuple(tuple(map(float, knot[1:])) for knot in B739ER_CCD_KNOTS),
+                      (None,) * len(B739ER_CCD_KNOTS))
 
 
 @pytest.fixture

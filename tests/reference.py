@@ -99,7 +99,7 @@ def interpolate_ccd(profile: CcdProfile, duration_min: float) -> tuple[GasVector
     """
     if math.isnan(duration_min):
         raise ValueError("CCD interpolation: the duration is NaN")
-    *masses, flag = _interpolate(*profile.table, duration_min)
+    *masses, flag = _interpolate(profile.durations, profile.masses, duration_min)
     return GasVector(*masses), flag
 
 
@@ -107,8 +107,7 @@ def ccd_masses(profile: CcdProfile, x: float) -> tuple[GasVector, str | None]:
     """`interpolate_ccd`'s rule written out knot by knot: the masses at key
     `x`, not NaN, and the flag. A key within 2**-48 of a segment's length of
     its upper knot takes that knot's masses."""
-    knots = [(k.duration_min, [k.emissions_kg[gas] for gas in ("HC", "CO2", "CO", "NOX")])
-             for k in profile.knots]
+    knots = list(zip(profile.durations, profile.masses))
     for duration, masses in knots:
         if duration == x:
             return GasVector(*masses), None

@@ -8,9 +8,10 @@ import pytest
 from aeroemit import aggregate as agg
 from aeroemit.config import RunConfig
 from aeroemit.emissions import Co2eFactors, flight_emissions
-from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors, FlightRecord
+from aeroemit.ingest import CcdProfile, FlightRecord
 from aeroemit.matching import ENGINE_EXACT, ResolvedFlight
-from conftest import CFM56_7B27E_RATES, coverage_report, roll_up, rollup_rows, write_outputs
+from conftest import (CFM56_7B27E_RATES, coverage_report, lto_factors, roll_up, rollup_rows,
+                      write_outputs)
 from reference import GasVector, LtoTimes, split_lto, unep_baseline
 
 
@@ -31,14 +32,13 @@ def make_resolved(flight, seats=180):
 
 
 def cfm56():
-    return EngineLtoFactors("E", dict(CFM56_7B27E_RATES))
+    return lto_factors("E", CFM56_7B27E_RATES)
 
 
 def flat_profile(co2_per_min=100.0):
-    knots = tuple(CcdKnot(d, {"HC": d * 1e-5, "CO2": d * co2_per_min,
-                              "CO": d * 1e-3, "NOX": d * 1e-2})
-                  for d in (10.0, 500.0))
-    return CcdProfile("T", knots)
+    durations = (10.0, 500.0)
+    return CcdProfile("T", durations, tuple((d * 1e-5, d * co2_per_min, d * 1e-3, d * 1e-2)
+                                            for d in durations), (None, None))
 
 
 def outcome(flight, seats=180):
@@ -74,7 +74,7 @@ class TestSplitLto:
         rates = {(g, m): 1.0 for g in ("HC", "CO2", "CO", "NOX")
                  for m in ("TAKEOFF", "CLIMBOUT", "IDLE")}
         rates.update({(g, "APPROACH"): 0.0 for g in ("HC", "CO2", "CO", "NOX")})
-        factors = EngineLtoFactors("E", rates)
+        factors = lto_factors("E", rates)
         times = LtoTimes.from_taxi(0.0, 12.0)
         _, dest = split_lto(factors, times, 0.0, 12.0)
         assert dest == GasVector()

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from aeroemit import emissions
 from aeroemit.emissions import Co2eFactors, flight_emissions
-from aeroemit.ingest import CcdKnot, CcdProfile, EngineLtoFactors, FlightRecord
+from aeroemit.ingest import CcdProfile, EngineLtoFactors, FlightRecord
 from aeroemit.matching import ENGINE_EXACT, MISSING_AIRTIME, ResolvedFlight
-from conftest import B739ER_CCD_KNOTS, bits
+from conftest import B739ER_CCD_KNOTS, bits, lto_factors
 from reference import GasVector, LtoTimes, ccd_masses, co2e, interpolate_ccd, split_lto
 
 
@@ -19,7 +19,7 @@ def constant_factors(value=1.0, **per_gas):
     for gas in ("HC", "CO2", "CO", "NOX"):
         for mode in ("TAKEOFF", "CLIMBOUT", "APPROACH", "IDLE"):
             rates[(gas, mode)] = per_gas.get(gas, value)
-    return EngineLtoFactors("TEST", rates)
+    return lto_factors("TEST", rates)
 
 
 def mode_rates(gas, takeoff, climbout, approach, idle):
@@ -29,7 +29,7 @@ def mode_rates(gas, takeoff, climbout, approach, idle):
     rates[(gas, "CLIMBOUT")] = climbout
     rates[(gas, "APPROACH")] = approach
     rates[(gas, "IDLE")] = idle
-    return EngineLtoFactors("TEST", rates)
+    return lto_factors("TEST", rates)
 
 
 class TestLtoTimes:
@@ -119,8 +119,8 @@ class TestCcdInterpolate:
         with pytest.raises(ValueError, match="NaN"):
             interpolate_ccd(b739er_profile, math.nan)
         # The kernel has no such check: its finite check drops the flight.
-        terms = emissions.kernel_terms(cfm56_factors.flat_rates, 1.0, 1.0, Co2eFactors())
-        ccd = b739er_profile.table
+        terms = emissions.kernel_terms(cfm56_factors.rates, 1.0, 1.0, Co2eFactors())
+        ccd = b739er_profile
         assert emissions.emissions_row(terms, ccd, 180, 7.0, 15.0, 124.0, 666.0) is not None
         assert emissions.emissions_row(terms, ccd, 180, 7.0, 15.0, math.nan, 666.0) is None
 
@@ -151,16 +151,15 @@ class TestCcdInterpolate:
         An increment is 0 or at least 1e-300 kg: where two knots differ by a
         subnormal mass, the rounding of the product can still carry a mass
         one subnormal step (2**-1074 kg) past the upper knot's."""
-        totals = [0.0] * 4
-        profile_knots = []
-        for duration, increments in sorted(knots):
-            totals = [t + i for t, i in zip(totals, increments)]
-            profile_knots.append(CcdKnot(duration, dict(zip(("HC", "CO2", "CO", "NOX"), totals))))
-        profile = CcdProfile("T", tuple(profile_knots))
-        last = profile_knots[-1].duration_min
-        probes = {0.0, 5e-324, *durations, last * 2}
-        for knot in profile_knots:
-            d = knot.duration_min
+        totals = (0.0,) * 4
+        masses = []
+        for _, increments in sorted(knots):
+            totals = tuple(t + i for t, i in zip(totals, increments))
+            masses.append(totals)
+        knot_durations = tuple(sorted(duration for duration, _ in knots))
+        profile = CcdProfile("T", knot_durations, tuple(masses), (None,) * len(masses))
+        probes = {0.0, 5e-324, *durations, knot_durations[-1] * 2}
+        for d in knot_durations:
             probes |= {d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)}
         previous = GasVector()
         for x in sorted(probes):
@@ -180,11 +179,11 @@ class TestCcdInterpolate:
         profile = _profile()
         v, flag = interpolate_ccd(profile, d)
         assert flag is None
-        knots = profile.knots
-        for i in range(len(knots) - 1):
-            if knots[i].duration_min <= d <= knots[i + 1].duration_min:
-                lo = knots[i].emissions_kg["CO2"]
-                hi = knots[i + 1].emissions_kg["CO2"]
+        durations = profile.durations
+        for i in range(len(durations) - 1):
+            if durations[i] <= d <= durations[i + 1]:
+                lo = profile.masses[i][1]  # CO2
+                hi = profile.masses[i + 1][1]
                 assert min(lo, hi) - 1e-9 <= v.co2 <= max(lo, hi) + 1e-9
 
     def test_knot_epsilon_continuity(self, b739er_profile):
@@ -300,9 +299,8 @@ class TestFlightEmissions:
             air_time_min=50.0, taxi_in_min=0.0, taxi_out_min=0.0, distance_mi=1.0)
         rf = resolved(flight, seat_count=1, engine_uid="TEST", emissions_type="T")
         factors = mode_rates("CO2", 0.0, 0.0, 0.0, 0.0)
-        knots = tuple(CcdKnot(d, {"HC": 0.0, "CO2": 7.0, "CO": 0.0, "NOX": 0.0})
-                      for d in (10.0, 100.0))
-        row = flight_emissions(rf, {"TEST": factors}, {"T": CcdProfile("T", knots)})
+        profile = CcdProfile("T", (10.0, 100.0), ((0.0, 7.0, 0.0, 0.0),) * 2, (None, None))
+        row = flight_emissions(rf, {"TEST": factors}, {"T": profile})
         assert row[20] == pytest.approx(7.0)  # CO2 per seat mile
         assert row[19] == pytest.approx(7.0)  # CO2e per seat
 
@@ -377,9 +375,7 @@ class TestKernelEqualsReference:
     @example([0.37] * 16, 7.43, 15.42, 1, 1.0, 25.7, 666.0, "time", 180)  # HC tells `* offset / span` from `* (offset / span)`
     def test_bit_for_bit(self, rate_list, taxi_in, taxi_out, multiplier, efficiency,
                          air_time, distance, key, seats):
-        factors = EngineLtoFactors("R", dict(zip(
-            [(g, m) for g in ("HC", "CO2", "CO", "NOX")
-             for m in ("TAKEOFF", "CLIMBOUT", "APPROACH", "IDLE")], rate_list)))
+        factors = EngineLtoFactors("R", tuple(rate_list))
         profile = _profile()
         flight = FlightRecord(
             flight_date=datetime.date(2021, 9, 1), carrier_code="XX",

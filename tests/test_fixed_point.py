@@ -73,17 +73,26 @@ def synthetic_outcome(carrier, origin, destination, seats, masses):
     return rf, (*masses[0:8], *lto, *masses[8:12], 0.0, 0.0, masses[12], 0.0, 0.0, None)
 
 
+# One flight's draw: a byte each for its carrier, origin and destination, two
+# for its seat count and one for each of its 14 doubles.
+FLIGHT_BYTES = 3 + 2 + 14
+
+
 @st.composite
 def synthetic_flights(draw, carriers, origins, destinations):
     """Up to 12 flights for `synthetic_outcome`. Each flight's 14 doubles are
     picked from one pool of 1 to 14 doubles drawn per example, which is
     cheaper than drawing 14 per flight; any 14 doubles are still reachable,
-    as a pool of their distinct values."""
+    as a pool of their distinct values. Each flight is one draw of bytes,
+    whose cells pick its carrier, airports, seat count (0 to 300) and
+    doubles by modulo: a draw per cell would cost more than the test."""
     pool = draw(st.lists(doubles, min_size=1, max_size=14))
-    masses = st.lists(st.sampled_from(pool), min_size=14, max_size=14)
-    return draw(st.lists(st.tuples(st.sampled_from(carriers), st.sampled_from(origins),
-                                   st.sampled_from(destinations), st.integers(0, 300), masses),
-                         max_size=12))
+    return [(carriers[cells[0] % len(carriers)], origins[cells[1] % len(origins)],
+             destinations[cells[2] % len(destinations)],
+             int.from_bytes(cells[3:5], "big") % 301,
+             [pool[cell % len(pool)] for cell in cells[5:]])
+            for cells in draw(st.lists(st.binary(min_size=FLIGHT_BYTES, max_size=FLIGHT_BYTES),
+                                       max_size=12))]
 
 
 @given(synthetic_flights(["AA", "DL"], ["X", "Y", "Z"], ["X", "Y", "Z"]))

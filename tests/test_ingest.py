@@ -323,11 +323,11 @@ class TestParseBadaCcd:
         profiles, report = ingest.read_table(ingest.BADA_CCD_TABLE, path)
         assert report.accepted == 10
         (profile,) = profiles
-        assert len(profile.knots) == 10
-        assert profile.knots[0].duration_min == 22
-        assert profile.knots[0].emissions_kg["CO2"] == 3114
-        assert profile.knots[-1].duration_min == 410
-        assert profile.knots[-1].emissions_kg["CO2"] == 54250
+        assert len(profile.durations) == len(profile.masses) == 10
+        assert profile.durations[0] == 22
+        assert profile.masses[0][1] == 3114  # CO2
+        assert profile.durations[-1] == 410
+        assert profile.masses[-1][1] == 54250
 
     def test_single_knot_type_rejected(self, tmp_path):
         path = tmp_path / "bada.csv"
@@ -355,7 +355,7 @@ class TestParseBadaCcd:
         path = tmp_path / "bada.csv"
         write_csv(path, ingest.BADA_CCD_TABLE.header, rows)
         profiles, report = ingest.read_table(ingest.BADA_CCD_TABLE, path)
-        assert len(profiles[0].knots) == 9
+        assert len(profiles[0].durations) == 9
         (rejection,) = report.rejections
         assert rejection.line == 6
         assert "must be finite" in rejection.reason
@@ -366,7 +366,7 @@ class TestParseBadaCcd:
         path = tmp_path / "bada.csv"
         write_csv(path, ingest.BADA_CCD_TABLE.header, rows)
         profiles, report = ingest.read_table(ingest.BADA_CCD_TABLE, path)
-        assert len(profiles[0].knots) == 10
+        assert len(profiles[0].durations) == 10
         assert any("duplicate duration" in r.reason for r in report.rejections)
 
     def test_round_trip(self, tmp_path):
@@ -691,6 +691,11 @@ def engine_rows(uid, rate="0.5"):
     return [[uid, gas, mode, rate] for gas in ingest.GASES for mode in ingest.MODES]
 
 
+def distinct_engine_rows(uid):
+    """An engine's 16 rows, in GASES x MODES order, with the rates 1 to 16."""
+    return [row[:3] + [str(k)] for k, row in enumerate(engine_rows(uid), 1)]
+
+
 # Cells of each ICAO column, good and bad. "E\udcff" is written as the byte
 # 0xff, which is not UTF-8; "\ufeffE1" holds a byte-order mark.
 ICAO_UIDS = ["E1", "E2", "E3", "", "\u00c91", "E,1", "E\n1", "E\udcff", "\ufeffE1"]
@@ -777,20 +782,23 @@ ICAO_EXAMPLES = {
         engine_rows("E,1") + engine_rows("E\n1"), "\r", False),
     "LF, quoted comma and line break": (engine_rows("E,1") + engine_rows("E\n1"), "\n", False),
     "empty": ([], "\r\n", False),
+    "distinct rates, reversed then in order": (
+        distinct_engine_rows("E1")[::-1] + distinct_engine_rows("E2"), "\r\n", False),
+    "distinct rates, in order then reversed": (
+        distinct_engine_rows("E1") + distinct_engine_rows("E2")[::-1], "\r\n", False),
 }
 
 
 def icao_outcome(schema, path):
-    """The ICAO table as read: each record's UID and rates, the keys in order
-    and by identity, the rates by `repr` (which shows a zero's sign), and the
-    report; or the fatal error's type and text."""
+    """The ICAO table as read: each record's UID and rates, the rates by
+    `repr` (which shows a zero's sign), and the report; or the fatal error's
+    type and text."""
     try:
         records, report = ingest.read_table(schema, path)
     except ingest.IngestError as exc:
         return type(exc), str(exc)
     assert all(type(r) is ingest.EngineLtoFactors for r in records)
-    return [(r.engine_uid, [(key, id(key), repr(rate)) for key, rate in r.rate_kg_per_s.items()])
-            for r in records], report
+    return [(r.engine_uid, repr(r.rates)) for r in records], report
 
 
 def with_icao_examples(test):
@@ -804,7 +812,8 @@ def with_icao_examples(test):
 def test_icao_table_reads_as_without_its_kernel(table_path, table):
     """The ICAO table reads, records, report, every rejection with its line
     and reason and a duplicate key's error, as it does through the columns
-    alone; the records of either path share the 16 rate keys."""
+    alone; both paths order an engine's rates alike, whatever the order of
+    its rows."""
     write_icao(table_path, *table)
     assert (icao_outcome(ingest.ICAO_ENGINES_TABLE, table_path)
             == icao_outcome(ingest.ICAO_ENGINES_TABLE._replace(kernel=None), table_path))

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 from aeroemit import matching
 from aeroemit.ingest import (
     AirframeRecord,
-    CcdKnot,
     CcdProfile,
     EngineCodeRecord,
-    EngineLtoFactors,
     FlightRecord,
     TailEngineRecord,
 )
-from conftest import CFM56_7B27E_RATES, pick, write_csv
+from conftest import CFM56_7B27E_RATES, lto_factors, pick, write_csv
 
 import datetime
 
@@ -26,13 +24,12 @@ def flight(tail="N815DN", air_time=124.0, distance=666.0):
 
 
 def engine(uid):
-    return EngineLtoFactors(uid, dict(CFM56_7B27E_RATES))
+    return lto_factors(uid, CFM56_7B27E_RATES)
 
 
 def profile(ctype, durations=(22.0, 410.0)):
-    knots = tuple(CcdKnot(d, {"HC": 1.0, "CO2": d * 10, "CO": 1.0, "NOX": 1.0})
-                  for d in durations)
-    return CcdProfile(ctype, knots)
+    return CcdProfile(ctype, durations, tuple((1.0, d * 10, 1.0, 1.0) for d in durations),
+                      (None,) * len(durations))
 
 
 class TestTokenize:

@@ -10,7 +10,7 @@ import reference
 RECORDS = (
     ingest.FlightRecord, ingest.AirframeRecord, ingest.TailEngineRecord,
     ingest.EngineCodeRecord, ingest.EngineLtoFactors, ingest.CcdProfile,
-    ingest.RowRejection, ingest.CcdKnot, ingest.Column, ingest.TableSchema,
+    ingest.RowRejection, ingest.Column, ingest.TableSchema,
     reference.GasVector, reference.LtoTimes, emissions.Co2eFactors,
     matching.ResolvedFlight, matching.NormalizationRule, matching.FamilyFallback,
     matching.LookupTables, aggregate.UnepBaseline,

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from aeroemit import cli, emissions, ingest, matching, pipeline
 from aeroemit.config import RunConfig, load_config
-from aeroemit.ingest import AirframeRecord, EngineLtoFactors, FlightRecord, TailEngineRecord
+from aeroemit.ingest import AirframeRecord, FlightRecord, TailEngineRecord
 from conftest import (CFM56_7B27E_RATES, bits, build_corpus, coverage_report, in_shards,
-                      make_b739er_profile, write_config, write_csv, write_outputs)
+                      lto_factors, make_b739er_profile, write_config, write_csv,
+                      write_outputs)
 
 ONTIME_HEADER = ["flight_date", "carrier", "flight_number", "tail_number", "origin",
                  "dest", "air_time_min", "taxi_in_min", "taxi_out_min", "distance_mi"]
@@ -80,7 +81,7 @@ def plan_test_tables() -> matching.LookupTables:
     registry = [TailEngineRecord("N1", "CFM56-7B27E"), TailEngineRecord("N2", "CFM56-7B27E"),
                 TailEngineRecord("N4", "CFM56-7B27E"), TailEngineRecord("N6", "CFM56 7B26 X"),
                 TailEngineRecord("N7", "PW4000")]
-    databank = [EngineLtoFactors(uid, {k: v * scale for k, v in CFM56_7B27E_RATES.items()})
+    databank = [lto_factors(uid, {k: v * scale for k, v in CFM56_7B27E_RATES.items()})
                 for uid, scale in (("CFM56-7B27E", 1.0), ("CFM56-7B26", 0.9))]
     rules = matching.NormalizationRuleSet([
         matching.NormalizationRule("B739ER", "737-900ER"),

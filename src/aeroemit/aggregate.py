@@ -6,17 +6,19 @@ are kept as Python ints counting units of 2**-1074 kg: fixed point with no
 rounding, in which every grouping of the same flights sums to the same mass
 regardless of order. One record, `Sums`, holds the sums of a carrier, an
 airport or a cycle. `RollUpAccumulator.add` counts one flight and holds its
-`emissions.emissions_row` tuple in lists by carrier, origin and destination,
-and its distance by carrier and seat count; every BLOCK computed flights,
-`_fold` sums each list's needed columns with `exact_units`, a few
-`math.fsum` calls per column whose results convert with `to_units`, and
-drops the rows. A run streams its flights through it and holds only the
-sums and at most one block; every read of the sums, `merge` and pickling
-fold first, and accumulators of parts of a table `merge` by `+`.
-`RollUpAccumulator.rows` makes the cells of the tables of `ROLLUP_TABLES`,
-which `run` writes and `report` reads. Floats appear only in those cells,
-each produced by one correctly rounded ``int / int`` division (the same
-double ``float(Fraction)`` gives).
+`emissions.emissions_row` tuple in a list by carrier, its origin and
+destination shares in a list by airport, and its distance by carrier and
+seat count; every BLOCK computed flights, `_fold` sums each list's needed
+columns with `exact_units`, a few `math.fsum` calls per column whose results
+convert with `to_units`, and drops the rows. A run streams its flights
+through it and holds only the carrier and airport sums and at most one
+block; every read of the sums, `merge` and pickling fold first, and
+accumulators of parts of a table `merge` by `+`. The cycles are derived when
+read: the LTO cycle is the airports' sum and the CCD cycle the carriers' sum
+less the LTO cycle. `RollUpAccumulator.rows` makes the cells of the tables
+of `ROLLUP_TABLES`, which `run` writes and `report` reads. Floats appear
+only in those cells, each produced by one correctly rounded ``int / int``
+division (the same double ``float(Fraction)`` gives).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import chain
 from math import fsum
-from operator import add, attrgetter, mul, sub
-from typing import Iterator, NamedTuple, Sequence
+from operator import attrgetter, mul, sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .emissions import Co2eFactors
 from .ingest import (GASES, FlightRecord, Record, TableSchema, choice, integer, number,
@@ -40,9 +42,6 @@ UNIT_SQUARED = UNIT * UNIT
 BLOCK = 1024
 # `fsum` rounds `exact_units` tries before it converts a column value by value.
 _ROUNDS = 8
-# The columns of no rows, for an airport that is no flight's origin, or no
-# flight's destination, in a block.
-_NO_COLUMNS = ((),) * 8
 
 
 def to_units(x: float) -> int:
@@ -112,25 +111,22 @@ class Sums(Record):
 
 
 class RollUpAccumulator:
-    """Per-carrier, per-airport and per-cycle sums, one flight at a time.
+    """Per-carrier and per-airport sums, one flight at a time.
 
     LTO mass is split between origin and destination airports; carrier totals
-    cover both LTO shares and CCD. The LTO cycle is the sum of the airports,
-    the CCD cycle that of the carriers less the LTO cycle. The sums are exact
-    integers, so neither the order of `add` calls nor where the blocks end
-    changes what `rows` returns. `carriers`, `airports`, `lto` and `ccd` are
-    the sums of every flight added.
+    cover both LTO shares and CCD. The cycles are made when read: `lto` is
+    the sum of the airports, `ccd` that of the carriers less `lto`. The sums
+    are exact integers, so neither the order of `add` calls nor where the
+    blocks end changes what `rows` returns. `carriers`, `airports`, `lto` and
+    `ccd` are the sums of every flight added.
     """
 
     def __init__(self) -> None:
         self._carriers: defaultdict[str, Sums] = defaultdict(Sums)
         self._airports: defaultdict[str, Sums] = defaultdict(Sums)
-        self._lto = Sums()
-        self._ccd = Sums()
         self._pending = 0
         self._by_carrier: defaultdict[str, list[tuple]] = defaultdict(list)
-        self._by_origin: defaultdict[str, list[tuple]] = defaultdict(list)
-        self._by_destination: defaultdict[str, list[tuple]] = defaultdict(list)
+        self._by_airport: defaultdict[str, list[tuple]] = defaultdict(list)
         self._distances: defaultdict[tuple[str, int], list[float]] = defaultdict(list)
 
     def add(self, flight: FlightRecord, seats: int, row: tuple | None) -> None:
@@ -141,8 +137,8 @@ class RollUpAccumulator:
         if row is None:
             return
         self._by_carrier[carrier].append(row)
-        self._by_origin[flight.origin].append(row)
-        self._by_destination[flight.destination].append(row)
+        self._by_airport[flight.origin].append(row[0:4])
+        self._by_airport[flight.destination].append(row[4:8])
         self._distances[carrier, seats].append(flight.distance_mi)
         self._pending += 1
         if self._pending == BLOCK:
@@ -151,36 +147,25 @@ class RollUpAccumulator:
     def _fold(self) -> None:
         """Add the held rows to the sums and drop them. A carrier's masses
         sum its flights' origin shares [0:4], destination shares [4:8] and
-        CCD masses [12:16] in one column per gas, an airport's the shares of
-        its flights' ends; the LTO cycle is then the airports' sum and the
-        CCD cycle the carriers' less that."""
+        CCD masses [12:16] in one column per gas, an airport's the four gas
+        columns of the shares it holds."""
         if not self._pending:
             return
-        every, lto = [0] * 4, [0] * 4  # the block's masses: all, and LTO
         for carrier, rows in self._by_carrier.items():
             columns = list(zip(*rows))
-            gases = [exact_units(columns[i] + columns[i + 4] + columns[i + 12])
-                     for i in range(4)]
             sums = self._carriers[carrier]
-            sums.add_gases(*gases)
+            sums.add_gases(*(exact_units(columns[i] + columns[i + 4] + columns[i + 12])
+                             for i in range(4)))
             sums.computed += len(rows)
             sums.co2e += exact_units(columns[18])
-            every = list(map(add, every, gases))
-        origins, destinations = self._by_origin, self._by_destination
-        for airport in origins.keys() | destinations.keys():
-            o = list(zip(*origins.get(airport, ()))) or _NO_COLUMNS
-            d = list(zip(*destinations.get(airport, ()))) or _NO_COLUMNS
-            gases = [exact_units(o[i] + d[i + 4]) for i in range(4)]
-            self._airports[airport].add_gases(*gases)
-            lto = list(map(add, lto, gases))
-        self._lto.add_gases(*lto)
-        self._ccd.add_gases(*map(sub, every, lto))
+        for airport, shares in self._by_airport.items():
+            self._airports[airport].add_gases(*map(exact_units, zip(*shares)))
         for (carrier, seats), distances in self._distances.items():
             sums = self._carriers[carrier]
             sums.seats += seats * len(distances)
             sums.seat_miles += seats * exact_units(distances)
         self._pending = 0
-        for held in (self._by_carrier, origins, destinations, self._distances):
+        for held in (self._by_carrier, self._by_airport, self._distances):
             held.clear()
 
     @property
@@ -195,21 +180,21 @@ class RollUpAccumulator:
 
     @property
     def lto(self) -> Sums:
-        self._fold()
-        return self._lto
+        """The LTO cycle: the airports' gas sums."""
+        return _gas_sums(self.airports.values())
 
     @property
     def ccd(self) -> Sums:
-        self._fold()
-        return self._ccd
+        """The CCD cycle: the carriers' gas sums less the LTO cycle's."""
+        return Sums(*map(sub, _by_gas(_gas_sums(self.carriers.values())), _by_gas(self.lto)))
 
     def __getstate__(self) -> tuple:
         """The sums alone: a forked shard pickles no held rows."""
-        return self.carriers, self.airports, self.lto, self.ccd
+        return self.carriers, self.airports
 
     def __setstate__(self, state: tuple) -> None:
         self.__init__()
-        self._carriers, self._airports, self._lto, self._ccd = state
+        self._carriers, self._airports = state
 
     def merge(self, other: RollUpAccumulator) -> None:
         """Add every sum of `other`, an accumulator of other flights: the sums
@@ -217,8 +202,6 @@ class RollUpAccumulator:
         for mine, theirs in ((self.carriers, other.carriers), (self.airports, other.airports)):
             for key, sums in theirs.items():
                 mine[key].merge(sums)
-        self.lto.merge(other.lto)
-        self.ccd.merge(other.ccd)
 
     def rows(self, co2e_factors: Co2eFactors) -> tuple[Iterator[list[str]], ...]:
         """The cells of each table of ROLLUP_TABLES, as text: carriers by
@@ -244,6 +227,11 @@ class RollUpAccumulator:
 
 # The HC, CO2, CO and NOX fields of a `Sums` or a `Co2eFactors`.
 _by_gas = attrgetter(*(gas.lower() for gas in GASES))
+
+
+def _gas_sums(groups: Iterable[Sums]) -> Sums:
+    """A `Sums` of the HC, CO2, CO and NOX of `groups` alone."""
+    return Sums(*map(sum, zip(*map(_by_gas, groups))))
 
 
 def _mass(units: int, unit: int) -> str:

@@ -327,8 +327,10 @@ def row_spans(path: str | Path, parts: int) -> list[tuple[int, int, int | None]]
                          else fh.readline(_SCAN_BYTES))
                 if b'"' in piece:
                     return None
-                lines += (piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n")
-                          - (after_cr and piece.startswith(b"\n")))
+                lines += piece.count(b"\n")
+                if after_cr or b"\r" in piece:  # so a piece with no CR is counted once
+                    lines += (piece.count(b"\r") - piece.count(b"\r\n")
+                              - (after_cr and piece.startswith(b"\n")))
             if fh.tell() > start:
                 spans.append((start, first, lines - first))
     start, first, _ = spans.pop() if spans else (0, 0, 0)

@@ -506,7 +506,7 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
         try:
             children = []
             if len(spans) > 1:
-                import pickle, signal, traceback  # only a run that splits imports them
+                import pickle, signal  # only a run that splits imports them
                 # Else a child's copy of a buffer is written out again.
                 for stream in (sys.stdout, sys.stderr, *streams):
                     stream.flush()
@@ -533,6 +533,7 @@ def _split(cfg: RunConfig, data: LoadedData, spans: list,
                                     for file in files:
                                         file.flush()
                             except BaseException as exc:
+                                import traceback  # only a child that failed imports it
                                 message = exc, traceback.format_exc()
                             result.write(pickle.dumps(message))
                             result.flush()

@@ -105,13 +105,18 @@ def synthetic_flights(draw, carriers, origins, destinations):
                                -1e-300, 5e-324, 1e-310, 1e-320])] * 3)
 def test_accumulator_totals_are_sums_of_to_units(flights):
     """The accumulator's fold gives what `to_units` gives."""
-    outcomes = [synthetic_outcome(*f) for f in flights]
-    rollup = roll_up(outcomes)
-    expected_airlines, expected_airports = {}, {}
+    assert sums_of(roll_up([synthetic_outcome(*f) for f in flights])) == to_units_sums(flights)
+
+
+def to_units_sums(flights):
+    """Per-carrier [HC, CO2, CO, NOX, CO2e, seat-miles], per-airport and
+    per-cycle [HC, CO2, CO, NOX] sums of `synthetic_flights`, summed value by
+    value with `to_units`."""
+    airlines, airports = {}, {}
     cycles = {"LTO": [0] * 4, "CCD": [0] * 4}
     for carrier, origin, destination, seats, masses in flights:
         units = [agg.to_units(x) for x in masses]
-        a = expected_airlines.setdefault(carrier, [0] * 6)
+        a = airlines.setdefault(carrier, [0] * 6)
         for i in range(4):
             a[i] += units[i] + units[4 + i] + units[8 + i]
             cycles["LTO"][i] += units[i] + units[4 + i]
@@ -119,14 +124,39 @@ def test_accumulator_totals_are_sums_of_to_units(flights):
         a[4] += units[12]
         a[5] += seats * units[13]
         for airport, share in ((origin, units[0:4]), (destination, units[4:8])):
-            totals = expected_airports.setdefault(airport, [0] * 4)
+            totals = airports.setdefault(airport, [0] * 4)
             for i in range(4):
                 totals[i] += share[i]
+    return airlines, airports, cycles
 
-    assert {carrier: [*gas_sums(s), s.co2e, s.seat_miles]
-            for carrier, s in rollup.carriers.items()} == expected_airlines
-    assert {airport: gas_sums(s) for airport, s in rollup.airports.items()} == expected_airports
-    assert {"LTO": gas_sums(rollup.lto), "CCD": gas_sums(rollup.ccd)} == cycles
+
+def sums_of(rollup):
+    """An accumulator's sums in the form `to_units_sums` gives."""
+    return ({carrier: [*gas_sums(s), s.co2e, s.seat_miles]
+             for carrier, s in rollup.carriers.items()},
+            {airport: gas_sums(s) for airport, s in rollup.airports.items()},
+            {"LTO": gas_sums(rollup.lto), "CCD": gas_sums(rollup.ccd)})
+
+
+@pytest.mark.parametrize("block", [1, 3, agg.BLOCK])
+def test_airport_at_one_end(monkeypatch, block):
+    """An airport that is never a destination (X) and one that is never an
+    origin (W), in blocks where both ends are seen and blocks where one is:
+    the airports and cycles are the `to_units` sums, in one accumulator and
+    in every two merged."""
+    monkeypatch.setattr(agg, "BLOCK", block)
+    routes = [("AA", "X", "Y"), ("DL", "Y", "W"), ("AA", "X", "W"), ("DL", "Y", "Y"),
+              ("AA", "X", "Y"), ("DL", "X", "W"), ("AA", "Y", "W")]
+    flights = [(carrier, origin, destination, 2 + i, [0.1 * (i + 1) + k for k in range(14)])
+               for i, (carrier, origin, destination) in enumerate(routes)]
+    expected = to_units_sums(flights)
+    assert expected[1].keys() == {"X", "Y", "W"}
+    outcomes = [synthetic_outcome(*f) for f in flights]
+    assert sums_of(roll_up(outcomes)) == expected
+    for cut in range(len(outcomes) + 1):
+        merged = roll_up(outcomes[:cut])
+        merged.merge(pickle.loads(pickle.dumps(roll_up(outcomes[cut:]))))
+        assert sums_of(merged) == expected
 
 
 def fraction_roll_up(outcomes):

@@ -478,3 +478,33 @@ def test_children_end_with_a_killed_parent(tmp_path):
             for pid in filter(running, children):
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
+
+
+# `validate` split at every 256 bytes, counting the forks; it prints its exit
+# code, the forks and whether `traceback` was imported.
+COUNTED_VALIDATE = """
+import os, sys
+from aeroemit import cli, pipeline
+pipeline.SHARD_BYTES = 256
+fork, forks = os.fork, []
+def counted():
+    forks.append(fork())
+    return forks[-1]
+os.fork = counted
+code = cli.main(sys.argv[1:])
+print(code, len(forks), "traceback" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs")
+def test_split_validate_imports_no_traceback(tmp_path):
+    """Only a shard child that failed imports `traceback`: a split `validate`
+    that succeeds, started without `site`, ends without it."""
+    config = write_config(tmp_path, dirty_corpus(tmp_path), tmp_path / "out")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", COUNTED_VALIDATE, "validate",
+                           "--config", str(config)], capture_output=True, encoding="utf-8",
+                          env=env, check=True)
+    code, forks, imported = done.stdout.splitlines()[-1].split()
+    assert (code, imported) == ("0", "False") and int(forks) >= 1

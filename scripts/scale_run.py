@@ -8,13 +8,17 @@ the bulk-run shape of perfbench/synth.py scaled to --flights rows, runs
 files with perfbench/checks.py, and prints one JSON object: the flight count,
 the median wall_s, flights_per_s and peak_rss_mb, the outputs' digest (a
 sorted list of them if the runs' outputs differ, which is a problem too) and
-any problems found; a problem makes the exit code 1. After each run it also
-runs the corpus's ``setup.cfg``, the same reference tables with a one-row
-flight table, as perfbench does: setup_s, that run's median wall time, is
-what every invocation pays before its first flight. --src picks the package
-sources to run (default ./src), so two checkouts can be measured on the same
-generated inputs. One untimed run comes first and writes the bytecode cache
-of the sources, so no timed run compiles them.
+any problems found; a problem makes the exit code 1. A run splits the flight
+table across the usable CPUs (usable_cpus); after each run the same run is
+made pinned to one CPU, whose median wall time is wall_1cpu_s and whose
+outputs must have the same digest, so the split's gain on this host is
+wall_1cpu_s / wall_s. Then it runs the corpus's ``setup.cfg``, the same
+reference tables with a one-row flight table, as perfbench does: setup_s,
+that run's median wall time, is what every invocation pays before its first
+flight. --src picks the package sources to run (default ./src), so two
+checkouts can be measured on the same generated inputs. One untimed run comes
+first and writes the bytecode cache of the sources, so no timed run compiles
+them.
 
 Each run is started by a small launcher process. On Linux a child's max RSS,
 as wait4 reports it, is at least its parent's resident set at the time of
@@ -37,12 +41,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Spawns the command in its argv, waits for it and prints its wall time,
-# exit code and max RSS as JSON; it imports only what it needs for that.
+# Spawns the command after its first argument, waits for it and prints its
+# wall time, exit code and max RSS as JSON; it imports only what it needs for
+# that. A first argument of "1" pins it, and so the command, to its first
+# usable CPU.
 LAUNCHER = """
 import json, os, subprocess, sys, time
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 start = time.perf_counter()
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+proc = subprocess.Popen(sys.argv[2:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
 print(json.dumps({"wall_s": time.perf_counter() - start,
                   "exit_code": os.waitstatus_to_exitcode(status),
@@ -61,12 +69,12 @@ def measure(src: Path, flights: int, seed: int, runs: int, work: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     # Let the untimed run write the bytecode cache that every timed run reads.
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    samples, setup_samples, digests, problems = [], [], set(), []
+    samples, one_cpu_samples, setup_samples, digests, problems = [], [], [], set(), []
 
-    def launch(config: Path, outdir: Path, expected: synth.Expected) -> dict:
+    def launch(config: Path, outdir: Path, expected: synth.Expected, cpus: str = "all") -> dict:
         shutil.rmtree(outdir, ignore_errors=True)
         launched = subprocess.run(
-            [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "aeroemit.cli", "run",
+            [sys.executable, "-c", LAUNCHER, cpus, sys.executable, "-m", "aeroemit.cli", "run",
              "--config", str(config)],
             env=env, capture_output=True, text=True, check=True)
         sample = json.loads(launched.stdout)
@@ -80,9 +88,10 @@ def measure(src: Path, flights: int, seed: int, runs: int, work: Path) -> dict:
     outdir = corpus.config.parent / "out"
     launch(corpus.setup_config, corpus.config.parent / "out_setup", corpus.setup_expected)
     for _ in range(runs):
-        samples.append(launch(corpus.config, outdir, corpus.expected))
-        if samples[-1]["exit_code"] == 0:
-            digests.add(checks.digest_files(outdir))
+        for cpus, kept in (("all", samples), ("1", one_cpu_samples)):
+            kept.append(launch(corpus.config, outdir, corpus.expected, cpus))
+            if kept[-1]["exit_code"] == 0:
+                digests.add(checks.digest_files(outdir))
         setup_samples.append(launch(corpus.setup_config, corpus.config.parent / "out_setup",
                                     corpus.setup_expected))
     if len(digests) > 1:
@@ -92,11 +101,14 @@ def measure(src: Path, flights: int, seed: int, runs: int, work: Path) -> dict:
         "flights": flights,
         "seed": seed,
         "runs": runs,
+        "usable_cpus": len(os.sched_getaffinity(0)),
         "wall_s": statistics.median(walls),
+        "wall_1cpu_s": statistics.median(s["wall_s"] for s in one_cpu_samples),
         "setup_s": statistics.median(s["wall_s"] for s in setup_samples),
         "flights_per_s": statistics.median(flights / w for w in walls),
         "peak_rss_mb": statistics.median(s["max_rss_mb"] for s in samples),
         "samples": samples,
+        "one_cpu_samples": one_cpu_samples,
         "setup_samples": setup_samples,
         "digest": digests.pop() if len(digests) == 1 else sorted(digests),
         "problems": problems,

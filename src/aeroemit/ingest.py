@@ -11,8 +11,8 @@ table a column at a time, in chunks of whole engines; a table with any row it
 cannot settle is read again through the columns. The columns stay the one
 definition of what is accepted and of every rejection message.
 `read_table(schema, path)` reads every table and rejects a malformed row
-(wrong arity, bytes that are not UTF-8, an oversized field, a refused value)
-with the file line it starts on and the reason; only a missing or unreadable
+(wrong arity, a NUL, bytes that are not UTF-8, an oversized field, a refused
+value) with the file line it starts on and the reason; only a missing or unreadable
 file, a header mismatch, or a repeated primary key of a table whose keys must
 be unique aborts a parse.
 Numbers must be finite (inf and nan reject the row); -0 is stored as 0.0.
@@ -358,6 +358,8 @@ def _rows(schema: TableSchema, path: Path, start: int = 0, lines: int | None = N
                 newline=""))
             reader = csv.reader(itertools.islice(fh, lines))
             header = None if start else next(reader, None)
+            if header and "\0" in "".join(header):
+                header = "line contains NUL"  # as the csv module of Python 3.10 reads it
         except csv.Error as exc:
             header = str(exc)
         except OSError as exc:
@@ -403,9 +405,11 @@ def _accepted(schema: TableSchema, path: Path, columns: tuple[Column, ...], read
             row = next(reader, None)
             if row is None:
                 return
+            joined = "".join(row)
+            if "\0" in joined:  # refused on every Python, in the words of 3.10's csv module
+                raise ValueError("line contains NUL")
             if len(row) != arity:
                 raise ValueError(f"expected {arity} fields, got {len(row)}")
-            joined = "".join(row)
             if not joined.isascii() and _UNDECODED.search(joined):
                 raise ValueError("field holds bytes that are not UTF-8")
             record = None
@@ -603,16 +607,16 @@ def _engine_table(reader: Iterator[list[str]]) -> tuple[list[EngineLtoFactors], 
 def _engines(chunk: list[list[str]]) -> list[EngineLtoFactors] | None:
     """The engines of `chunk`, rows of the table from a multiple of 16 on,
     settled a column at a time: each row has 4 cells; each run of 16 rows
-    has one UID, non-empty ASCII; a (gas, mode) is a key of `_RATE_INDEX`
-    and repeats in no run; a rate is `float` of its cell plus 0.0 (as
-    `number` makes -0 +0.0), in [0, inf) and no NaN (their `math.fsum` is
-    finite). Else None, or a ValueError, KeyError or OverflowError."""
+    has one UID, non-empty ASCII, no NUL; a (gas, mode) is a key of
+    `_RATE_INDEX`, in no run twice; a rate is `float` of its cell plus 0.0
+    (as `number` makes -0 +0.0), in [0, inf) and no NaN (their `math.fsum`
+    is finite). Else None, or a ValueError, KeyError or OverflowError."""
     uids, gases, modes, cells = zip(*chunk, strict=True)
     heads = uids[::16]
     indices = list(map(_RATE_INDEX.__getitem__, zip(gases, modes)))
     rates = list(map(float.__add__, map(float, cells), itertools.repeat(0.0)))
     if (any(uids[k::16] != heads for k in range(1, 16))  # also a chunk of 16n rows
-            or "" in heads or not "".join(heads).isascii()
+            or "" in heads or not "".join(heads).isascii() or "\0" in "".join(heads)
             or len(set(zip(uids, indices))) != len(uids)
             or not (math.isfinite(math.fsum(rates)) and min(rates) >= 0.0)):
         return None

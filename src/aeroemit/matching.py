@@ -52,10 +52,6 @@ DEFAULT_NORMALIZATION_RULES = _DATA_DIR / "normalization_rules.csv"
 DEFAULT_FAMILY_FALLBACK = _DATA_DIR / "family_fallback.csv"
 
 
-class MatchingConfigError(IngestError):
-    """Invalid normalization / fallback / override configuration."""
-
-
 class ResolvedFlight(NamedTuple):
     flight: FlightRecord
     canonical_type: str | None
@@ -90,7 +86,7 @@ class NormalizationRuleSet:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "NormalizationRuleSet":
-        return cls(_read_config_table(RULES_TABLE, path))
+        return cls(read_strict(RULES_TABLE, path))
 
     def normalize(self, raw: str) -> str | None:
         cleaned = raw.strip().upper()
@@ -129,20 +125,12 @@ OVERRIDE_TABLE = TableSchema(
 CONFIG_TABLES = (RULES_TABLE, FALLBACK_TABLE, OVERRIDE_TABLE)
 
 
-def _read_config_table(schema: TableSchema, path: str | Path) -> list:
-    """Records of a matching config table; its first rejected row is fatal."""
-    try:
-        return read_strict(schema, path)
-    except IngestError as exc:
-        raise MatchingConfigError(str(exc)) from exc
-
-
 def load_family_fallback(path: str | Path) -> dict[str, FamilyFallback]:
-    return dict(_read_config_table(FALLBACK_TABLE, path))
+    return dict(read_strict(FALLBACK_TABLE, path))
 
 
 def load_popular_engine_override(path: str | Path) -> dict[str, str]:
-    return dict(_read_config_table(OVERRIDE_TABLE, path))
+    return dict(read_strict(OVERRIDE_TABLE, path))
 
 
 # Runs of `str.isalnum` characters: `\w` is exactly isalnum plus "_".
@@ -308,7 +296,7 @@ class LookupTables(NamedTuple):
             and tail in engine_by_tail)
         for ctype, uid in (popular_engine_override or {}).items():
             if uid not in databank_by_uid:
-                raise MatchingConfigError(
+                raise IngestError(
                     f"popular-engine override {ctype} -> {uid}: UID not in databank")
             popular_engine[ctype] = uid
         return cls(airframes_by_tail, canonical_types, databank_by_uid,

@@ -518,6 +518,18 @@ class TestInputErrorsExit2:
         assert cli.main(["validate", "--config", str(config)]) == 2
         assert "line 3: duplicate canonical_type 737-900ER" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_override_uid_not_in_databank(self, tmp_path, capsys, command):
+        paths = write_golden_inputs(tmp_path)
+        override = tmp_path / "override.csv"
+        write_csv(override, ["canonical_type", "engine_uid"], [["737-900ER", "NOT-A-UID"]])
+        config = write_config(tmp_path, paths, tmp_path / "out",
+                              extra={"popular_engine_override": str(override)})
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: popular-engine override 737-900ER -> NOT-A-UID: UID not in databank\n")
+        assert not (tmp_path / "out").exists()
+
     def _distance_ccd(self, tmp_path, distances):
         paths = write_golden_inputs(tmp_path)
         write_csv(paths["bada_ccd"],

@@ -8,6 +8,7 @@ from aeroemit.ingest import (
     CcdProfile,
     EngineCodeRecord,
     FlightRecord,
+    IngestError,
     TailEngineRecord,
 )
 from conftest import CFM56_7B27E_RATES, lto_factors, pick, write_csv
@@ -176,7 +177,7 @@ class TestConfigTables:
     def test_first_bad_row_is_fatal(self, tmp_path, loader, header, rows, fragment):
         path = tmp_path / "table.csv"
         write_csv(path, header, rows)
-        with pytest.raises(matching.MatchingConfigError, match=fragment):
+        with pytest.raises(IngestError, match=fragment):
             loader(path)
 
 
@@ -313,7 +314,8 @@ class TestResolveFlight:
         assert rf.engine_uid == "CFM56-7B26"
 
     def test_override_uid_must_exist(self):
-        with pytest.raises(matching.MatchingConfigError):
+        with pytest.raises(IngestError, match="^popular-engine override 737-900ER -> "
+                                              "NOT-A-UID: UID not in databank$"):
             self.default_tables(override={"737-900ER": "NOT-A-UID"})
 
     def test_build_leaves_input_and_earlier_tables_unchanged(self):

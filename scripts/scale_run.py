@@ -6,19 +6,21 @@ Run from the root of a source checkout. The script generates the inputs with
 the bulk-run shape of perfbench/synth.py scaled to --flights rows, runs
 ``python -m aeroemit.cli run`` on them --runs times, checks every run's output
 files with perfbench/checks.py, and prints one JSON object: the flight count,
-the median wall_s, flights_per_s and peak_rss_mb, the outputs' digest (a
-sorted list of them if the runs' outputs differ, which is a problem too) and
-any problems found; a problem makes the exit code 1. A run splits the flight
-table across the usable CPUs (usable_cpus); after each run the same run is
-made pinned to one CPU, whose median wall time is wall_1cpu_s and whose
-outputs must have the same digest, so the split's gain on this host is
-wall_1cpu_s / wall_s. Then it runs the corpus's ``setup.cfg``, the same
-reference tables with a one-row flight table, as perfbench does: setup_s,
-that run's median wall time, is what every invocation pays before its first
-flight. --src picks the package sources to run (default ./src), so two
-checkouts can be measured on the same generated inputs. One untimed run comes
-first and writes the bytecode cache of the sources, so no timed run compiles
-them.
+the median wall_s, cpu_s, flights_per_s and peak_rss_mb, the outputs' digest
+(a sorted list of them if the runs' outputs differ, which is a problem too)
+and any problems found; a problem makes the exit code 1. A run splits the
+flight table across the usable CPUs (usable_cpus); after each run the same
+run is made pinned to one CPU, whose median wall time is wall_1cpu_s and
+whose outputs must have the same digest, so the split's gain on this host is
+wall_1cpu_s / wall_s. cpu_s is a run's user and system time, its shards'
+included: a split run whose cpu_s is close to its wall_s ran its shards one
+after another, as on a host that keeps a forked child on its parent's CPU.
+Then it runs the corpus's ``setup.cfg``, the same reference tables with a
+one-row flight table, as perfbench does: setup_s, that run's median wall
+time, is what every invocation pays before its first flight. --src picks the
+package sources to run (default ./src), so two checkouts can be measured on
+the same generated inputs. One untimed run comes first and writes the
+bytecode cache of the sources, so no timed run compiles them.
 
 Each run is started by a small launcher process. On Linux a child's max RSS,
 as wait4 reports it, is at least its parent's resident set at the time of
@@ -42,8 +44,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Spawns the command after its first argument, waits for it and prints its
-# wall time, exit code and max RSS as JSON; it imports only what it needs for
-# that. A first argument of "1" pins it, and so the command, to its first
+# wall time, CPU time (user and system, its reaped shard children included),
+# exit code and max RSS as JSON; it imports only what it needs for that. A first argument of "1" pins it, and so the command, to its first
 # usable CPU.
 LAUNCHER = """
 import json, os, subprocess, sys, time
@@ -53,6 +55,7 @@ start = time.perf_counter()
 proc = subprocess.Popen(sys.argv[2:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
 print(json.dumps({"wall_s": time.perf_counter() - start,
+                  "cpu_s": usage.ru_utime + usage.ru_stime,
                   "exit_code": os.waitstatus_to_exitcode(status),
                   "max_rss_mb": usage.ru_maxrss / 1024}))
 """
@@ -103,6 +106,7 @@ def measure(src: Path, flights: int, seed: int, runs: int, work: Path) -> dict:
         "runs": runs,
         "usable_cpus": len(os.sched_getaffinity(0)),
         "wall_s": statistics.median(walls),
+        "cpu_s": statistics.median(s["cpu_s"] for s in samples),
         "wall_1cpu_s": statistics.median(s["wall_s"] for s in one_cpu_samples),
         "setup_s": statistics.median(s["wall_s"] for s in setup_samples),
         "flights_per_s": statistics.median(flights / w for w in walls),

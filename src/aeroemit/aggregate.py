@@ -5,20 +5,21 @@ Every finite double is an integer multiple of 2**-1074, so aggregation totals
 are kept as Python ints counting units of 2**-1074 kg: fixed point with no
 rounding, in which every grouping of the same flights sums to the same mass
 regardless of order. One record, `Sums`, holds the sums of a carrier, an
-airport or a cycle. `RollUpAccumulator.add` counts one flight and holds its
-`emissions.emissions_row` tuple in a list by carrier, its origin and
-destination shares in a list by airport, and its distance by carrier and
-seat count; every BLOCK computed flights, `_fold` sums each list's needed
-columns with `exact_units`, a few `math.fsum` calls per column whose results
-convert with `to_units`, and drops the rows. A run streams its flights
-through it and holds only the carrier and airport sums and at most one
-block; every read of the sums, `merge` and pickling fold first, and
-accumulators of parts of a table `merge` by `+`. The cycles are derived when
-read: the LTO cycle is the airports' sum and the CCD cycle the carriers' sum
-less the LTO cycle. `RollUpAccumulator.rows` makes the cells of the tables
-of `ROLLUP_TABLES`, which `run` writes and `report` reads. Floats appear
-only in those cells, each produced by one correctly rounded ``int / int``
-division (the same double ``float(Fraction)`` gives).
+airport or a cycle. `RollUpAccumulator.add` takes one block of flights, each
+with its seat count and its `emissions.emissions_row` tuple: it counts every
+flight, gathers the computed flights' rows in local lists by carrier, their
+origin and destination shares by airport and their distances by carrier and
+seat count, and sums each list's needed columns with `exact_units`, a few
+`math.fsum` calls per column whose results convert with `to_units`, before it
+returns. So an accumulator holds only its carrier and airport sums: `run`
+hands it BLOCK flights read at a time, and since the sums are exact, where
+the blocks are cut changes no byte of any output. Accumulators of parts of a
+table `merge` by `+`. The cycles are derived when read: the LTO cycle is the
+airports' sum and the CCD cycle the carriers' sum less the LTO cycle.
+`RollUpAccumulator.rows` makes the cells of the tables of `ROLLUP_TABLES`,
+which `run` writes and `report` reads. Floats appear only in those cells,
+each produced by one correctly rounded ``int / int`` division (the same
+double ``float(Fraction)`` gives).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ UNIT_BITS = 1074
 # such totals (a mass times a CO2e factor) is divided by UNIT_SQUARED.
 UNIT = 1 << UNIT_BITS
 UNIT_SQUARED = UNIT * UNIT
-# Computed flights whose rows `RollUpAccumulator` holds before it sums them.
+# Flights `run` reads before it hands them to `RollUpAccumulator.add`.
 BLOCK = 1024
 # `fsum` rounds `exact_units` tries before it converts a column value by value.
 _ROUNDS = 8
@@ -111,72 +112,51 @@ class Sums(Record):
 
 
 class RollUpAccumulator:
-    """Per-carrier and per-airport sums, one flight at a time.
+    """Per-carrier and per-airport sums, one block of flights at a time.
 
     LTO mass is split between origin and destination airports; carrier totals
     cover both LTO shares and CCD. The cycles are made when read: `lto` is
     the sum of the airports, `ccd` that of the carriers less `lto`. The sums
-    are exact integers, so neither the order of `add` calls nor where the
-    blocks end changes what `rows` returns. `carriers`, `airports`, `lto` and
-    `ccd` are the sums of every flight added.
+    are exact integers, so neither the order of the flights nor where the
+    blocks are cut changes what `rows` returns. `carriers` and `airports`
+    are the only state, the sums of every flight added.
     """
 
     def __init__(self) -> None:
-        self._carriers: defaultdict[str, Sums] = defaultdict(Sums)
-        self._airports: defaultdict[str, Sums] = defaultdict(Sums)
-        self._pending = 0
-        self._by_carrier: defaultdict[str, list[tuple]] = defaultdict(list)
-        self._by_airport: defaultdict[str, list[tuple]] = defaultdict(list)
-        self._distances: defaultdict[tuple[str, int], list[float]] = defaultdict(list)
+        self.carriers: defaultdict[str, Sums] = defaultdict(Sums)
+        self.airports: defaultdict[str, Sums] = defaultdict(Sums)
 
-    def add(self, flight: FlightRecord, seats: int, row: tuple | None) -> None:
-        """Count one flight of `seats` seats; add its emissions, the tuple of
-        `emissions.emissions_row`, unless it has none (`row` is None)."""
-        carrier = flight.carrier_code
-        self._carriers[carrier].flights += 1
-        if row is None:
-            return
-        self._by_carrier[carrier].append(row)
-        self._by_airport[flight.origin].append(row[0:4])
-        self._by_airport[flight.destination].append(row[4:8])
-        self._distances[carrier, seats].append(flight.distance_mi)
-        self._pending += 1
-        if self._pending == BLOCK:
-            self._fold()
-
-    def _fold(self) -> None:
-        """Add the held rows to the sums and drop them. A carrier's masses
-        sum its flights' origin shares [0:4], destination shares [4:8] and
-        CCD masses [12:16] in one column per gas, an airport's the four gas
-        columns of the shares it holds."""
-        if not self._pending:
-            return
-        for carrier, rows in self._by_carrier.items():
-            columns = list(zip(*rows))
-            sums = self._carriers[carrier]
+    def add(self, flights: Iterable[FlightRecord], seats: Iterable[int],
+            rows: Iterable[tuple | None]) -> None:
+        """Count each flight of a block, of its `seats` seats, and add its
+        emissions, the tuple of `emissions.emissions_row` in `rows`, unless
+        it has none (None). A carrier's masses sum its flights' origin shares
+        [0:4], destination shares [4:8] and CCD masses [12:16] in one column
+        per gas, an airport's the four gas columns of its shares."""
+        by_carrier: defaultdict[str, list[tuple]] = defaultdict(list)
+        by_airport: defaultdict[str, list[tuple]] = defaultdict(list)
+        distances: defaultdict[tuple[str, int], list[float]] = defaultdict(list)
+        for flight, seat_count, row in zip(flights, seats, rows):
+            carrier = flight.carrier_code
+            self.carriers[carrier].flights += 1
+            if row is not None:
+                by_carrier[carrier].append(row)
+                by_airport[flight.origin].append(row[0:4])
+                by_airport[flight.destination].append(row[4:8])
+                distances[carrier, seat_count].append(flight.distance_mi)
+        for carrier, held in by_carrier.items():
+            columns = list(zip(*held))
+            sums = self.carriers[carrier]
             sums.add_gases(*(exact_units(columns[i] + columns[i + 4] + columns[i + 12])
                              for i in range(4)))
-            sums.computed += len(rows)
+            sums.computed += len(held)
             sums.co2e += exact_units(columns[18])
-        for airport, shares in self._by_airport.items():
-            self._airports[airport].add_gases(*map(exact_units, zip(*shares)))
-        for (carrier, seats), distances in self._distances.items():
-            sums = self._carriers[carrier]
-            sums.seats += seats * len(distances)
-            sums.seat_miles += seats * exact_units(distances)
-        self._pending = 0
-        for held in (self._by_carrier, self._by_airport, self._distances):
-            held.clear()
-
-    @property
-    def carriers(self) -> defaultdict[str, Sums]:
-        self._fold()
-        return self._carriers
-
-    @property
-    def airports(self) -> defaultdict[str, Sums]:
-        self._fold()
-        return self._airports
+        for airport, shares in by_airport.items():
+            self.airports[airport].add_gases(*map(exact_units, zip(*shares)))
+        for (carrier, seat_count), miles in distances.items():
+            sums = self.carriers[carrier]
+            sums.seats += seat_count * len(miles)
+            sums.seat_miles += seat_count * exact_units(miles)
 
     @property
     def lto(self) -> Sums:
@@ -187,14 +167,6 @@ class RollUpAccumulator:
     def ccd(self) -> Sums:
         """The CCD cycle: the carriers' gas sums less the LTO cycle's."""
         return Sums(*map(sub, _by_gas(_gas_sums(self.carriers.values())), _by_gas(self.lto)))
-
-    def __getstate__(self) -> tuple:
-        """The sums alone: a forked shard pickles no held rows."""
-        return self.carriers, self.airports
-
-    def __setstate__(self, state: tuple) -> None:
-        self.__init__()
-        self._carriers, self._airports = state
 
     def merge(self, other: RollUpAccumulator) -> None:
         """Add every sum of `other`, an accumulator of other flights: the sums

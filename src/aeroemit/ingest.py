@@ -427,7 +427,7 @@ def _accepted(schema: TableSchema, path: Path, columns: tuple[Column, ...], read
                     repeat = "duplicate " + ", ".join(
                         f"{name} {values[i]}" for name, i in zip(schema.key, key_at))
                     if schema.repeat_fatal:
-                        raise DuplicateKeyError(f"{schema.table} line {line}: {repeat}")
+                        raise DuplicateKeyError(f"{path} line {line}: {repeat}")
                     raise ValueError(repeat)
                 seen.add(key)
         except (ValueError, csv.Error) as exc:

@@ -1,14 +1,15 @@
 """Pipeline orchestration: ingest -> resolve -> compute -> aggregate -> write.
 
-`run_pipeline` is one pass over the flight table: each flight is read,
-resolved, computed, written and added to the exact roll-up, then dropped, so
-memory does not grow with the number of flights. The per-flight work is pure
-Python, so one driver, `_split`, splits a large table into row spans
-(`ingest.row_spans`) for `run` and `validate` alike, one per CPU this process
-may use: once the lookup tables are built, a forked child streams each span
-but the first, which this process streams itself, and pickles its exact sums
-and counts to an anonymous result file; its per-flight rows go to anonymous
-fragment files that are appended in span order. Integer sums merge with `+`,
+`run_pipeline` is one pass over the flight table, read `aggregate.BLOCK`
+flights at a time: each flight is resolved, computed and written, then the
+block is added to the exact roll-up and dropped, so memory does not grow
+with the number of flights. The per-flight work is pure Python, so one
+driver, `_split`, splits a large table into row spans (`ingest.row_spans`)
+for `run` and `validate` alike, one per CPU this process may use: once the
+lookup tables are built, a forked child streams each span but the first,
+which this process streams itself, and pickles its exact sums and counts to
+an anonymous result file; its per-flight rows go to anonymous fragment files
+that are appended in span order. Integer sums merge with `+`,
 so the outputs do not depend on the number of processes. Resolution runs
 once per tail (`TailPlans`), whose plan holds the engine's kernel terms and
 the lookup tables' own CCD profile; per flight only the air time and distance
@@ -198,12 +199,6 @@ def compute_outcomes(resolved: list[matching.ResolvedFlight], data: LoadedData,
 
 # --- the per-tail plan: resolution once per tail ---
 
-# Rates for an engine the databank lacks, possible only in tables not made by
-# LookupTables.build: the kernel drops such a flight by its finite check, as
-# flight_emissions drops it, and `run` gives it NONFINITE_EMISSIONS.
-_NAN_RATES = (float("nan"),) * 16
-
-
 class TailCause(NamedTuple):
     """What `validate` needs of one tail: `resolve_flight`'s cause for any
     flight of it, less the flight-level causes, and its provenance flags."""
@@ -312,14 +307,13 @@ class TailPlans:
 
     def _plan(self, rf: matching.ResolvedFlight, cause: str | None) -> TailPlan:
         terms = ccd = None
-        if cause is None:  # then the engine UID is set and its CCD profile exists
+        if cause is None:  # then the engine UID is a databank key and its CCD profile exists
             multiplier = _engine_multiplier(rf, self.cfg)
             key = (rf.engine_uid, multiplier, rf.efficiency_factor)
             terms = self._terms.get(key)
             if terms is None:
-                factors = self.tables.databank_by_uid.get(rf.engine_uid)
                 terms = self._terms[key] = emissions.kernel_terms(
-                    _NAN_RATES if factors is None else factors.rates, multiplier,
+                    self.tables.databank_by_uid[rf.engine_uid].rates, multiplier,
                     rf.efficiency_factor, self.cfg.co2e_factors)
             ccd = self.tables.ccd_by_type[rf.emissions_type]
         return TailPlan.of(rf, cause, terms, ccd, self._texts)
@@ -344,10 +338,11 @@ _FLIGHT_NUMBERS = ",%.2f" * 12 + ",%.6f"
 class OutputWriter:
     """The seven output files of one run, staged and then committed together.
 
-    ``with OutputWriter(cfg) as out``: `add` each flight in input order, then
-    `commit`. Each file is staged as `<name>.tmp` in the output directory,
-    which entering creates, and replaces its target only in `commit`. Leaving
-    the block without a commit removes every staged file, so an error or an
+    ``with OutputWriter(cfg) as out``: `add` each flight in input order and
+    hand every flight, in blocks, to `rollup.add`, then `commit`. Each file
+    is staged as `<name>.tmp` in the output directory, which entering
+    creates, and replaces its target only in `commit`. Leaving the `with`
+    block without a commit removes every staged file, so an error or an
     interrupt leaves the previous outputs as they were.
     """
 
@@ -390,9 +385,9 @@ class OutputWriter:
         return self
 
     def add(self, flight: ingest.FlightRecord, plan: TailPlan, row: tuple | None) -> None:
-        """Roll up one flight and, if it was computed (`row`, the tuple of
-        `emissions.emissions_row`, is not None), write its three rows."""
-        self.rollup.add(flight, plan.seats, row)
+        """Write one flight's three rows if it was computed (`row`, the tuple
+        of `emissions.emissions_row`, is not None). The flight is rolled up
+        apart from this, through `rollup.add`."""
         if row is None:
             return
         distance = repr(flight.distance_mi)
@@ -581,10 +576,15 @@ def run_pipeline(cfg: RunConfig) -> CoverageReport:
             coverage = CoverageReport()
             compute = TailPlans(data.tables, cfg).compute
             with _writing(out.outdir):
-                for flight in flights:
-                    plan, cause, row = compute(flight)
-                    coverage.add(cause, plan.flags)
-                    out.add(flight, plan, row)
+                while block := list(itertools.islice(flights, agg.BLOCK)):
+                    seats, rows = [], []
+                    for flight in block:
+                        plan, cause, row = compute(flight)
+                        coverage.add(cause, plan.flags)
+                        out.add(flight, plan, row)
+                        seats.append(plan.seats)
+                        rows.append(row)
+                    out.rollup.add(block, seats, rows)
             return coverage, out.rollup
 
         coverage, _, _ = _split(cfg, data, spans, run_shard, out.streams)

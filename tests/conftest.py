@@ -85,14 +85,22 @@ def in_shards(monkeypatch, shards):
     return forked
 
 
-# The list forms of the streaming pieces `run` feeds one flight at a time.
+# The list forms of the streaming pieces `run` feeds a flight or a block at a time.
+
+def block_of(outcomes) -> tuple[list, list, list]:
+    """The flights, seat counts and rows of `outcomes`, (resolved flight,
+    `emissions_row`) pairs: the arguments of one `RollUpAccumulator.add`."""
+    return ([rf.flight for rf, _ in outcomes], [rf.seat_count or 0 for rf, _ in outcomes],
+            [row for _, row in outcomes])
+
 
 def roll_up(outcomes) -> agg.RollUpAccumulator:
-    """The sums of every grouping of `outcomes`, (resolved flight,
-    `emissions_row`) pairs, through `RollUpAccumulator`."""
+    """The sums of every grouping of `outcomes`, a list of (resolved flight,
+    `emissions_row`) pairs, through `RollUpAccumulator`, handed it in blocks
+    of agg.BLOCK as `run` hands it its flights."""
     accumulator = agg.RollUpAccumulator()
-    for rf, row in outcomes:
-        accumulator.add(rf.flight, rf.seat_count or 0, row)
+    for start in range(0, len(outcomes), agg.BLOCK):
+        accumulator.add(*block_of(outcomes[start:start + agg.BLOCK]))
     return accumulator
 
 
@@ -123,6 +131,7 @@ def write_outputs(outcomes, cfg, coverage: pipeline.CoverageReport) -> None:
         for rf, row in outcomes:
             out.add(rf.flight, pipeline.TailPlan.of(rf, rf.incomputable_cause, None, None, {}),
                     row)
+        out.rollup.add(*block_of(outcomes))
         out.commit(coverage)
 
 

@@ -509,14 +509,17 @@ class TestInputErrorsExit2:
         assert err.startswith("error: ") and fragment in err
 
     def test_repeated_override_key(self, tmp_path, capsys):
+        """A repeated key's error names the file, as every other table error
+        does."""
         paths = write_golden_inputs(tmp_path)
-        override = tmp_path / "override.csv"
+        override = tmp_path / "popular_engine_override.csv"
         write_csv(override, ["canonical_type", "engine_uid"],
                   [["737-900ER", "CFM56-7B27E"], ["737-900ER", "CFM56-7B27E"]])
         config = write_config(tmp_path, paths, tmp_path / "out",
                               extra={"popular_engine_override": str(override)})
         assert cli.main(["validate", "--config", str(config)]) == 2
-        assert "line 3: duplicate canonical_type 737-900ER" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", f"error: {override} line 3: duplicate canonical_type 737-900ER\n")
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_override_uid_not_in_databank(self, tmp_path, capsys, command):

@@ -21,8 +21,8 @@ from aeroemit.config import REQUIRED_TABLE_KEYS, load_config
 from aeroemit.emissions import Co2eFactors
 from aeroemit.ingest import FlightRecord
 from aeroemit.matching import ResolvedFlight
-from conftest import (build_corpus, coverage_report, in_shards, roll_up, rollup_rows,
-                      table_paths, write_config, write_outputs)
+from conftest import (block_of, build_corpus, coverage_report, in_shards, roll_up,
+                      rollup_rows, table_paths, write_config, write_outputs)
 
 SMALLEST_SUBNORMAL = 5e-324
 EDGE_VALUES = [0.0, -0.0, SMALLEST_SUBNORMAL, -SMALLEST_SUBNORMAL,
@@ -604,18 +604,16 @@ def test_merged_accumulators_equal_one_over_all(flights, cut):
     sums of one accumulator over the whole list and make its rows. The second
     part is pickled and read back first, as a forked shard's is."""
     outcomes = [synthetic_outcome(*f) for f in flights]
-    whole = agg.RollUpAccumulator()
-    first, second = agg.RollUpAccumulator(), agg.RollUpAccumulator()
-    for i, (rf, row) in enumerate(outcomes):
-        for accumulator in (whole, first if i < cut else second):
-            accumulator.add(rf.flight, rf.seat_count or 0, row)
+    whole, first, second = roll_up(outcomes), roll_up(outcomes[:cut]), roll_up(outcomes[cut:])
     first.merge(pickle.loads(pickle.dumps(second)))
-    assert (first.carriers, first.airports, first.lto, first.ccd) \
-        == (whole.carriers, whole.airports, whole.lto, whole.ccd)
+    assert everything(first) == everything(whole)
 
-    def tables(accumulator):  # a table with a figure beyond a double is "overflow"
-        return [_rounded(lambda: list(rows)) for rows in accumulator.rows(Co2eFactors())]
-    assert tables(first) == tables(whole)
+
+def everything(accumulator):
+    """An accumulator's sums, cycles and table rows; a table with a figure
+    beyond a double is "overflow"."""
+    return (accumulator.carriers, accumulator.airports, accumulator.lto, accumulator.ccd,
+            [_rounded(lambda: list(rows)) for rows in accumulator.rows(Co2eFactors())])
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -623,8 +621,8 @@ def test_merged_accumulators_equal_one_over_all(flights, cut):
 @pytest.mark.parametrize("setting, golden", GOLDEN_SETTINGS, ids=GOLDEN_SETTING_IDS)
 def test_outputs_in_small_blocks_match_golden_digests(corpus, tmp_path, monkeypatch, setting,
                                                       golden, shards, block):
-    """Folding the roll-up after every flight, or every third, changes no
-    output byte."""
+    """Handing the roll-up every flight, or every third, as its own block
+    changes no output byte."""
     monkeypatch.setattr(agg, "BLOCK", block)
     test_outputs_in_shards_match_golden_digests(corpus, tmp_path, monkeypatch, setting, golden,
                                                 shards)
@@ -657,30 +655,55 @@ def test_exact_units_falls_back_past_an_overflow():
     assert agg.exact_units(column) == sum(map(agg.to_units, column))
 
 
-def test_sums_read_between_folds_are_exact():
-    """Each read of the sums holds every flight added so far, with no explicit
-    fold, and the flights added after it are counted once."""
+def test_each_add_leaves_the_sums_so_far():
+    """After each `add`, of blocks of 0 to 3 flights, one with no computed
+    flight, the sums hold every flight added so far, each counted once."""
     accumulator = agg.RollUpAccumulator()
-    expected = [0] * 4
-    for i in range(7):
-        masses = [0.1 * (i + k) for k in range(14)]
-        rf, row = synthetic_outcome("AA", "X", "Y", 2, masses)
-        accumulator.add(rf.flight, 2, row)
-        expected = [e + sum(map(agg.to_units, masses[g:12:4])) for g, e in enumerate(expected)]
-        assert gas_sums(accumulator.carriers["AA"]) == expected
-        assert accumulator.carriers["AA"].computed == i + 1
+    expected, flights, computed = [0] * 4, 0, 0
+    for i, size in enumerate([1, 0, 3, 2, 1]):
+        block = []
+        for k in range(size):
+            masses = [0.1 * (i + j + k) for j in range(14)]
+            rf, row = synthetic_outcome("AA", "X", "Y", 2, masses)
+            if i == 3:
+                row = None
+            else:
+                computed += 1
+                expected = [e + sum(map(agg.to_units, masses[g:12:4]))
+                            for g, e in enumerate(expected)]
+            block.append((rf, row))
+        accumulator.add(*block_of(block))
+        flights += size
+        sums = accumulator.carriers["AA"]
+        assert (gas_sums(sums), sums.flights, sums.computed) == (expected, flights, computed)
+
+
+@given(synthetic_flights(["AA", "DL"], ["X", "Y"], ["Y", "Z"]), st.sets(st.integers(0, 11)),
+       st.lists(st.integers(0, 12), max_size=6))
+@example([("AA", "X", "Y", 2, [0.1 * k for k in range(14)]),
+          ("DL", "Y", "Z", 0, [1e300] * 14), ("AA", "X", "Z", 300, [-5e-324] * 14)],
+         {1}, [0, 1, 2, 2])
+def test_cut_into_blocks_equals_one_add(flights, withheld, cuts):
+    """Cutting a list of flights, those at `withheld` with no emissions, into
+    `add` calls at the points `cuts`, which make empty blocks, one-flight
+    blocks and blocks with no computed flight, changes no sum and no row of
+    one call over all of them."""
+    outcomes = [(rf, None if i in withheld else row)
+                for i, (rf, row) in enumerate(synthetic_outcome(*f) for f in flights)]
+    whole, cut = agg.RollUpAccumulator(), agg.RollUpAccumulator()
+    whole.add(*block_of(outcomes))
+    points = sorted(min(c, len(outcomes)) for c in cuts)
+    for start, end in zip([0, *points], [*points, len(outcomes)]):
+        cut.add(*block_of(outcomes[start:end]))
+    assert everything(cut) == everything(whole)
 
 
 def test_pickled_accumulator_holds_no_rows():
-    """A forked shard pickles its sums, not the rows of a block not yet
-    folded: no double of a row is in the pickle."""
+    """A forked shard pickles only its sums: no double of a row is in the
+    pickle."""
     accumulator = agg.RollUpAccumulator()
     masses = [12345.678 + k for k in range(14)]
-    rf, row = synthetic_outcome("AA", "X", "Y", 2, masses)
-    for _ in range(3):
-        accumulator.add(rf.flight, 2, row)
+    accumulator.add(*block_of([synthetic_outcome("AA", "X", "Y", 2, masses)] * 3))
     data = pickle.dumps(accumulator)
     assert not any(struct.pack(">d", x) in data for x in masses)
-    clone = pickle.loads(data)
-    assert (clone.carriers, clone.airports, clone.lto, clone.ccd) \
-        == (accumulator.carriers, accumulator.airports, accumulator.lto, accumulator.ccd)
+    assert everything(pickle.loads(data)) == everything(accumulator)

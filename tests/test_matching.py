@@ -435,6 +435,23 @@ class TestEngineResolutionEquivalence:
         assert set(tables.engine_by_tail) <= set(engines)
         assert tables.popular_engine == popular
 
+    @given(matching_inputs(), st.data())
+    def test_built_tables_name_only_databank_uids(self, inputs, data):
+        """Every UID of a built table's `engine_by_tail` and `popular_engine`,
+        overrides included, is a key of `databank_by_uid`, so `run` reads the
+        rates of a resolved flight's engine there; an override naming any
+        other UID is refused."""
+        uids = [e.engine_uid for e in inputs["databank"]]
+        override = data.draw(st.dictionaries(st.sampled_from(["TA", "TB", "TC"]),
+                                             st.sampled_from([*uids, "NOT-A-UID"])))
+        try:
+            tables = build_tables(**inputs, override=override)
+        except IngestError:
+            assert "NOT-A-UID" in override.values()
+            return
+        named = {uid for uid, _ in tables.engine_by_tail.values()}
+        assert named | set(tables.popular_engine.values()) <= tables.databank_by_uid.keys()
+
     @given(matching_inputs(), DESIGNATIONS)
     def test_match_engine_equals_brute_force(self, inputs, designation):
         bank, threshold = inputs["databank"], inputs["threshold"]

@@ -165,20 +165,6 @@ class TestPlanPathEqualsReference:
         assert flags == {matching.ENGINE_EXACT, matching.ENGINE_JACCARD,
                          matching.ENGINE_POPULAR_FALLBACK, matching.FAMILY_FALLBACK}
 
-    def test_engine_missing_from_hand_built_tables(self):
-        """Tables not made by LookupTables.build can name an engine the databank
-        lacks: like flight_emissions, the plan path computes nothing for it, and
-        `run` gives it NONFINITE_EMISSIONS."""
-        tables = PLAN_TEST_TABLES._replace(databank_by_uid={})
-        cfg = RunConfig(*(Path("unused.csv"),) * 6)
-        flight = first_flight_incomplete()[-1]
-        rf = matching.resolve_flight(flight, tables)
-        ((computed, _),) = pipeline.compute_outcomes([rf], pipeline.LoadedData([], tables, {}),
-                                                     cfg)
-        plan, cause, row = pipeline.TailPlans(tables, cfg).compute(flight)
-        assert (cause, row) == (computed.incomputable_cause, None)
-        assert cause == matching.NONFINITE_EMISSIONS
-
     def test_unknown_and_blank_tails_add_no_entry(self):
         cfg = RunConfig(*(Path("unused.csv"),) * 6)
         plans = pipeline.TailPlans(PLAN_TEST_TABLES, cfg)

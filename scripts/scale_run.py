@@ -17,10 +17,12 @@ included: a split run whose cpu_s is close to its wall_s ran its shards one
 after another, as on a host that keeps a forked child on its parent's CPU.
 Then it runs the corpus's ``setup.cfg``, the same reference tables with a
 one-row flight table, as perfbench does: setup_s, that run's median wall
-time, is what every invocation pays before its first flight. --src picks the
-package sources to run (default ./src), so two checkouts can be measured on
-the same generated inputs. One untimed run comes first and writes the
-bytecode cache of the sources, so no timed run compiles them.
+time, is what every invocation pays before its first flight, and
+setup_peak_rss_mb, its median max RSS, is the peak that setup alone reaches,
+apart from the run's peak_rss_mb. --src picks the package sources to run
+(default ./src), so two checkouts can be measured on the same generated
+inputs. One untimed run comes first and writes the bytecode cache of the
+sources, so no timed run compiles them.
 
 Each run is started by a small launcher process. On Linux a child's max RSS,
 as wait4 reports it, is at least its parent's resident set at the time of
@@ -111,6 +113,7 @@ def measure(src: Path, flights: int, seed: int, runs: int, work: Path) -> dict:
         "setup_s": statistics.median(s["wall_s"] for s in setup_samples),
         "flights_per_s": statistics.median(flights / w for w in walls),
         "peak_rss_mb": statistics.median(s["max_rss_mb"] for s in samples),
+        "setup_peak_rss_mb": statistics.median(s["max_rss_mb"] for s in setup_samples),
         "samples": samples,
         "one_cpu_samples": one_cpu_samples,
         "setup_samples": setup_samples,

@@ -35,7 +35,8 @@ import itertools
 import math
 import os
 import re
-from operator import itemgetter
+import sys
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -76,16 +77,6 @@ class AirframeRecord(NamedTuple):
     raw_type_designator: str
     seat_count: int
     engine_count: int
-
-
-class TailEngineRecord(NamedTuple):
-    tail_number: str
-    faa_engine_designation: str
-
-
-class EngineCodeRecord(NamedTuple):
-    faa_code: str
-    designation_text: str
 
 
 class Record:
@@ -301,6 +292,9 @@ class TableSchema(NamedTuple):
 
 # surrogateescape decodes a byte that is not UTF-8 to one of these.
 _UNDECODED = re.compile("[\udc80-\udcff]")
+# A NUL as `_rows`' reader gives it: on 3.10, whose csv module reads on inside a
+# quoted field after a NUL, a lone surrogate that surrogateescape never gives.
+_NUL = "\0" if sys.version_info >= (3, 11) else "\udc00"
 
 
 # Bytes `row_spans` reads at a time.
@@ -356,10 +350,12 @@ def _rows(schema: TableSchema, path: Path, start: int = 0, lines: int | None = N
             fh = files.enter_context(io.TextIOWrapper(
                 raw, encoding="utf-8" if start else "utf-8-sig", errors="surrogateescape",
                 newline=""))
-            reader = csv.reader(itertools.islice(fh, lines))
+            text_lines = itertools.islice(fh, lines)
+            reader = csv.reader(text_lines if _NUL == "\0" else
+                                map(methodcaller("replace", "\0", _NUL), text_lines))
             header = None if start else next(reader, None)
-            if header and "\0" in "".join(header):
-                header = "line contains NUL"  # as the csv module of Python 3.10 reads it
+            if header and _NUL in "".join(header):
+                header = "line contains NUL"  # as the csv module of Python 3.10 words it
         except csv.Error as exc:
             header = str(exc)
         except OSError as exc:
@@ -406,7 +402,7 @@ def _accepted(schema: TableSchema, path: Path, columns: tuple[Column, ...], read
             if row is None:
                 return
             joined = "".join(row)
-            if "\0" in joined:  # refused on every Python, in the words of 3.10's csv module
+            if _NUL in joined:  # refused on every Python, in the words of 3.10's csv module
                 raise ValueError("line contains NUL")
             if len(row) != arity:
                 raise ValueError(f"expected {arity} fields, got {len(row)}")
@@ -527,7 +523,7 @@ def write_table(schema: TableSchema, records: Iterable, path: str | Path) -> Non
         fh.writelines(csv_line([_format(v) for v in row[:len(columns)]]) for row in rows)
 
 
-# --- the six input tables, each record an immutable NamedTuple ---
+# --- the six input tables: immutable NamedTuple records, or (key, value) pairs ---
 
 def _flight(*values: Any) -> FlightRecord:
     if values[4] == values[5]:
@@ -616,7 +612,7 @@ def _engines(chunk: list[list[str]]) -> list[EngineLtoFactors] | None:
     indices = list(map(_RATE_INDEX.__getitem__, zip(gases, modes)))
     rates = list(map(float.__add__, map(float, cells), itertools.repeat(0.0)))
     if (any(uids[k::16] != heads for k in range(1, 16))  # also a chunk of 16n rows
-            or "" in heads or not "".join(heads).isascii() or "\0" in "".join(heads)
+            or "" in heads or not "".join(heads).isascii() or _NUL in "".join(heads)
             or len(set(zip(uids, indices))) != len(uids)
             or not (math.isfinite(math.fsum(rates)) and min(rates) >= 0.0)):
         return None
@@ -640,10 +636,10 @@ B43_TABLE = TableSchema(
     build=AirframeRecord, key=("tail_number",))
 TAIL_REGISTRY_TABLE = TableSchema(
     "tail_registry", (text("tail_number"), text("engine_designation")),
-    build=TailEngineRecord, key=("tail_number",))
+    build=lambda tail, designation: (tail, designation), key=("tail_number",))
 ENGINE_CODES_TABLE = TableSchema(
     "engine_codes", (text("faa_code"), text("designation")),
-    build=EngineCodeRecord, key=("faa_code",))
+    build=lambda faa_code, designation: (faa_code, designation), key=("faa_code",))
 ICAO_ENGINES_TABLE = TableSchema(
     "icao_engines",
     (shared(text("engine_uid")), shared(choice("gas", GASES)), shared(choice("mode", MODES)),

@@ -16,12 +16,10 @@ from typing import Collection, Iterable, NamedTuple
 from .ingest import (
     AirframeRecord,
     CcdProfile,
-    EngineCodeRecord,
     EngineLtoFactors,
     FlightRecord,
     IngestError,
     TableSchema,
-    TailEngineRecord,
     number,
     read_strict,
     text,
@@ -120,8 +118,7 @@ FALLBACK_TABLE = TableSchema(
     key=("missing_type",))
 OVERRIDE_TABLE = TableSchema(
     "popular_engine_override", (text("canonical_type"), text("engine_uid")),
-    build=lambda canonical_type, uid: (canonical_type, uid), rows=lambda pair: [pair],
-    key=("canonical_type",))
+    build=lambda canonical_type, uid: (canonical_type, uid), key=("canonical_type",))
 CONFIG_TABLES = (RULES_TABLE, FALLBACK_TABLE, OVERRIDE_TABLE)
 
 
@@ -258,6 +255,7 @@ class LookupTables(NamedTuple):
     `canonical_types` holds each type designator's canonical type, "" if none;
     `engine_by_tail` the (engine_uid, flag) of each airframe tail whose
     registry engine matched; `popular_engine` the fallback UID per type.
+    `build` takes the registry and engine codes as maps and keeps neither.
     """
 
     airframes_by_tail: dict[str, AirframeRecord]
@@ -271,8 +269,8 @@ class LookupTables(NamedTuple):
     @classmethod
     def build(cls,
               airframes: list[AirframeRecord],
-              registry: list[TailEngineRecord],
-              engine_codes: list[EngineCodeRecord],
+              registry_by_tail: dict[str, str],
+              engine_code_text: dict[str, str],
               databank: list[EngineLtoFactors],
               ccd_profiles: list[CcdProfile],
               rules: NormalizationRuleSet,
@@ -284,11 +282,8 @@ class LookupTables(NamedTuple):
         canonical_types = {raw: rules.normalize(raw) or "" for raw in
                            dict.fromkeys(a.raw_type_designator for a in airframes)}
         databank_by_uid = {e.engine_uid: e for e in databank}
-        engine_by_tail = _resolve_engines(
-            airframes_by_tail,
-            {r.tail_number: r.faa_engine_designation for r in registry},
-            {c.faa_code: c.designation_text for c in engine_codes},
-            databank_by_uid, jaccard_threshold)
+        engine_by_tail = _resolve_engines(airframes_by_tail, registry_by_tail, engine_code_text,
+                                          databank_by_uid, jaccard_threshold)
         popular_engine = build_popular_engine_table(
             (canonical_type, engine_by_tail[tail][0])
             for tail, airframe in airframes_by_tail.items()

@@ -123,10 +123,13 @@ def open_inputs(cfg: RunConfig, span: tuple[int, int, int] | None = None,
 
 def _reference_data(cfg: RunConfig) -> tuple[matching.LookupTables, list[IngestReport]]:
     """The lookup tables and the five reference tables' reports. The parsed
-    lists are locals here, so they are freed before any flight is read."""
+    lists are locals here, so they are freed before any flight is read; the
+    registry's and the codes' pairs become their maps as each is read."""
     airframes, b43_report = ingest.read_table(ingest.B43_TABLE, cfg.b43)
     registry, registry_report = ingest.read_table(ingest.TAIL_REGISTRY_TABLE, cfg.tail_registry)
+    registry = dict(registry)
     codes, codes_report = ingest.read_table(ingest.ENGINE_CODES_TABLE, cfg.engine_codes)
+    codes = dict(codes)
     databank, icao_report = ingest.read_table(ingest.ICAO_ENGINES_TABLE, cfg.icao_engines)
     profiles, bada_report = ingest.read_table(ingest.BADA_CCD_TABLE, cfg.bada_ccd)
     if cfg.interpolation_key == "distance":

@@ -132,8 +132,8 @@ class TestParseOntime:
         assert rejection.reason == "field holds bytes that are not UTF-8"
 
     def test_nul_rejects_the_row(self, tmp_path):
-        """A NUL is refused with the text of Python 3.10's csv module, which
-        refuses it itself, on every version."""
+        """A NUL is refused with the text of Python 3.10's csv module, on
+        every version."""
         path = ontime_file(tmp_path,
                            [GOLDEN_ROW, [GOLDEN_ROW[0], "UA", *GOLDEN_ROW[2:]], GOLDEN_ROW])
         path.write_bytes(path.read_bytes().replace(b"UA", b"U\0A"))
@@ -274,6 +274,15 @@ class TestSmallTables:
         write_csv(path, ingest.ENGINE_CODES_TABLE.header, [["C1", "CFM56"], ["C1", "PW"]])
         with pytest.raises(ingest.DuplicateKeyError):
             ingest.read_table(ingest.ENGINE_CODES_TABLE, path)
+
+    def test_nul_in_a_quoted_field_over_lines_rejects_the_whole_row(self, tmp_path):
+        """A NUL inside a quoted field spanning lines rejects the row it is in
+        and no line of that field starts a row, on Python 3.10 too."""
+        path = tmp_path / "tail_registry.csv"
+        path.write_bytes(b'tail_number,engine_designation\nN1,"a\nb\0c\nd",x\nN2,e\n')
+        records, report = ingest.read_table(ingest.TAIL_REGISTRY_TABLE, path)
+        assert records == [("N2", "e")]
+        assert report.rejections == [ingest.RowRejection(2, "line contains NUL")]
 
     def test_round_trips(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -488,8 +497,8 @@ def test_read_error_in_the_databank_kernel_names_the_table(tmp_path, monkeypatch
 
 SCHEMAS = ingest.INPUT_TABLES + matching.CONFIG_TABLES + agg.ROLLUP_TABLES
 
-# The csv module of Python 3.10 neither writes nor reads a NUL, so its text
-# holds none there; the NUL tests above hold its refusal on every version.
+# The csv writer of Python 3.10 cannot write a NUL, so its text holds none
+# there; the NUL tests above hold its refusal on every version.
 FUZZ_CELLS = st.one_of(
     st.sampled_from(["", "inf", "-inf", "nan", "-0.0", "0", "1", "16", "1e308", "1e999",
                      "20210901", "2021-W35-3", "HC", "IDLE", "N1", "\u00c5\u00e9\u4e2d"]),

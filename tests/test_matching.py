@@ -6,10 +6,8 @@ from aeroemit import matching
 from aeroemit.ingest import (
     AirframeRecord,
     CcdProfile,
-    EngineCodeRecord,
     FlightRecord,
     IngestError,
-    TailEngineRecord,
 )
 from conftest import CFM56_7B27E_RATES, lto_factors, pick, write_csv
 
@@ -199,7 +197,7 @@ def build_tables(airframes, registry, codes=(), databank=(), profiles=(),
     rules = matching.NormalizationRuleSet(
         [matching.NormalizationRule(p, c) for p, c in rules_rows])
     return matching.LookupTables.build(
-        list(airframes), list(registry), list(codes), list(databank),
+        list(airframes), dict(registry), dict(codes), list(databank),
         list(profiles), rules, fallback or {}, jaccard_threshold=threshold,
         popular_engine_override=override)
 
@@ -208,7 +206,7 @@ class TestResolveFlight:
     def default_tables(self, **kwargs):
         defaults = dict(
             airframes=[AirframeRecord("N815DN", "B739ER", 180, 2)],
-            registry=[TailEngineRecord("N815DN", "CFM56-7B27E")],
+            registry={"N815DN": "CFM56-7B27E"},
             databank=[engine("CFM56-7B27E"), engine("CFM56-7B26")],
             profiles=[profile("737-900ER")],
             rules_rows=[("B739ER", "737-900ER")],
@@ -260,15 +258,15 @@ class TestResolveFlight:
 
     def test_jaccard_engine_resolution(self):
         tables = self.default_tables(
-            registry=[TailEngineRecord("N815DN", "CFM56 7B27E SERIES")])
+            registry={"N815DN": "CFM56 7B27E SERIES"})
         rf = matching.resolve_flight(flight(), tables)
         assert rf.engine_uid == "CFM56-7B27E"
         assert matching.ENGINE_JACCARD in rf.provenance
 
     def test_engine_code_lookup(self):
         tables = self.default_tables(
-            registry=[TailEngineRecord("N815DN", "C123")],
-            codes=[EngineCodeRecord("C123", "CFM56-7B27E")])
+            registry={"N815DN": "C123"},
+            codes={"C123": "CFM56-7B27E"})
         rf = matching.resolve_flight(flight(), tables)
         assert rf.engine_uid == "CFM56-7B27E"
         assert matching.ENGINE_EXACT in rf.provenance
@@ -277,13 +275,13 @@ class TestResolveFlight:
         tables = self.default_tables(
             airframes=[AirframeRecord("N815DN", "B739ER", 180, 2),
                        AirframeRecord("N1", "B739ER", 180, 2)],
-            registry=[TailEngineRecord("N1", "CFM56-7B27E")])
+            registry={"N1": "CFM56-7B27E"})
         rf = matching.resolve_flight(flight(), tables)
         assert rf.engine_uid == "CFM56-7B27E"
         assert matching.ENGINE_POPULAR_FALLBACK in rf.provenance
 
     def test_no_engine_anywhere_incomputable(self):
-        tables = self.default_tables(registry=[])
+        tables = self.default_tables(registry={})
         rf = matching.resolve_flight(flight(), tables)
         assert rf.incomputable_cause == matching.NO_ENGINE_MATCH
 
@@ -308,7 +306,7 @@ class TestResolveFlight:
         tables = self.default_tables(
             airframes=[AirframeRecord("N815DN", "B739ER", 180, 2),
                        AirframeRecord("N1", "B739ER", 180, 2)],
-            registry=[TailEngineRecord("N1", "CFM56-7B27E")],
+            registry={"N1": "CFM56-7B27E"},
             override={"737-900ER": "CFM56-7B26"})
         rf = matching.resolve_flight(flight(), tables)
         assert rf.engine_uid == "CFM56-7B26"
@@ -359,16 +357,14 @@ def reference_tables(airframes, registry, codes, databank, rules_rows, threshold
     """Brute-force engine per airframe tail and popular engine per type."""
     rules = matching.NormalizationRuleSet(
         [matching.NormalizationRule(p, c) for p, c in rules_rows])
-    registry_by_tail = {r.tail_number: r.faa_engine_designation for r in registry}
-    code_text = {c.faa_code: c.designation_text for c in codes}
     by_uid = {e.engine_uid: e for e in databank}
     engines, counts = {}, {}
     for airframe in {a.tail_number: a for a in airframes}.values():
         tail = airframe.tail_number
         engines[tail] = None
-        designation = registry_by_tail.get(tail)
+        designation = registry.get(tail)
         if designation is not None:
-            designation = code_text.get(designation, designation)
+            designation = codes.get(designation, designation)
             if designation.strip().upper() in by_uid:
                 engines[tail] = (designation.strip().upper(), matching.ENGINE_EXACT)
             else:
@@ -405,20 +401,18 @@ def matching_inputs(draw):
         return pick(draw, [uid, uid.lower(), uid.replace("-", " "), f" {uid}/",
                            uid.replace("-", "--").title()])
 
-    codes = [EngineCodeRecord(f"C{i}", spelled(uid) if draw(st.booleans())
-                              else draw(DESIGNATIONS))
-             for i, uid in enumerate(uids)]
+    codes = {f"C{i}": spelled(uid) if draw(st.booleans()) else draw(DESIGNATIONS)
+             for i, uid in enumerate(uids)}
 
     def registry_designation():
         kind = pick(draw, ["uid", "code", "other"] if uids else ["other"])
         if kind == "uid":
             return spelled(pick(draw, uids))
         if kind == "code":
-            return pick(draw, codes).faa_code
+            return pick(draw, list(codes))
         return draw(DESIGNATIONS)
 
-    registry = [TailEngineRecord(t, registry_designation())
-                for t in tails if draw(st.integers(0, 5))]
+    registry = {t: registry_designation() for t in tails if draw(st.integers(0, 5))}
     return dict(airframes=airframes, registry=registry, codes=codes,
                 databank=[engine(uid) for uid in uids],
                 rules_rows=[("RAW-A", "TA"), ("RAW-B", "TB")],
@@ -492,7 +486,7 @@ class TestEngineResolutionEquivalence:
                             lambda a, b: scored.append(b) or jaccard(a, b))
         tables = build_tables(
             airframes=[AirframeRecord(f"N{i}", "B739ER", 180, 2) for i in range(50)],
-            registry=[TailEngineRecord(f"N{i}", spellings[i % 3]) for i in range(50)],
+            registry={f"N{i}": spellings[i % 3] for i in range(50)},
             databank=[engine(uid) for uid in reversed(uids)],
             rules_rows=[("B739ER", "737-900ER")])
         assert sorted(s for s in tokenized if s in set(uids)) == uids

@@ -8,9 +8,8 @@ from aeroemit import aggregate, emissions, ingest, matching, pipeline
 import reference
 
 RECORDS = (
-    ingest.FlightRecord, ingest.AirframeRecord, ingest.TailEngineRecord,
-    ingest.EngineCodeRecord, ingest.EngineLtoFactors, ingest.CcdProfile,
-    ingest.RowRejection, ingest.Column, ingest.TableSchema,
+    ingest.FlightRecord, ingest.AirframeRecord, ingest.EngineLtoFactors,
+    ingest.CcdProfile, ingest.RowRejection, ingest.Column, ingest.TableSchema,
     reference.GasVector, reference.LtoTimes, emissions.Co2eFactors,
     matching.ResolvedFlight, matching.NormalizationRule, matching.FamilyFallback,
     matching.LookupTables, aggregate.UnepBaseline,

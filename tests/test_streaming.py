@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from aeroemit import cli, emissions, ingest, matching, pipeline
 from aeroemit.config import RunConfig, load_config
-from aeroemit.ingest import AirframeRecord, FlightRecord, TailEngineRecord
+from aeroemit.ingest import AirframeRecord, FlightRecord
 from conftest import (CFM56_7B27E_RATES, bits, build_corpus, coverage_report, in_shards,
                       lto_factors, make_b739er_profile, write_config, write_csv,
                       write_outputs)
@@ -78,9 +78,8 @@ def plan_test_tables() -> matching.LookupTables:
                  AirframeRecord("N3", "B739ER", 160, 2), AirframeRecord("N4", "ZZZ", 90, 1),
                  AirframeRecord("N5", "A320", 150, 2), AirframeRecord("N6", "B739ER", 400, 3),
                  AirframeRecord("N7", "737-7X", 140, 4)]
-    registry = [TailEngineRecord("N1", "CFM56-7B27E"), TailEngineRecord("N2", "CFM56-7B27E"),
-                TailEngineRecord("N4", "CFM56-7B27E"), TailEngineRecord("N6", "CFM56 7B26 X"),
-                TailEngineRecord("N7", "PW4000")]
+    registry = {"N1": "CFM56-7B27E", "N2": "CFM56-7B27E", "N4": "CFM56-7B27E",
+                "N6": "CFM56 7B26 X", "N7": "PW4000"}
     databank = [lto_factors(uid, {k: v * scale for k, v in CFM56_7B27E_RATES.items()})
                 for uid, scale in (("CFM56-7B27E", 1.0), ("CFM56-7B26", 0.9))]
     rules = matching.NormalizationRuleSet([
@@ -90,7 +89,7 @@ def plan_test_tables() -> matching.LookupTables:
         matching.NormalizationRule("A320", "A320")])
     fallback = {"737-8": matching.FamilyFallback("737-900ER", 0.85),
                 "737-7": matching.FamilyFallback("737-900ER", 0.8)}
-    return matching.LookupTables.build(airframes, registry, [], databank,
+    return matching.LookupTables.build(airframes, registry, {}, databank,
                                        [make_b739er_profile()], rules, fallback)
 
 
@@ -296,27 +295,54 @@ class ParsedList(list):
     """A list that a weakref can watch."""
 
 
-def test_parsed_reference_lists_freed_before_flights_stream(tmp_path, monkeypatch):
-    """Inside `open_inputs`, no list that `ingest.read_table` returned for an
-    input table is alive: the lookup tables keep only the records they need."""
-    watched = []
+def watch_parsed_lists(monkeypatch, schemas) -> dict:
+    """A weakref, by table name, to each list `ingest.read_table` returns
+    for one of `schemas`, added as it is read."""
+    watched = {}
     read_table = ingest.read_table
 
     def read_and_watch(schema, path):
         records, report = read_table(schema, path)
-        if schema in ingest.INPUT_TABLES:
+        if schema in schemas:
             records = ParsedList(records)
-            watched.append(weakref.ref(records))
+            watched[schema.table] = weakref.ref(records)
         return records, report
 
     monkeypatch.setattr(ingest, "read_table", read_and_watch)
+    return watched
+
+
+def test_parsed_reference_lists_freed_before_flights_stream(tmp_path, monkeypatch):
+    """Inside `open_inputs`, no list that `ingest.read_table` returned for an
+    input table is alive: the lookup tables keep only the records they need."""
+    watched = watch_parsed_lists(monkeypatch, ingest.INPUT_TABLES)
     paths = build_corpus(tmp_path, n_flights=50)
     cfg = load_config(str(write_config(tmp_path, paths, tmp_path / "out")))
     with pipeline.open_inputs(cfg) as data:
         gc.collect()
         assert len(watched) == 5
-        assert [ref() for ref in watched] == [None] * 5
+        assert [ref() for ref in watched.values()] == [None] * 5
         assert data.tables.airframes_by_tail and sum(1 for _ in data.flights) == 50
+
+
+def test_registry_and_code_lists_freed_before_tables_build(tmp_path, monkeypatch):
+    """The registry's and the engine codes' parsed lists are dead when
+    `LookupTables.build` starts: it is given their maps, not the lists."""
+    watched = watch_parsed_lists(
+        monkeypatch, (ingest.TAIL_REGISTRY_TABLE, ingest.ENGINE_CODES_TABLE))
+    build = matching.LookupTables.build
+
+    def build_when_freed(*args, **kwargs):
+        gc.collect()
+        assert {table: ref() for table, ref in watched.items()} == {
+            "tail_registry": None, "engine_codes": None}
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(matching.LookupTables, "build", build_when_freed)
+    paths = build_corpus(tmp_path, n_flights=5)
+    cfg = load_config(str(write_config(tmp_path, paths, tmp_path / "out")))
+    with pipeline.open_inputs(cfg) as data:
+        assert data.tables.engine_by_tail
 
 
 def test_peak_memory_does_not_grow_with_rejected_rows(tmp_path):
